@@ -43,9 +43,7 @@ from .core import (
 from .errors import (
     BezoutPairError,
     ExtremalityError,
-    PowerIterationError,
     QuadratureAccuracyError,
-    SearchFailureError,
     SingularMatrixError,
     SingularSymbolError,
     ToepcondError,
@@ -81,11 +79,9 @@ __all__ = [
     "ExtremalityReport",
     "GeneralToeplitzMatrix",
     "ModelOperatorMatrix",
-    "PowerIterationError",
     "QuadratureAccuracyError",
     "RemarkScanReport",
     "SearchConfig",
-    "SearchFailureError",
     "SearchResult",
     "SingularMatrixError",
     "SingularSymbolError",

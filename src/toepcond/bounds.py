@@ -21,8 +21,6 @@ from . import linalg
 from .blaschke import BlaschkeFactor, taylor
 from .core import AnalyticPolynomial, AnalyticToeplitzMatrix, apply_calculus, reciprocal_series
 from .errors import (
-    PowerIterationError,
-    SearchFailureError,
     SingularMatrixError,
     ToepcondError,
     TwoPathMismatchError,
@@ -30,6 +28,9 @@ from .errors import (
 
 PASS_TOL = 1e-8
 TWO_PATH_RTOL = 1e-8
+# a projected search candidate may undershoot |f(0)| >= r by this many
+# units in the last place of r, the rounding of dividing by its norm
+F0_ULPS = 2
 
 
 @dataclass(eq=False)
@@ -117,15 +118,16 @@ def bracket_endpoints(n: int, r: float) -> tuple[float, float]:
 def theorem_check(n: int, r: float) -> BoundsRecord:
     """Verify the bracket max(r^n, 1-r^n) <= r^n ||T_r^{-1}|| <= 1 at one point.
 
-    The inverse norm is computed twice: by solve-based power iteration on
-    T_r itself, and as the spectral norm of the exact reciprocal-series
-    inverse. The two must agree to TWO_PATH_RTOL relative, otherwise a
-    TwoPathMismatchError is raised; the solve-based value fills the record.
+    The inverse norm is computed twice: as 1/sigma_min(T_r) from the LAPACK
+    inverse of T_r itself, and as the spectral norm of the exact
+    reciprocal-series inverse. The two must agree to TWO_PATH_RTOL
+    relative, otherwise a TwoPathMismatchError is raised; the first value
+    fills the record.
 
-    When r^n falls below the elimination pivot threshold (about 1e-14) the
-    solve path reports numerical singularity by contract; the record is
-    then filled from the series path alone, which stays accurate because
-    the reciprocal recursion has no cancellation for these symbols.
+    When the inverse norm exceeds 1/linalg.PIVOT_TOL (r^n below about
+    1e-14) the first path reports numerical singularity by contract; the
+    record is then filled from the series path alone, which stays accurate
+    because the reciprocal recursion has no cancellation for these symbols.
     """
     T = build_T_r(n, r)
     A = T.matrix
@@ -228,41 +230,26 @@ def scaled_trends(records: Sequence[BoundsRecord]) -> dict:
     return {"in_n_for_fixed_r": in_n, "in_r_for_fixed_n": in_r}
 
 
-def _norm_lower(M: np.ndarray, tol: float, max_iter: int) -> float:
-    """Spectral norm with a hard iteration cap, keeping the last estimate.
-
-    Near-optimal candidates have two nearly equal top singular values, and
-    polishing inside that cluster takes unboundedly many power steps while
-    changing the value by less than the cluster width. The capped estimate
-    is still certified from below, which is all the search needs.
-    """
-    try:
-        return linalg.spectral_norm(M, tol=tol, max_iter=max_iter)
-    except PowerIterationError as exc:
-        return exc.last_value
+def _inverse_norm_series(coeffs: np.ndarray) -> float:
+    """Inverse norm of f(M_n) from the reciprocal-series path, which is
+    cheap and accurate even at extreme condition numbers."""
+    g = reciprocal_series(AnalyticPolynomial.from_coeffs(coeffs))
+    return linalg.spectral_norm(apply_calculus(g, g.n).matrix)
 
 
-def _objective(
-    coeffs: np.ndarray, r: float, tol: float, max_iter: int
-) -> tuple[Optional[float], Optional[np.ndarray]]:
+def _objective(coeffs: np.ndarray, r: float) -> tuple[Optional[float], Optional[np.ndarray]]:
     """Inverse norm of the projected candidate, or (None, None) if infeasible.
 
     The candidate is rescaled to unit norm when its matrix exceeds norm 1
     (the inverse norm scales the opposite way, so projection never hurts a
-    maximizer), then rejected if the constant term dropped below r. The
-    inverse norm itself comes from the reciprocal-series path, which is
-    cheap and accurate even at extreme condition numbers.
+    maximizer), then rejected if the constant term dropped below r by more
+    than F0_ULPS units in the last place.
     """
     f = AnalyticPolynomial.from_coeffs(coeffs)
-    T = apply_calculus(f, f.n)
-    nrm = _norm_lower(T.matrix, tol, max_iter)
-    scale = max(1.0, nrm)
-    proj = f.coeffs / scale
-    if abs(proj[0]) < r - 1e-12:
+    proj = f.coeffs / max(1.0, linalg.spectral_norm(apply_calculus(f, f.n).matrix))
+    if abs(proj[0]) < r - F0_ULPS * math.ulp(r):
         return None, None
-    g = reciprocal_series(AnalyticPolynomial.from_coeffs(proj))
-    G = apply_calculus(g, g.n)
-    return _norm_lower(G.matrix, tol, max_iter), proj
+    return _inverse_norm_series(proj), proj
 
 
 _DIRECTIONS = (1.0, -1.0, 1.0j, -1.0j)
@@ -289,18 +276,15 @@ def estimate_t_a(n: int, r: float, config: SearchConfig | None = None) -> Search
         raise ValueError("r must lie strictly between 0 and 1")
     cfg = config or SearchConfig()
     base = taylor(BlaschkeFactor(r), n).coeffs
-    search_tol, search_cap = 1e-7, 400
-    final_tol, final_cap = linalg.DEFAULT_TOL, 20_000
-
-    # the seed symbol is feasible exactly (unit norm, constant term r), so
-    # its accurately evaluated objective floors whatever the search returns
-    seed_value, seed_coeffs = _objective(base, r, final_tol, final_cap)
 
     best_value = -math.inf
     best_coeffs = None
     for j in range(max(1, cfg.restarts)):
         if j == 0:
-            start = base.copy()
+            # the seed symbol is feasible exactly (unit norm, constant term
+            # r), so it enters unprojected: a computed norm a few ulps
+            # above 1 must not push its constant term below r
+            value, current = _inverse_norm_series(base), base.copy()
         else:
             theta = 2.0 * math.pi * j / max(1, cfg.restarts)
             start = np.exp(1j * theta) * base
@@ -310,9 +294,9 @@ def estimate_t_a(n: int, r: float, config: SearchConfig | None = None) -> Search
                 # keep the start feasible in the constant term
                 if abs(start[0]) < r:
                     start[0] *= (r + 0.05) / max(abs(start[0]), 1e-12)
-        value, current = _objective(start, r, search_tol, search_cap)
-        if value is None:
-            continue
+            value, current = _objective(start, r)
+            if value is None:
+                continue
         step = cfg.initial_step
         fails = 0
         for it in range(cfg.iters):
@@ -320,7 +304,7 @@ def estimate_t_a(n: int, r: float, config: SearchConfig | None = None) -> Search
             direction = _DIRECTIONS[it % 4]
             cand = current.copy()
             cand[coord] += step * direction
-            cand_value, cand_proj = _objective(cand, r, search_tol, search_cap)
+            cand_value, cand_proj = _objective(cand, r)
             if cand_value is not None and cand_value > value:
                 value, current = cand_value, cand_proj
                 fails = 0
@@ -334,26 +318,19 @@ def estimate_t_a(n: int, r: float, config: SearchConfig | None = None) -> Search
         if value > best_value:
             best_value = value
             best_coeffs = current
-    # final evaluation of the winner at full tolerance. A winner sitting on
-    # the |f(0)| = r boundary can fall just outside feasibility once the
-    # accurate norm replaces the capped search estimate; the seed then wins.
-    final_value, final_coeffs = None, None
-    if best_coeffs is not None:
-        final_value, final_coeffs = _objective(best_coeffs, r, final_tol, final_cap)
-    if final_value is None or final_value < seed_value:
-        final_value, final_coeffs = seed_value, seed_coeffs
-    if final_value is None:
-        raise SearchFailureError("no feasible candidate survived projection")
+    # no feasible symbol beats the proven ceiling 1/r^n; a value above it
+    # is rounding and is clipped so the lower bound stays below the ceiling
     rn = r**n
+    scaled = min(1.0, rn * best_value)
     return SearchResult(
         n=n,
         r=r,
-        best_value=final_value,
-        best_coeffs=AnalyticPolynomial.from_coeffs(final_coeffs),
+        best_value=min(best_value, kronecker_bound(n, r)),
+        best_coeffs=AnalyticPolynomial.from_coeffs(best_coeffs),
         restarts_used=max(1, cfg.restarts),
         seed=cfg.seed,
-        scaled_value=rn * final_value,
-        kronecker_gap=1.0 - rn * final_value,
+        scaled_value=scaled,
+        kronecker_gap=1.0 - scaled,
     )
 
 

@@ -7,21 +7,9 @@ class ToepcondError(Exception):
     """Base class for all package-specific failures."""
 
 
-class PowerIterationError(ToepcondError):
-    """Power iteration hit its iteration cap before converging.
-
-    Carries the last Rayleigh-quotient estimate so callers can decide
-    whether the partial value is still usable.
-    """
-
-    def __init__(self, message: str, last_value: float, iterations: int):
-        super().__init__(message)
-        self.last_value = last_value
-        self.iterations = iterations
-
-
 class SingularMatrixError(ToepcondError):
-    """Gaussian elimination met a pivot below the singularity threshold."""
+    """A matrix is singular to working precision: an elimination pivot or
+    an inverse norm is beyond the singularity threshold."""
 
 
 class SingularSymbolError(ToepcondError):
@@ -51,7 +39,3 @@ class ExtremalityError(ToepcondError):
 
 class TwoPathMismatchError(ToepcondError):
     """The two independent inverse-norm computations disagree."""
-
-
-class SearchFailureError(ToepcondError):
-    """The extremal search found no feasible candidate (internal error)."""

@@ -1,25 +1,19 @@
 """Dense complex linear-algebra kernel.
 
 Spectral norms, linear solves and defect ranks on plain numpy arrays of
-complex128. Extreme singular values are obtained by power iteration; no
-full SVD or eigendecomposition is ever formed, which keeps every result
-deterministic and the dependency surface minimal.
+complex128. Every norm is a singular value from numpy's LAPACK SVD: the
+matrices here have n <= 64, where a full SVD is cheap and gives every
+singular value to machine precision, clustered ones included.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Optional
-
 import numpy as np
 
-from .errors import PowerIterationError, SingularMatrixError
+from .errors import SingularMatrixError
 
-_EPS = float(np.finfo(np.float64).eps)
-
-DEFAULT_TOL = 1e-12
-DEFAULT_MAX_ITER = 100_000
-
-# Pivot magnitudes below this are treated as exact singularity.
+# Pivot magnitudes below this are treated as exact singularity; an inverse
+# norm above its reciprocal is reported the same way.
 PIVOT_TOL = 1e-14
 
 
@@ -36,101 +30,9 @@ def _require_square(M: np.ndarray) -> int:
     return M.shape[0]
 
 
-def _power_hermitian(
-    apply_op: Callable[[np.ndarray], np.ndarray],
-    dim: int,
-    tol: float,
-    max_iter: int,
-    floor: float,
-    start: Optional[np.ndarray] = None,
-):
-    """Largest-magnitude eigenvalue of a Hermitian operator.
-
-    Power iteration with a deterministic start (normalized all-ones unless
-    `start` is given). Returns (eigenvalue, eigenvector, iterations).
-
-    Stopping is decided on the Rayleigh quotient. A step is accepted as
-    converged when its increment either sits at the absolute noise floor
-    or, together with the geometric tail estimate delta*rho/(1-rho) built
-    from the previous increment, falls below tol relative to the current
-    value. The tail estimate prevents premature stops on slowly decaying
-    increments (near-degenerate spectra).
-
-    If the iterate stagnates at zero (start vector orthogonal to the range,
-    or a zero operator), the iteration restarts once from (1, 2, ..., dim);
-    a second stagnation reports eigenvalue 0.
-    """
-    if start is None:
-        v = np.full(dim, 1.0 / np.sqrt(dim), dtype=np.complex128)
-    else:
-        v = np.asarray(start, dtype=np.complex128)
-        v = v / np.linalg.norm(v)
-    restarted = False
-    lam_prev = None
-    delta_prev = None
-    lam = 0.0
-    for it in range(1, max_iter + 1):
-        w = apply_op(v)
-        lam = float(np.real(np.vdot(v, w)))
-        wn = float(np.linalg.norm(w))
-        if wn == 0.0 or abs(lam) <= floor:
-            if restarted:
-                return 0.0, v, it
-            v = np.arange(1, dim + 1, dtype=np.complex128)
-            v /= np.linalg.norm(v)
-            restarted = True
-            lam_prev = None
-            delta_prev = None
-            continue
-        v = w / wn
-        if lam_prev is not None:
-            delta = abs(lam - lam_prev)
-            thresh = max(tol * abs(lam), floor)
-            if delta <= floor:
-                return lam, v, it
-            if delta <= thresh and delta_prev is not None and delta_prev > 0.0:
-                rho = delta / delta_prev
-                if rho < 1.0 and delta * rho / (1.0 - rho) <= thresh:
-                    return lam, v, it
-            delta_prev = delta
-        lam_prev = lam
-    raise PowerIterationError(
-        f"power iteration did not converge in {max_iter} iterations",
-        last_value=lam,
-        iterations=max_iter,
-    )
-
-
-def spectral_norm(A, tol: float = DEFAULT_TOL, max_iter: int = DEFAULT_MAX_ITER) -> float:
-    """Largest singular value of A, certified from below.
-
-    Power iteration on A*A with the deterministic all-ones start; the
-    returned value has relative error at most `tol` for matrices whose top
-    singular value is separated, and is never an overestimate beyond
-    roundoff.
-    """
-    M = _as_matrix(A)
-    if tol <= 0.0:
-        raise ValueError("tol must be positive")
-    fro2 = float(np.real(np.vdot(M, M)))
-    if fro2 == 0.0:
-        return 0.0
-    # lam approximates sigma_max^2; 8 eps ||A||_F^2 is its noise floor
-    floor = 8.0 * _EPS * fro2
-    B = M.conj().T @ M  # forming A*A is fine: only its top eigenvalue is used
-
-    def apply_op(v: np.ndarray) -> np.ndarray:
-        return B @ v
-
-    try:
-        lam, _, _ = _power_hermitian(apply_op, M.shape[1], tol, max_iter, floor)
-    except PowerIterationError as exc:
-        raise PowerIterationError(
-            str(exc),
-            last_value=float(np.sqrt(max(exc.last_value, 0.0))),
-            iterations=exc.iterations,
-        ) from None
-    return float(np.sqrt(max(lam, 0.0)))
+def spectral_norm(A) -> float:
+    """Largest singular value of A, from a dense SVD."""
+    return float(np.linalg.svd(_as_matrix(A), compute_uv=False)[0])
 
 
 def lu_factor(A):
@@ -193,66 +95,35 @@ def solve(A, b) -> np.ndarray:
     return lu_solve(lu, piv, b)
 
 
-def inverse_norm(A, tol: float = DEFAULT_TOL, max_iter: int = DEFAULT_MAX_ITER) -> float:
+def inverse_norm(A) -> float:
     """Largest singular value of A^{-1}, i.e. 1/sigma_min(A).
 
-    Power iteration on (A*A)^{-1} where every operator application is a
-    pair of triangular solves from one LU factorization; A^{-1} is never
-    formed.
+    Forms A^{-1} with LAPACK and takes its top singular value. Raises
+    SingularMatrixError when LAPACK finds A exactly singular, or when the
+    result exceeds 1/PIVOT_TOL, the range in which an inverse computed by
+    elimination is no longer trusted.
     """
     M = _as_matrix(A)
     _require_square(M)
-    lu, piv = lu_factor(M)
-
-    def apply_op(v: np.ndarray) -> np.ndarray:
-        y = lu_solve(lu, piv, v, conj_transpose=True)
-        return lu_solve(lu, piv, y)
-
     try:
-        lam, _, _ = _power_hermitian(apply_op, M.shape[0], tol, max_iter, floor=0.0)
-    except PowerIterationError as exc:
-        raise PowerIterationError(
-            str(exc),
-            last_value=float(np.sqrt(max(exc.last_value, 0.0))),
-            iterations=exc.iterations,
-        ) from None
-    return float(np.sqrt(max(lam, 0.0)))
+        inv = np.linalg.inv(M)
+    except np.linalg.LinAlgError:
+        raise SingularMatrixError("matrix is exactly singular") from None
+    # an inverse that overflowed or came out NaN has no finite norm
+    val = spectral_norm(inv) if np.isfinite(inv).all() else np.inf
+    if not val <= 1.0 / PIVOT_TOL:
+        raise SingularMatrixError(
+            f"matrix is singular to working precision (inverse norm {val:.3e})"
+        )
+    return val
 
 
-def defect_singular_values(A, tol: float = DEFAULT_TOL, max_iter: int = DEFAULT_MAX_ITER) -> np.ndarray:
-    """All singular values of the defect operator I - A*A, descending.
-
-    The defect is Hermitian, so its singular values are the moduli of its
-    eigenvalues; they are extracted by power iteration with repeated
-    deflation. The first stage starts from all-ones; later stages use
-    fixed-seed pseudo-random starts so that deflated directions cannot
-    trap the iteration (with a deterministic start a whole remaining
-    eigenspace can be missed once two directions are deflated).
-    """
+def defect_singular_values(A) -> np.ndarray:
+    """All singular values of the defect operator I - A*A, descending."""
     M = _as_matrix(A)
     n = _require_square(M)
     D = np.eye(n, dtype=np.complex128) - M.conj().T @ M
-    scale = float(np.linalg.norm(D))
-    if scale == 0.0:
-        return np.zeros(n)
-    floor = 8.0 * _EPS * scale
-    vals = np.zeros(n)
-    for stage in range(n):
-        if stage == 0:
-            start = None
-        else:
-            rng = np.random.default_rng([20260817, stage])
-            start = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-        Dcur = D
-
-        def apply_op(v: np.ndarray, _D=Dcur) -> np.ndarray:
-            return _D @ v
-
-        lam, vec, _ = _power_hermitian(apply_op, n, tol, max_iter, floor, start=start)
-        vals[stage] = abs(lam)
-        if lam != 0.0:
-            D = D - lam * np.outer(vec, vec.conj())
-    return np.sort(vals)[::-1]
+    return np.linalg.svd(D, compute_uv=False)
 
 
 def defect_rank(A, tol: float = 1e-8) -> int:

@@ -1,6 +1,7 @@
 """Bracket verification and the extremal-constant search."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -108,6 +109,15 @@ class TestGridSweep:
         assert [(rec.n, rec.r) for rec in records] == sorted((n, r) for n in (1, 2, 3, 4) for r in (0.2, 0.5, 0.8))
         assert all(rec.passed for rec in records)
 
+    def test_largest_n_at_smallest_r_passes_without_warnings(self):
+        # at r = 0.05 the series inverse has entries near 20^64; its norm
+        # must neither overflow nor warn
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            records = grid_sweep(64, (0.05,))
+        assert all(rec.passed for rec in records[59:])
+        assert [rec.n for rec in records[59:]] == list(range(60, 65))
+
     def test_parallel_matches_serial(self):
         serial = grid_sweep(3, (0.3, 0.6))
         parallel = grid_sweep(3, (0.3, 0.6), max_workers=3)
@@ -172,6 +182,22 @@ class TestEstimateTa:
         coeffs = res.best_coeffs.coeffs
         assert abs(coeffs[0]) >= 0.5 - 1e-12
         assert spectral_norm(apply_calculus(res.best_coeffs).matrix) <= 1.0 + 1e-9
+
+    @pytest.mark.parametrize(
+        "n, r, cfg",
+        [(n, r, SearchConfig(seed=42, restarts=8, iters=250)) for n in (1, 2, 3) for r in (0.3, 0.5, 0.8)]
+        + [(3, 0.5, SearchConfig())],
+    )
+    def test_result_is_a_real_lower_bound(self, n, r, cfg):
+        # the winner is feasible by the exact singular values of f(M_n), to
+        # a few units in the last place, and never passes the 1/r^n ceiling
+        res = estimate_t_a(n, r, cfg)
+        coeffs = res.best_coeffs.coeffs
+        eps = np.finfo(float).eps
+        assert np.linalg.svd(apply_calculus(res.best_coeffs).matrix, compute_uv=False)[0] <= 1.0 + 4 * eps
+        assert abs(coeffs[0]) >= r - 4 * math.ulp(r)
+        assert res.kronecker_gap >= 0.0
+        assert res.best_value <= kronecker_bound(n, r)
 
     def test_deterministic(self):
         cfg = SearchConfig(seed=11, restarts=6, iters=80)

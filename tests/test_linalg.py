@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from toepcond import (
-    PowerIterationError,
     SingularMatrixError,
     build_T_r,
     defect_rank,
@@ -67,18 +66,14 @@ class TestSpectralNorm:
             c = complex(random_complex(rng, ()))
             assert spectral_norm(c * A) == pytest.approx(abs(c) * spectral_norm(A), rel=1e-10)
 
-    def test_nonconvergence_carries_last_value(self):
-        A = np.diag([2.0, 1.0])
-        with pytest.raises(PowerIterationError) as info:
-            spectral_norm(A, max_iter=1)
-        assert info.value.last_value > 0.0
-        assert info.value.iterations == 1
+    def test_clustered_top_singular_values(self):
+        # sigma_1 and sigma_2 differ by 1e-12: the top one is still exact
+        val = spectral_norm(np.diag([1.0, 1.0 - 1e-12]))
+        assert abs(val - 1.0) <= np.spacing(1.0)
 
-    def test_rejects_empty_and_bad_tol(self):
+    def test_rejects_empty(self):
         with pytest.raises(ValueError):
             spectral_norm(np.zeros((0, 0)))
-        with pytest.raises(ValueError):
-            spectral_norm(np.eye(2), tol=0.0)
 
 
 class TestSolve:
@@ -150,6 +145,9 @@ class TestInverseNorm:
     def test_singular_raises(self):
         with pytest.raises(SingularMatrixError):
             inverse_norm(np.zeros((3, 3)))
+        # LAPACK inverts the subnormal pivot to NaN instead of raising
+        with pytest.raises(SingularMatrixError):
+            inverse_norm(np.diag([1.0, 1e-310]))
 
 
 class TestDefect:

@@ -126,6 +126,14 @@ class TestVerifyExtremality:
         report = verify_extremality(r, zeros)
         assert report.inv_norm == pytest.approx(r**-n, rel=1e-6)
 
+    def test_clustered_singular_values_near_circle(self):
+        # at r = 0.9999 the two singular values of the model operator are
+        # 1 and r^2 apart by only 2e-4; the norm must still be the top one
+        r = 0.9999
+        report = verify_extremality(r, (r, -r))
+        assert report.norm == pytest.approx(1.0, abs=1e-6)
+        assert report.defect_rank == 1
+
     def test_rejects_off_circle_zeros(self):
         with pytest.raises(ValueError):
             verify_extremality(0.5, (0.5, 0.4))
