@@ -43,7 +43,6 @@ from .core import (
 from .errors import (
     BezoutPairError,
     ExtremalityError,
-    QuadratureAccuracyError,
     SingularMatrixError,
     SingularSymbolError,
     ToepcondError,
@@ -53,15 +52,11 @@ from .linalg import (
     defect_rank,
     defect_singular_values,
     inverse_norm,
-    lu_factor,
-    lu_solve,
-    solve,
     spectral_norm,
 )
 from .model import (
     ExtremalityReport,
     ModelOperatorMatrix,
-    malmquist_walsh_samples,
     model_operator,
     verify_extremality,
 )
@@ -79,7 +74,6 @@ __all__ = [
     "ExtremalityReport",
     "GeneralToeplitzMatrix",
     "ModelOperatorMatrix",
-    "QuadratureAccuracyError",
     "RemarkScanReport",
     "SearchConfig",
     "SearchResult",
@@ -101,15 +95,11 @@ __all__ = [
     "inverse_norm",
     "jordan_block",
     "kronecker_bound",
-    "lu_factor",
-    "lu_solve",
-    "malmquist_walsh_samples",
     "model_operator",
     "reciprocal_series",
     "reciprocal_taylor",
     "remark_scan",
     "scaled_trends",
-    "solve",
     "spectral_norm",
     "sup_norm_estimate",
     "taylor",

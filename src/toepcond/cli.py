@@ -38,7 +38,7 @@ from .bounds import (
     theorem_check,
 )
 from .errors import ToepcondError
-from .model import model_operator, verify_extremality
+from .model import verify_extremality
 
 CSV_HEADER = "n,r,norm_T,inv_norm,scaled,lower,upper,pass"
 
@@ -56,7 +56,6 @@ class RunConfig:
     seed: int = 42
     restarts: int = 32
     iters: int = 2000
-    m: int = 4096
     output_path: Optional[str] = None
     format: str = "csv"
     model: bool = False
@@ -181,7 +180,6 @@ def cmd_verify(config: RunConfig) -> int:
                 "n_max": n_max,
                 "r_grid": config.r_grid or DEFAULT_R_GRID,
                 "seed": config.seed,
-                "m": config.m,
                 "restarts": config.restarts,
                 "iters": config.iters,
             },
@@ -222,8 +220,8 @@ def cmd_extremal(config: RunConfig) -> int:
     kron = kronecker_bound(n, r)
     if config.model:
         zeros = tuple(r * np.exp(2j * np.pi * k / n) for k in range(n))
-        report = verify_extremality(r, zeros, config.m)
-        matrix = model_operator(zeros, config.m).matrix
+        report = verify_extremality(r, zeros)
+        matrix = report.matrix
         norm_T, inv_norm = report.norm, report.inv_norm
         print(f"model operator, zeros r*(roots of unity), n={n} r={_fmt(r)}")
         print("\n".join(_matrix_lines(matrix)))
@@ -250,7 +248,7 @@ def cmd_extremal(config: RunConfig) -> int:
         )
         if config.format == "json":
             payload = {
-                "config": {"command": "extremal", "n": n, "r": r, "m": config.m, "model": config.model},
+                "config": {"command": "extremal", "n": n, "r": r, "model": config.model},
                 "record": _record_dict(rec_like),
             }
             text = _json_text(payload)
@@ -293,7 +291,6 @@ def cmd_search(config: RunConfig) -> int:
         "seed": config.seed,
         "restarts": config.restarts,
         "iters": config.iters,
-        "m": config.m,
     }
     if config.n_list or config.r_list:
         if not (config.n_list and config.r_list):
@@ -370,7 +367,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_ext.add_argument("--r", type=float, required=True)
     p_ext.add_argument("--model", action="store_true",
                        help="use the model operator with zeros r*(n-th roots of unity)")
-    p_ext.add_argument("--m", type=int, default=4096, help="circle sample count")
     p_ext.add_argument("--format", choices=("csv", "json"), default="csv")
     p_ext.add_argument("--output", type=str, default=None)
 
@@ -403,7 +399,6 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
         seed=getattr(args, "seed", 42),
         restarts=getattr(args, "restarts", 32),
         iters=getattr(args, "iters", 2000),
-        m=getattr(args, "m", 4096),
         output_path=getattr(args, "output", None),
         format=getattr(args, "format", "csv"),
         model=getattr(args, "model", False),

@@ -8,8 +8,8 @@ class ToepcondError(Exception):
 
 
 class SingularMatrixError(ToepcondError):
-    """A matrix is singular to working precision: an elimination pivot or
-    an inverse norm is beyond the singularity threshold."""
+    """A matrix is singular to working precision: LAPACK finds it exactly
+    singular, or its inverse norm is beyond the singularity threshold."""
 
 
 class SingularSymbolError(ToepcondError):
@@ -18,19 +18,6 @@ class SingularSymbolError(ToepcondError):
 
 class BezoutPairError(ToepcondError):
     """The product of a symbol and its claimed reciprocal is not 1 mod z^n."""
-
-
-class QuadratureAccuracyError(ToepcondError):
-    """Circle quadrature failed to reach the required accuracy.
-
-    Carries the last sample count tried and the Gram-matrix deviation it
-    achieved; the fix is a larger sample count.
-    """
-
-    def __init__(self, message: str, m_last: int, deviation: float):
-        super().__init__(message)
-        self.m_last = m_last
-        self.deviation = deviation
 
 
 class ExtremalityError(ToepcondError):

@@ -11,6 +11,13 @@ basis, is lower triangular with diagonal (lambda_1, ..., lambda_n), is a
 contraction, and has one-dimensional defect. These are the matrices that
 attain the 1/r^n bound on the inverse norm when all |lambda_j| = r.
 
+Its entries have a closed form (the Takenaka-Malmquist-Walsh matrix of
+the model operator, see Nikolski, Operators, Functions, and Systems,
+vol. 2): M_kk = lambda_k and, for l > k,
+
+    M_lk = sqrt((1 - |lambda_k|^2)(1 - |lambda_l|^2))
+           * prod_{k < j < l} (-conj(lambda_j)).
+
 The partial products use the factor (z - lambda)/(1 - conj(lambda) z),
 the sign-flipped variant of BlaschkeFactor, so that zeros at the origin
 reproduce the monomial basis and the matrix of the shift is exactly the
@@ -24,11 +31,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .errors import ExtremalityError, QuadratureAccuracyError
+from .errors import ExtremalityError
 
-GRAM_TARGET = 1e-8
-GRAM_LIMIT = 1e-6
-MAX_SAMPLES = 2**20
+# relative tolerance of the two norm equalities in verify_extremality
+EXTREMALITY_RTOL = 1e-12
 
 
 @dataclass(eq=False)
@@ -52,6 +58,7 @@ class ExtremalityReport:
     n: int
     r: float
     zeros: tuple
+    matrix: np.ndarray
     norm: float
     inv_norm: float
     kronecker: float
@@ -69,71 +76,37 @@ def _checked_zeros(zeros) -> tuple:
     return zs
 
 
-def malmquist_walsh_samples(zeros, m: int) -> np.ndarray:
-    """Values of the basis functions on the m-point circle grid.
+def model_operator(zeros) -> ModelOperatorMatrix:
+    """Compressed-shift matrix from its closed-form entries, O(n^2).
 
-    Returns an n x m array whose k-th row samples e_{k+1}. Requires m to be
-    a power of two with m >= max(16, 4n).
+    Column k holds lambda_k on the diagonal and, below it, the weights
+    s_k * s_l times the running product of -conj(lambda_j) over the zeros
+    strictly between k and l, with s_k = sqrt(1 - |lambda_k|^2). Zeros
+    arbitrarily close to the circle are exact; zeros at the origin give
+    the Jordan block.
     """
     zs = _checked_zeros(zeros)
     n = len(zs)
-    m = int(m)
-    if m < max(16, 4 * n) or (m & (m - 1)) != 0:
-        raise ValueError("sample count must be a power of two, at least max(16, 4n)")
-    z = np.exp(2j * np.pi * np.arange(m) / m)
-    E = np.empty((n, m), dtype=np.complex128)
-    partial = np.ones(m, dtype=np.complex128)
-    for k, lam in enumerate(zs):
-        kernel = np.sqrt(1.0 - abs(lam) ** 2) / (1.0 - np.conj(lam) * z)
-        E[k] = kernel * partial
-        partial = partial * (z - lam) / (1.0 - np.conj(lam) * z)
-    return E
-
-
-def _gram_deviation(E: np.ndarray, m: int) -> float:
-    G = (E @ E.conj().T) / m
-    return float(np.max(np.abs(G - np.eye(E.shape[0]))))
-
-
-def model_operator(zeros, m: int = 4096) -> ModelOperatorMatrix:
-    """Compressed-shift matrix computed by trapezoidal circle quadrature.
-
-    The quadrature is self-validating: the Gram matrix of the sampled basis
-    must come out as the identity. The sample count doubles until the Gram
-    deviation is at most GRAM_TARGET; if even MAX_SAMPLES leaves it above
-    GRAM_LIMIT, a QuadratureAccuracyError is raised (zeros very close to
-    the circle need more samples).
-    """
-    zs = _checked_zeros(zeros)
-    n = len(zs)
-    m = int(m)
-    while True:
-        E = malmquist_walsh_samples(zs, m)
-        dev = _gram_deviation(E, m)
-        if dev <= GRAM_TARGET or m >= MAX_SAMPLES:
-            break
-        m *= 2
-    if dev > GRAM_LIMIT:
-        raise QuadratureAccuracyError(
-            f"Gram deviation {dev:.3e} at m = {m}; increase the sample count",
-            m_last=m,
-            deviation=dev,
-        )
-    z = np.exp(2j * np.pi * np.arange(m) / m)
-    # entries <z e_k, e_l>: row l, column k
-    M = np.conj(E) @ (z * E).T / m
+    lam = np.array(zs, dtype=np.complex128)
+    a = np.abs(lam)
+    # (1 - a)(1 + a) keeps full relative accuracy as |lambda| -> 1
+    s = np.sqrt((1.0 - a) * (1.0 + a))
+    M = np.diag(lam)
+    for k in range(n - 1):
+        between = np.cumprod(-np.conj(lam[k + 1 : n - 1]))
+        M[k + 1 :, k] = s[k] * s[k + 1 :] * np.concatenate(([1.0], between))
     return ModelOperatorMatrix(n=n, zeros=zs, matrix=M)
 
 
-def verify_extremality(r: float, zeros, m: int = 4096) -> ExtremalityReport:
+def verify_extremality(r: float, zeros) -> ExtremalityReport:
     """Check the equality case ||M^{-1}|| = 1/r^n for zeros on |z| = r.
 
     Builds the model operator, computes both norms, and verifies
-    r^n ||M^{-1}|| = 1 to relative 1e-6 together with the norm identity
-    ||M|| = 1. The norm identity needs a space of dimension at least 2:
-    the 1x1 compression is plain multiplication by its zero, so for n = 1
-    the expected norm is r itself. The defect rank is reported alongside
-    (it must be 1 for these contractions).
+    r^n ||M^{-1}|| = 1 together with the norm identity ||M|| = 1, each to
+    relative EXTREMALITY_RTOL. The norm identity needs a space of
+    dimension at least 2: the 1x1 compression is plain multiplication by
+    its zero, so for n = 1 the expected norm is r itself. The defect rank
+    is reported alongside (it must be 1 for these contractions).
     """
     r = float(r)
     if not 0.0 < r < 1.0:
@@ -142,24 +115,25 @@ def verify_extremality(r: float, zeros, m: int = 4096) -> ExtremalityReport:
     for z in zs:
         if abs(abs(z) - r) > 1e-12:
             raise ValueError(f"all zeros must have modulus r = {r}, got |z| = {abs(z):.12g}")
-    op = model_operator(zs, m)
+    op = model_operator(zs)
     n = len(zs)
     nrm = linalg.spectral_norm(op.matrix)
     inv = linalg.inverse_norm(op.matrix)
     kron = 1.0 / r**n
     rel_gap = abs(inv - kron) / kron
     norm_target = 1.0 if n >= 2 else r
-    if abs(nrm - norm_target) > 1e-6:
-        raise ExtremalityError(f"expected norm {norm_target:.12g}, got {nrm:.12g}")
-    if rel_gap > 1e-6:
+    if abs(nrm - norm_target) > EXTREMALITY_RTOL * norm_target:
+        raise ExtremalityError(f"expected norm {norm_target:.17g}, got {nrm:.17g}")
+    if rel_gap > EXTREMALITY_RTOL:
         raise ExtremalityError(
-            f"inverse norm {inv:.12g} differs from 1/r^n = {kron:.12g} by relative {rel_gap:.3e}"
+            f"inverse norm {inv:.17g} differs from 1/r^n = {kron:.17g} by relative {rel_gap:.3e}"
         )
     rank = linalg.defect_rank(op.matrix, 1e-8)
     return ExtremalityReport(
         n=n,
         r=r,
         zeros=zs,
+        matrix=op.matrix,
         norm=nrm,
         inv_norm=inv,
         kronecker=kron,

@@ -60,7 +60,7 @@ def test_bracket_holds_across_the_grid():
 
 def test_exemplar_sharpness_and_path_agreement():
     # at n=3, r=0.5 the inverse norm lands in [7, 8] and the two
-    # independent paths (LU solves vs reciprocal series) agree to 1e-8
+    # independent paths (LAPACK inverse vs reciprocal series) agree to 1e-8
     T = build_T_r(3, 0.5)
     via_solve = inverse_norm(T.matrix)
     via_series = spectral_norm(apply_calculus(reciprocal_series(T.symbol)).matrix)

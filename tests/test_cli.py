@@ -120,6 +120,23 @@ class TestExtremal:
         assert "defect rank = 1" in out
         assert "relative gap" in out
 
+    def test_model_report_near_circle(self, capsys):
+        # closer to |z| = 1 than any circle quadrature of 2^20 samples reaches
+        assert main(["extremal", "--n", "2", "--r", "0.9999999", "--model"]) == 0
+        out = capsys.readouterr().out
+        norm = float(out.split("norm = ", 1)[1].split("\n", 1)[0])
+        assert abs(norm - 1.0) <= 1e-12
+        assert "defect rank = 1" in out
+
+    def test_model_json_config(self, tmp_path, capsys):
+        out = tmp_path / "point.json"
+        assert main(["extremal", "--n", "3", "--r", "0.5", "--model",
+                     "--format", "json", "--output", str(out)]) == 0
+        capsys.readouterr()
+        payload = json.loads(out.read_text())
+        assert payload["config"] == {"command": "extremal", "n": 3, "r": 0.5, "model": True}
+        assert payload["record"]["pass"] is True
+
     def test_record_file(self, tmp_path, capsys):
         out = tmp_path / "point.csv"
         assert main(["extremal", "--n", "2", "--r", "0.5", "--output", str(out)]) == 0

@@ -1,4 +1,4 @@
-"""Kernel tests: norms, solves and defect ranks against dense SVD oracles."""
+"""Kernel tests: norms, inverse norms and defect ranks against dense SVD oracles."""
 
 import numpy as np
 import pytest
@@ -9,11 +9,8 @@ from toepcond import (
     defect_rank,
     defect_singular_values,
     inverse_norm,
-    model_operator,
-    solve,
     spectral_norm,
 )
-from toepcond.linalg import lu_factor, lu_solve
 
 
 def lower_toeplitz(column):
@@ -74,46 +71,6 @@ class TestSpectralNorm:
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
             spectral_norm(np.zeros((0, 0)))
-
-
-class TestSolve:
-    def test_identity(self):
-        x = solve(np.eye(3), np.array([1.0, 0.0, 0.0]))
-        assert np.allclose(x, [1, 0, 0], atol=1e-14)
-
-    def test_diagonal(self):
-        x = solve(np.diag([2.0, 4.0]), np.array([2.0, 4.0]))
-        assert np.allclose(x, [1.0, 1.0], atol=1e-14)
-
-    def test_model_operator_rhs(self):
-        # residual oracle: multiply the solution back
-        A = model_operator((0.5, -0.5)).matrix
-        b = np.array([1.0, 0.0], dtype=complex)
-        x = solve(A, b)
-        assert np.linalg.norm(A @ x - b) <= 1e-10
-
-    def test_random_residuals(self):
-        rng = np.random.default_rng(17)
-        for _ in range(10):
-            n = int(rng.integers(2, 65))
-            A = np.eye(n) + 0.1 * random_complex(rng, (n, n))
-            b = random_complex(rng, n)
-            x = solve(A, b)
-            assert np.linalg.norm(A @ x - b) <= 1e-10 * np.linalg.norm(b)
-
-    def test_singular_raises(self):
-        with pytest.raises(SingularMatrixError):
-            solve(np.zeros((2, 2)), np.array([1.0, 1.0]))
-        with pytest.raises(SingularMatrixError):
-            solve(np.diag([1.0, 1e-15]), np.array([1.0, 1.0]))
-
-    def test_conjugate_transpose_solve(self):
-        rng = np.random.default_rng(23)
-        A = np.eye(5) + 0.2 * random_complex(rng, (5, 5))
-        b = random_complex(rng, 5)
-        lu, piv = lu_factor(A)
-        x = lu_solve(lu, piv, b, conj_transpose=True)
-        assert np.linalg.norm(A.conj().T @ x - b) <= 1e-10 * np.linalg.norm(b)
 
 
 class TestInverseNorm:
