@@ -11,7 +11,6 @@ norm higher under the same constraints.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -38,6 +37,7 @@ class BoundsRecord:
     """One grid point: norms of T_r and the bracket verdict.
 
     `passed` is serialized under the name "pass" (a Python keyword).
+    `error` names the exception of a failed point; reports omit it.
     """
 
     n: int
@@ -48,6 +48,7 @@ class BoundsRecord:
     lower: float
     upper: float
     passed: bool
+    error: Optional[str] = None
 
 
 @dataclass(eq=False)
@@ -115,25 +116,17 @@ def bracket_endpoints(n: int, r: float) -> tuple[float, float]:
     return max(rn, 1.0 - rn), 1.0
 
 
-def theorem_check(n: int, r: float) -> BoundsRecord:
-    """Verify the bracket max(r^n, 1-r^n) <= r^n ||T_r^{-1}|| <= 1 at one point.
-
-    The inverse norm is computed twice: as 1/sigma_min(T_r) from the LAPACK
-    inverse of T_r itself, and as the spectral norm of the exact
-    reciprocal-series inverse. The two must agree to TWO_PATH_RTOL
-    relative, otherwise a TwoPathMismatchError is raised; the first value
-    fills the record.
-
-    When the inverse norm exceeds 1/linalg.PIVOT_TOL (r^n below about
-    1e-14) the first path reports numerical singularity by contract; the
-    record is then filled from the series path alone, which stays accurate
-    because the reciprocal recursion has no cancellation for these symbols.
-    """
+def _bracket_matrices(n: int, r: float) -> tuple[np.ndarray, np.ndarray]:
+    """T_r and its reciprocal-series inverse at size n. Both are exactly
+    real for real r, so their real parts go to the real LAPACK routines."""
     T = build_T_r(n, r)
-    A = T.matrix
-    norm_T = linalg.spectral_norm(A)
     G = apply_calculus(reciprocal_series(T.symbol), T.n)
-    inv_series = linalg.spectral_norm(G.matrix)
+    return T.matrix.real, G.matrix.real
+
+
+def _check_point(n: int, r: float, A: np.ndarray, G: np.ndarray) -> BoundsRecord:
+    norm_T = linalg.spectral_norm(A)
+    inv_series = linalg.spectral_norm(G)
     try:
         inv_solve = linalg.inverse_norm(A)
     except SingularMatrixError:
@@ -162,21 +155,40 @@ def theorem_check(n: int, r: float) -> BoundsRecord:
     )
 
 
-def _failed_record(n: int, r: float) -> BoundsRecord:
+def theorem_check(n: int, r: float) -> BoundsRecord:
+    """Verify the bracket max(r^n, 1-r^n) <= r^n ||T_r^{-1}|| <= 1 at one point.
+
+    The inverse norm is computed twice, in real arithmetic: as
+    1/sigma_min(T_r) from the LAPACK inverse of T_r itself, and as the
+    spectral norm of the exact reciprocal-series inverse. The two must
+    agree to TWO_PATH_RTOL relative, otherwise a TwoPathMismatchError is
+    raised; the first value fills the record.
+
+    When the inverse norm exceeds 1/linalg.PIVOT_TOL (r^n below about
+    1e-14) the first path reports numerical singularity by contract; the
+    record is then filled from the series path alone, which stays accurate
+    because the reciprocal recursion has no cancellation for these symbols.
+    """
+    return _check_point(n, r, *_bracket_matrices(n, r))
+
+
+def _failed_record(n: int, r: float, exc: Exception) -> BoundsRecord:
     lower, upper = bracket_endpoints(n, r)
     nan = float("nan")
     return BoundsRecord(
         n=int(n), r=float(r), norm_T=nan, inv_norm=nan, scaled=nan,
-        lower=lower, upper=upper, passed=False,
+        lower=lower, upper=upper, passed=False, error=f"{type(exc).__name__}: {exc}",
     )
 
 
-def grid_sweep(n_max: int, r_grid: Sequence[float], max_workers: int = 1) -> list[BoundsRecord]:
+def grid_sweep(n_max: int, r_grid: Sequence[float]) -> list[BoundsRecord]:
     """theorem_check over every (n, r) with 1 <= n <= n_max, r in r_grid.
 
-    A point whose check raises is recorded with NaN norms and passed =
-    False; the sweep always completes. Records come back sorted by (n, r)
-    regardless of worker count, so parallel runs reproduce serial output.
+    T_r and its reciprocal series are built once per r, at size n_max:
+    the matrices at size n are exactly their leading n x n blocks, so each
+    record is bitwise theorem_check(n, r). A point whose check raises gets
+    NaN norms, passed = False and its exception in `error`; the sweep
+    always completes. Records come back sorted by (n, r).
     """
     n_max = int(n_max)
     if not 1 <= n_max <= 64:
@@ -185,20 +197,19 @@ def grid_sweep(n_max: int, r_grid: Sequence[float], max_workers: int = 1) -> lis
     for r in rs:
         if not 0.0 < r < 1.0:
             raise ValueError("grid values must lie strictly between 0 and 1")
-    points = [(n, r) for n in range(1, n_max + 1) for r in rs]
-
-    def one(point) -> BoundsRecord:
-        n, r = point
+    ns = range(1, n_max + 1)
+    records = []
+    for r in rs:
         try:
-            return theorem_check(n, r)
-        except ToepcondError:
-            return _failed_record(n, r)
-
-    if max_workers > 1:
-        with ThreadPoolExecutor(max_workers=max_workers) as pool:
-            records = list(pool.map(one, points))
-    else:
-        records = [one(p) for p in points]
+            A, G = _bracket_matrices(n_max, r)
+        except ToepcondError as exc:
+            records.extend(_failed_record(n, r, exc) for n in ns)
+            continue
+        for n in ns:
+            try:
+                records.append(_check_point(n, r, A[:n, :n], G[:n, :n]))
+            except ToepcondError as exc:
+                records.append(_failed_record(n, r, exc))
     records.sort(key=lambda rec: (rec.n, rec.r))
     return records
 

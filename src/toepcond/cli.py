@@ -9,7 +9,8 @@ Subcommands:
 Exit codes: 0 success / all pass, 1 verification or computation failure,
 2 usage or domain error. Report files are written atomically; repeated
 runs with identical flags produce byte-identical files. The environment
-variable TCN_THREADS (default 1) caps the worker count for grid sweeps.
+variable TCN_THREADS is still validated (a malformed value is a usage
+error) but has no effect: grid sweeps run in one thread.
 """
 
 from __future__ import annotations
@@ -122,29 +123,13 @@ def _write_output(text: str, path: Optional[str]) -> None:
 
 
 def _record_row(rec: BoundsRecord) -> str:
-    return ",".join([
-        str(rec.n),
-        _fmt(rec.r),
-        _fmt(rec.norm_T),
-        _fmt(rec.inv_norm),
-        _fmt(rec.scaled),
-        _fmt(rec.lower),
-        _fmt(rec.upper),
-        _fmt_bool(rec.passed),
-    ])
+    floats = (rec.r, rec.norm_T, rec.inv_norm, rec.scaled, rec.lower, rec.upper)
+    return ",".join([str(rec.n), *map(_fmt, floats), _fmt_bool(rec.passed)])
 
 
 def _record_dict(rec: BoundsRecord) -> dict:
-    return {
-        "n": rec.n,
-        "r": rec.r,
-        "norm_T": rec.norm_T,
-        "inv_norm": rec.inv_norm,
-        "scaled": rec.scaled,
-        "lower": rec.lower,
-        "upper": rec.upper,
-        "pass": rec.passed,
-    }
+    # the CSV columns, with "pass" read from the field `passed`
+    return {key: getattr(rec, "passed" if key == "pass" else key) for key in CSV_HEADER.split(",")}
 
 
 def _coeff_pairs(coeffs: np.ndarray) -> list[list[float]]:
@@ -171,7 +156,8 @@ def _workers_from_env() -> int:
 def cmd_verify(config: RunConfig) -> int:
     n_max = config.n_max if config.n_max is not None else DEFAULT_N_MAX
     grid = parse_r_grid(config.r_grid or DEFAULT_R_GRID)
-    records = grid_sweep(n_max, grid, max_workers=_workers_from_env())
+    _workers_from_env()  # validated only; the sweep runs in one thread
+    records = grid_sweep(n_max, grid)
     failures = [rec for rec in records if not rec.passed]
     if config.format == "json":
         payload = {
@@ -199,7 +185,8 @@ def cmd_verify(config: RunConfig) -> int:
     for rec in failures:
         print(
             f"FAIL n={rec.n} r={_fmt(rec.r)} scaled={_fmt(rec.scaled)} "
-            f"bracket=[{_fmt(rec.lower)}, {_fmt(rec.upper)}]",
+            f"bracket=[{_fmt(rec.lower)}, {_fmt(rec.upper)}]"
+            + (f" error={rec.error}" if rec.error else ""),
             file=sys.stderr,
         )
     return 0 if not failures else 1
@@ -247,11 +234,10 @@ def cmd_extremal(config: RunConfig) -> int:
             passed=(lower - 1e-8 <= scaled <= upper + 1e-8),
         )
         if config.format == "json":
-            payload = {
+            text = _json_text({
                 "config": {"command": "extremal", "n": n, "r": r, "model": config.model},
                 "record": _record_dict(rec_like),
-            }
-            text = _json_text(payload)
+            })
         else:
             text = CSV_HEADER + "\n" + _record_row(rec_like) + "\n"
         _write_output(text, config.output_path)
@@ -284,6 +270,14 @@ def _search_csv(results: Sequence[SearchResult]) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _write_search(config: RunConfig, results: Sequence[SearchResult], payload: dict) -> None:
+    """Write a search report when --output or --format json asks for one."""
+    if config.output_path is None and config.format != "json":
+        return
+    text = _json_text(payload) if config.format == "json" else _search_csv(results)
+    _write_output(text, config.output_path)
+
+
 def cmd_search(config: RunConfig) -> int:
     search_cfg = SearchConfig(seed=config.seed, restarts=config.restarts, iters=config.iters)
     echo = {
@@ -307,18 +301,12 @@ def cmd_search(config: RunConfig) -> int:
             print(f"inf over n at r={_fmt(r)}: {_fmt(v)}", file=sys.stderr)
         for n, v in sorted(report.inf_over_r.items()):
             print(f"inf over r at n={n}: {_fmt(v)}", file=sys.stderr)
-        if config.output_path is not None or config.format == "json":
-            if config.format == "json":
-                payload = {
-                    "config": {**echo, "n_list": ns, "r_list": rs},
-                    "results": [_search_result_dict(res) for res in report.results],
-                    "inf_over_n": {_fmt(r): v for r, v in sorted(report.inf_over_n.items())},
-                    "inf_over_r": {str(n): v for n, v in sorted(report.inf_over_r.items())},
-                }
-                text = _json_text(payload)
-            else:
-                text = _search_csv(report.results)
-            _write_output(text, config.output_path)
+        _write_search(config, report.results, {
+            "config": {**echo, "n_list": ns, "r_list": rs},
+            "results": [_search_result_dict(res) for res in report.results],
+            "inf_over_n": {_fmt(r): v for r, v in sorted(report.inf_over_n.items())},
+            "inf_over_r": {str(n): v for n, v in sorted(report.inf_over_r.items())},
+        })
         return 0
     if config.n is None or config.r is None:
         raise ValueError("search requires --n and --r (or --n-list/--r-list)")
@@ -328,16 +316,10 @@ def cmd_search(config: RunConfig) -> int:
         f"scaled={_fmt(res.scaled_value)} gap={_fmt(res.kronecker_gap)} "
         f"restarts={res.restarts_used} seed={res.seed}"
     )
-    if config.output_path is not None or config.format == "json":
-        if config.format == "json":
-            payload = {
-                "config": {**echo, "n": res.n, "r": res.r},
-                "result": _search_result_dict(res),
-            }
-            text = _json_text(payload)
-        else:
-            text = _search_csv([res])
-        _write_output(text, config.output_path)
+    _write_search(config, [res], {
+        "config": {**echo, "n": res.n, "r": res.r},
+        "result": _search_result_dict(res),
+    })
     return 0
 
 
@@ -352,17 +334,18 @@ def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="toepcond",
         description="Condition-number brackets for triangular Toeplitz contractions",
+        allow_abbrev=False,
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_verify = sub.add_parser("verify", help="sweep the bracket check over an (n, r) grid")
+    p_verify = sub.add_parser("verify", allow_abbrev=False, help="sweep the bracket check over an (n, r) grid")
     p_verify.add_argument("--n-max", type=int, default=DEFAULT_N_MAX)
     p_verify.add_argument("--r-grid", type=str, default=DEFAULT_R_GRID,
                           help="grid as start:stop:step, endpoints strictly inside (0,1)")
     p_verify.add_argument("--format", choices=("csv", "json"), default="csv")
     p_verify.add_argument("--output", type=str, default=None)
 
-    p_ext = sub.add_parser("extremal", help="construct one extremal-candidate matrix")
+    p_ext = sub.add_parser("extremal", allow_abbrev=False, help="construct one extremal-candidate matrix")
     p_ext.add_argument("--n", type=int, required=True)
     p_ext.add_argument("--r", type=float, required=True)
     p_ext.add_argument("--model", action="store_true",
@@ -370,7 +353,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_ext.add_argument("--format", choices=("csv", "json"), default="csv")
     p_ext.add_argument("--output", type=str, default=None)
 
-    p_search = sub.add_parser("search", help="estimate the extremal constant from below")
+    p_search = sub.add_parser("search", allow_abbrev=False, help="estimate the extremal constant from below")
     p_search.add_argument("--n", type=int)
     p_search.add_argument("--r", type=float)
     p_search.add_argument("--seed", type=int, default=42)
@@ -383,7 +366,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_search.add_argument("--format", choices=("csv", "json"), default="csv")
     p_search.add_argument("--output", type=str, default=None)
 
-    p_bound = sub.add_parser("bound", help="print the 1/r^n bound and bracket endpoints")
+    p_bound = sub.add_parser("bound", allow_abbrev=False, help="print the 1/r^n bound and bracket endpoints")
     p_bound.add_argument("--n", type=int, required=True)
     p_bound.add_argument("--r", type=float, required=True)
     return parser

@@ -185,5 +185,4 @@ def bezout_remainder(f: AnalyticPolynomial, g: AnalyticPolynomial) -> np.ndarray
 
 def condition_number(A) -> float:
     """Spectral condition number ||A|| * ||A^{-1}||."""
-    M = np.asarray(A, dtype=np.complex128)
-    return linalg.spectral_norm(M) * linalg.inverse_norm(M)
+    return linalg.spectral_norm(A) * linalg.inverse_norm(A)

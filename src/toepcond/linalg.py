@@ -1,9 +1,11 @@
-"""Dense complex linear-algebra kernel.
+"""Dense linear-algebra kernel.
 
-Spectral norms, inverse norms and defect ranks on plain numpy arrays of
-complex128. Every norm is a singular value from numpy's LAPACK SVD: the
-matrices here have n <= 64, where a full SVD is cheap and gives every
-singular value to machine precision, clustered ones included.
+Spectral norms, inverse norms and defect ranks on plain numpy arrays:
+complex input as complex128, anything else as float64, on which LAPACK
+takes about half the time at n = 64. Every norm is a singular value from
+numpy's LAPACK SVD: the matrices here have n <= 64, where a full SVD is
+cheap and gives every singular value to machine precision, clustered
+ones included.
 """
 
 from __future__ import annotations
@@ -18,7 +20,8 @@ PIVOT_TOL = 1e-14
 
 
 def _as_matrix(A) -> np.ndarray:
-    M = np.asarray(A, dtype=np.complex128)
+    M = np.asarray(A)
+    M = M.astype(np.complex128 if M.dtype.kind == "c" else np.float64, copy=False)
     if M.ndim != 2 or M.size == 0:
         raise ValueError("expected a nonempty two-dimensional array")
     return M
@@ -62,7 +65,7 @@ def defect_singular_values(A) -> np.ndarray:
     """All singular values of the defect operator I - A*A, descending."""
     M = _as_matrix(A)
     n = _require_square(M)
-    D = np.eye(n, dtype=np.complex128) - M.conj().T @ M
+    D = np.eye(n, dtype=M.dtype) - M.conj().T @ M
     return np.linalg.svd(D, compute_uv=False)
 
 

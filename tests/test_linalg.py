@@ -26,6 +26,40 @@ def random_complex(rng, shape):
     return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
 
 
+@pytest.fixture
+def svd_dtypes(monkeypatch):
+    """Record the dtype of every matrix handed to np.linalg.svd."""
+    seen = []
+    real_svd = np.linalg.svd
+
+    def spy(a, *args, **kwargs):
+        seen.append(np.asarray(a).dtype)
+        return real_svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", spy)
+    return seen
+
+
+class TestDtypes:
+    def test_real_input_stays_real(self, svd_dtypes):
+        A = build_T_r(5, 0.5).matrix.real
+        assert A.dtype == np.float64
+        spectral_norm(A)
+        defect_singular_values(A)
+        inverse_norm(A)
+        assert svd_dtypes and all(dt == np.float64 for dt in svd_dtypes)
+
+    def test_complex_input_stays_complex(self, svd_dtypes):
+        spectral_norm(np.eye(2, dtype=np.complex64))
+        defect_singular_values(np.eye(2, dtype=np.complex128))
+        assert svd_dtypes == [np.complex128, np.complex128]
+
+    def test_other_dtypes_promote_to_float64(self, svd_dtypes):
+        assert spectral_norm([[3, 0], [0, 4]]) == 4.0
+        spectral_norm(np.eye(2, dtype=np.float32))
+        assert svd_dtypes == [np.float64, np.float64]
+
+
 class TestSpectralNorm:
     def test_identity(self):
         assert spectral_norm(np.eye(3)) == pytest.approx(1.0, abs=1e-12)

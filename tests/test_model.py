@@ -11,6 +11,7 @@ from toepcond import (
     spectral_norm,
     verify_extremality,
 )
+from toepcond.cli import DEFAULT_R_GRID, parse_r_grid
 
 # Independent oracle: the compressed shift by trapezoidal quadrature of
 # <z e_k, e_l> over the circle, doubling the sample count until the Gram
@@ -212,6 +213,20 @@ class TestVerifyExtremality:
             assert report.norm == pytest.approx(1.0, abs=1e-12)
             assert report.rel_gap <= 1e-12
             assert report.defect_rank == 1
+
+    @pytest.mark.parametrize(
+        "n, r",
+        # points with 1/r^n above 1e14 are left out: inverse_norm reports
+        # the model operator singular there before the rank is counted
+        [(n, r) for n in (1, 2, 8, 32, 64)
+         for r in parse_r_grid(DEFAULT_R_GRID) + [0.9999, 0.999999999, 1.0 - 1e-12]
+         if r**n >= 1e-14],
+    )
+    def test_defect_rank_is_one_up_to_the_circle(self, n, r):
+        # the one defect singular value 1 - r^(2n) falls below any fixed
+        # tolerance as r -> 1 (2e-12 at n = 1, r = 1 - 1e-12)
+        zeros = tuple(r * np.exp(2j * np.pi * k / n) for k in range(n))
+        assert verify_extremality(r, zeros).defect_rank == 1
 
     def test_rejects_off_circle_zeros(self):
         with pytest.raises(ValueError):
