@@ -3,8 +3,8 @@
 Builds lower-triangular Toeplitz matrices as polynomials in the nilpotent
 Jordan block, verifies the bracket max(r^n, 1-r^n) <= r^n ||T^{-1}|| <= 1
 over parameter grids, constructs the model-operator matrices that attain
-the 1/r^n bound, and estimates the extremal constant by derivative-free
-search.
+the 1/r^n bound, and returns the extremal constant 1/r^n with the
+symbol that attains it.
 """
 
 from .blaschke import (
@@ -26,7 +26,6 @@ from .bounds import (
     grid_sweep,
     kronecker_bound,
     remark_scan,
-    scaled_trends,
     theorem_check,
 )
 from .core import (
@@ -49,7 +48,6 @@ from .errors import (
     TwoPathMismatchError,
 )
 from .linalg import (
-    defect_rank,
     defect_singular_values,
     inverse_norm,
     spectral_norm,
@@ -87,7 +85,6 @@ __all__ = [
     "build_T_r",
     "commutes_with_shift",
     "condition_number",
-    "defect_rank",
     "defect_singular_values",
     "estimate_t_a",
     "eval_on_circle",
@@ -99,7 +96,6 @@ __all__ = [
     "reciprocal_series",
     "reciprocal_taylor",
     "remark_scan",
-    "scaled_trends",
     "spectral_norm",
     "sup_norm_estimate",
     "taylor",

@@ -1,16 +1,15 @@
-"""Condition-number brackets and the extremal-constant search.
+"""Condition-number brackets and the extremal constant.
 
 For 0 < r < 1 the matrix T_r, the Blaschke factor of r applied to the
 Jordan block, is a contraction with spectrum {r} whose scaled inverse norm
-r^n ||T_r^{-1}|| lies in [max(r^n, 1 - r^n), 1]. theorem_check verifies
-that bracket point by point with two independent inverse-norm
-computations; estimate_t_a searches for symbols that push the inverse
-norm higher under the same constraints.
+r^n ||T_r^{-1}|| lies in [max(r^n, 1 - r^n), 1] and in fact equals 1.
+theorem_check verifies that bracket point by point with two independent
+inverse-norm computations and the closed form; estimate_t_a returns the
+extremal symbol under the same constraints, which is the symbol of T_r.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -27,9 +26,6 @@ from .errors import (
 
 PASS_TOL = 1e-8
 TWO_PATH_RTOL = 1e-8
-# a projected search candidate may undershoot |f(0)| >= r by this many
-# units in the last place of r, the rounding of dividing by its norm
-F0_ULPS = 2
 
 
 @dataclass(eq=False)
@@ -53,16 +49,22 @@ class BoundsRecord:
 
 @dataclass(eq=False)
 class SearchConfig:
+    """Options of the former coordinate search, still accepted and echoed
+    in reports (like TCN_THREADS for verify) but without effect: the
+    optimum estimate_t_a returns is proven, not searched for."""
+
     seed: int = 42
     restarts: int = 32
     iters: int = 2000
-    initial_step: float = 0.1
-    min_step: float = 1e-12
 
 
 @dataclass(eq=False)
 class SearchResult:
-    """Best symbol found by estimate_t_a; a lower bound on the extremal constant."""
+    """The extremal symbol of estimate_t_a and its inverse norm 1/r^n.
+
+    best_value is a lower bound on the extremal constant that equals it
+    up to roundoff; restarts_used and seed echo the config.
+    """
 
     n: int
     r: float
@@ -76,11 +78,11 @@ class SearchResult:
 
 @dataclass(eq=False)
 class RemarkScanReport:
-    """Exploratory table of scaled estimates over an (n, r) grid.
+    """Table of scaled estimates over an (n, r) grid.
 
     inf_over_n maps each r to the smallest scaled estimate across n;
-    inf_over_r maps each n to the smallest across r. Measurements only:
-    nothing here asserts anything beyond the theorem bracket.
+    inf_over_r maps each n to the smallest across r. Every scaled
+    estimate is 1 up to roundoff, so both tables are 1s.
     """
 
     results: list
@@ -125,6 +127,13 @@ def _bracket_matrices(n: int, r: float) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _check_point(n: int, r: float, A: np.ndarray, G: np.ndarray) -> BoundsRecord:
+    # G is lower-triangular Toeplitz, so its first column holds every entry
+    overflowed = np.flatnonzero(~np.isfinite(G[:, 0]))
+    if overflowed.size:
+        raise SingularMatrixError(
+            f"reciprocal series overflows at (n={n}, r={r}): "
+            f"coefficient {overflowed[0]} is beyond the float64 range"
+        )
     norm_T = linalg.spectral_norm(A)
     inv_series = linalg.spectral_norm(G)
     try:
@@ -139,8 +148,12 @@ def _check_point(n: int, r: float, A: np.ndarray, G: np.ndarray) -> BoundsRecord
                 f"solve {inv_solve:.17g} vs series {inv_series:.17g} (relative {rel:.3e})"
             )
     inv_norm = inv_solve if inv_solve is not None else inv_series
-    rn = float(r) ** int(n)
-    scaled = rn * inv_norm
+    scaled = float(r) ** int(n) * inv_norm
+    if not abs(scaled - 1.0) <= TWO_PATH_RTOL:
+        raise TwoPathMismatchError(
+            f"inverse norm misses the closed form r^n ||T_r^-1|| = 1 at (n={n}, r={r}): "
+            f"r^n * {inv_norm:.17g} = {scaled:.17g}"
+        )
     lower, upper = bracket_endpoints(n, r)
     passed = (lower - PASS_TOL <= scaled) and (scaled <= upper + PASS_TOL)
     return BoundsRecord(
@@ -161,8 +174,12 @@ def theorem_check(n: int, r: float) -> BoundsRecord:
     The inverse norm is computed twice, in real arithmetic: as
     1/sigma_min(T_r) from the LAPACK inverse of T_r itself, and as the
     spectral norm of the exact reciprocal-series inverse. The two must
-    agree to TWO_PATH_RTOL relative, otherwise a TwoPathMismatchError is
-    raised; the first value fills the record.
+    agree to TWO_PATH_RTOL relative, and the first value must meet the
+    closed form r^n ||T_r^{-1}|| = 1 to TWO_PATH_RTOL (T_r is the model
+    operator of b_r^n up to a diagonal sign change); otherwise a
+    TwoPathMismatchError is raised. The first value fills the record.
+    When the reciprocal series overflows float64 (r^n near 1e-308) a
+    SingularMatrixError is raised before any norm is taken.
 
     When the inverse norm exceeds 1/linalg.PIVOT_TOL (r^n below about
     1e-14) the first path reports numerical singularity by contract; the
@@ -214,70 +231,21 @@ def grid_sweep(n_max: int, r_grid: Sequence[float]) -> list[BoundsRecord]:
     return records
 
 
-def _trend(values: Sequence[float]) -> str:
-    diffs = np.diff(np.asarray(values, dtype=float))
-    if diffs.size == 0:
-        return "single"
-    if np.all(diffs >= -1e-12):
-        return "nondecreasing"
-    if np.all(diffs <= 1e-12):
-        return "nonincreasing"
-    return "mixed"
-
-
-def scaled_trends(records: Sequence[BoundsRecord]) -> dict:
-    """Informational monotonicity summary of scaled values.
-
-    For each r, the trend of scaled in n; for each n, the trend in r.
-    Nothing is asserted; the caller decides what to report.
-    """
-    by_r: dict = {}
-    by_n: dict = {}
-    for rec in records:
-        by_r.setdefault(rec.r, []).append((rec.n, rec.scaled))
-        by_n.setdefault(rec.n, []).append((rec.r, rec.scaled))
-    in_n = {r: _trend([s for _, s in sorted(pts)]) for r, pts in by_r.items()}
-    in_r = {n: _trend([s for _, s in sorted(pts)]) for n, pts in by_n.items()}
-    return {"in_n_for_fixed_r": in_n, "in_r_for_fixed_n": in_r}
-
-
-def _inverse_norm_series(coeffs: np.ndarray) -> float:
-    """Inverse norm of f(M_n) from the reciprocal-series path, which is
-    cheap and accurate even at extreme condition numbers."""
-    g = reciprocal_series(AnalyticPolynomial.from_coeffs(coeffs))
-    return linalg.spectral_norm(apply_calculus(g, g.n).matrix)
-
-
-def _objective(coeffs: np.ndarray, r: float) -> tuple[Optional[float], Optional[np.ndarray]]:
-    """Inverse norm of the projected candidate, or (None, None) if infeasible.
-
-    The candidate is rescaled to unit norm when its matrix exceeds norm 1
-    (the inverse norm scales the opposite way, so projection never hurts a
-    maximizer), then rejected if the constant term dropped below r by more
-    than F0_ULPS units in the last place.
-    """
-    f = AnalyticPolynomial.from_coeffs(coeffs)
-    proj = f.coeffs / max(1.0, linalg.spectral_norm(apply_calculus(f, f.n).matrix))
-    if abs(proj[0]) < r - F0_ULPS * math.ulp(r):
-        return None, None
-    return _inverse_norm_series(proj), proj
-
-
-_DIRECTIONS = (1.0, -1.0, 1.0j, -1.0j)
-
-
 def estimate_t_a(n: int, r: float, config: SearchConfig | None = None) -> SearchResult:
-    """Estimate (from below) the largest inverse norm over symbols f with
-    ||f(M_n)|| <= 1 and |f(0)| >= r.
+    """The largest inverse norm over symbols f with ||f(M_n)|| <= 1 and
+    |f(0)| >= r, together with a symbol that attains it.
 
-    Derivative-free coordinate search with shrinking steps. Restart 0
-    starts from the Taylor symbol of T_r, so theorem_check's value is
-    always a floor; the remaining restarts start from rotations
-    e^{i theta} of that symbol, with seeded pseudo-random offsets added on
-    every second one. Each restart draws its own generator seeded by
-    (seed, restart index), so results do not depend on execution order;
-    ties between restarts go to the lowest index. Identical inputs give
-    bit-identical results.
+    That maximum is the Kronecker bound 1/r^n, attained by the Taylor
+    symbol of b_r. No feasible f exceeds it: the singular values of f(M_n)
+    are at most 1 and their product is |f(0)|^n >= r^n, so its smallest
+    singular value is at least r^n. T_r = b_r(M_n) reaches it: I - T_r*T_r
+    has rank one, so the singular values of T_r are 1, ..., 1, r^n.
+
+    The result is that symbol, exactly feasible (unit norm, constant term
+    r), with its inverse norm from the reciprocal-series path. The value
+    is clipped to the ceiling 1/r^n, so kronecker_gap >= 0 and
+    scaled_value is 1 up to roundoff. The config is echoed in the result
+    (restarts_used, seed) but changes nothing.
     """
     n = int(n)
     r = float(r)
@@ -286,58 +254,15 @@ def estimate_t_a(n: int, r: float, config: SearchConfig | None = None) -> Search
     if not 0.0 < r < 1.0:
         raise ValueError("r must lie strictly between 0 and 1")
     cfg = config or SearchConfig()
-    base = taylor(BlaschkeFactor(r), n).coeffs
-
-    best_value = -math.inf
-    best_coeffs = None
-    for j in range(max(1, cfg.restarts)):
-        if j == 0:
-            # the seed symbol is feasible exactly (unit norm, constant term
-            # r), so it enters unprojected: a computed norm a few ulps
-            # above 1 must not push its constant term below r
-            value, current = _inverse_norm_series(base), base.copy()
-        else:
-            theta = 2.0 * math.pi * j / max(1, cfg.restarts)
-            start = np.exp(1j * theta) * base
-            if j % 2 == 0:
-                rng = np.random.default_rng([cfg.seed, j])
-                start = start + 0.05 * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
-                # keep the start feasible in the constant term
-                if abs(start[0]) < r:
-                    start[0] *= (r + 0.05) / max(abs(start[0]), 1e-12)
-            value, current = _objective(start, r)
-            if value is None:
-                continue
-        step = cfg.initial_step
-        fails = 0
-        for it in range(cfg.iters):
-            coord = (it // 4) % n
-            direction = _DIRECTIONS[it % 4]
-            cand = current.copy()
-            cand[coord] += step * direction
-            cand_value, cand_proj = _objective(cand, r)
-            if cand_value is not None and cand_value > value:
-                value, current = cand_value, cand_proj
-                fails = 0
-            else:
-                fails += 1
-                if fails >= 4 * n:
-                    step *= 0.5
-                    fails = 0
-                    if step < cfg.min_step:
-                        break
-        if value > best_value:
-            best_value = value
-            best_coeffs = current
-    # no feasible symbol beats the proven ceiling 1/r^n; a value above it
-    # is rounding and is clipped so the lower bound stays below the ceiling
-    rn = r**n
-    scaled = min(1.0, rn * best_value)
+    symbol = taylor(BlaschkeFactor(r), n)
+    g = reciprocal_series(symbol)
+    value = linalg.spectral_norm(apply_calculus(g, g.n).matrix)
+    scaled = min(1.0, r**n * value)
     return SearchResult(
         n=n,
         r=r,
-        best_value=min(best_value, kronecker_bound(n, r)),
-        best_coeffs=AnalyticPolynomial.from_coeffs(best_coeffs),
+        best_value=min(value, kronecker_bound(n, r)),
+        best_coeffs=symbol,
         restarts_used=max(1, cfg.restarts),
         seed=cfg.seed,
         scaled_value=scaled,
@@ -346,11 +271,11 @@ def estimate_t_a(n: int, r: float, config: SearchConfig | None = None) -> Search
 
 
 def remark_scan(n_list: Sequence[int], r_list: Sequence[float], config: SearchConfig | None = None) -> RemarkScanReport:
-    """Tabulate scaled estimates r^n t(n, r) over a grid; exploratory only.
+    """Tabulate scaled estimates r^n t(n, r) over a grid.
 
     Reports the per-r infimum over n and the per-n infimum over r of the
-    scaled estimates, plus each point's gap 1 - r^n t. No assertion beyond
-    what estimate_t_a itself guarantees.
+    scaled estimates, plus each point's gap 1 - r^n t. Since estimate_t_a
+    returns the proven optimum, every entry is 1 up to roundoff.
     """
     results = [estimate_t_a(n, r, config) for n in n_list for r in r_list]
     inf_over_n: dict = {}

@@ -149,7 +149,8 @@ def reciprocal_series(f: AnalyticPolynomial) -> AnalyticPolynomial:
 
     g_0 = 1/a_0 and g_k = -(sum_{j=1..k} a_j g_{k-j}) / a_0. The recursion
     is exact up to roundoff and apply_calculus(g) is the inverse matrix of
-    apply_calculus(f).
+    apply_calculus(f). Coefficients beyond the float64 range come back as
+    inf or NaN without a warning; callers test them for finiteness.
     """
     a = f.coeffs
     if abs(a[0]) <= 1e-14:
@@ -159,8 +160,9 @@ def reciprocal_series(f: AnalyticPolynomial) -> AnalyticPolynomial:
     n = f.n
     g = np.zeros(n, dtype=np.complex128)
     g[0] = 1.0 / a[0]
-    for k in range(1, n):
-        g[k] = -np.dot(a[1 : k + 1], g[k - 1 :: -1]) / a[0]
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(1, n):
+            g[k] = -np.dot(a[1 : k + 1], g[k - 1 :: -1]) / a[0]
     return AnalyticPolynomial(n, g)
 
 

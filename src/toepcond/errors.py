@@ -9,7 +9,8 @@ class ToepcondError(Exception):
 
 class SingularMatrixError(ToepcondError):
     """A matrix is singular to working precision: LAPACK finds it exactly
-    singular, or its inverse norm is beyond the singularity threshold."""
+    singular, its inverse norm is beyond the singularity threshold, or its
+    inverse has entries beyond the float64 range."""
 
 
 class SingularSymbolError(ToepcondError):
@@ -25,4 +26,5 @@ class ExtremalityError(ToepcondError):
 
 
 class TwoPathMismatchError(ToepcondError):
-    """The two independent inverse-norm computations disagree."""
+    """The two independent inverse-norm computations disagree, or the
+    inverse norm misses its closed form."""

@@ -1,11 +1,11 @@
 """Dense linear-algebra kernel.
 
-Spectral norms, inverse norms and defect ranks on plain numpy arrays:
-complex input as complex128, anything else as float64, on which LAPACK
-takes about half the time at n = 64. Every norm is a singular value from
-numpy's LAPACK SVD: the matrices here have n <= 64, where a full SVD is
-cheap and gives every singular value to machine precision, clustered
-ones included.
+Spectral norms, inverse norms and defect singular values on plain numpy
+arrays: complex input as complex128, anything else as float64, on which
+LAPACK takes about half the time at n = 64. Every norm is a singular
+value from numpy's LAPACK SVD: the matrices here have n <= 64, where a
+full SVD is cheap and gives every singular value to machine precision,
+clustered ones included.
 """
 
 from __future__ import annotations
@@ -67,17 +67,3 @@ def defect_singular_values(A) -> np.ndarray:
     n = _require_square(M)
     D = np.eye(n, dtype=M.dtype) - M.conj().T @ M
     return np.linalg.svd(D, compute_uv=False)
-
-
-def defect_rank(A, tol: float = 1e-8) -> int:
-    """Number of singular values of I - A*A exceeding tol.
-
-    Only meaningful for contractions; enforces spectral_norm(A) <= 1 + tol.
-    """
-    M = _as_matrix(A)
-    _require_square(M)
-    nrm = spectral_norm(M)
-    if nrm > 1.0 + tol:
-        raise ValueError(f"defect_rank expects a contraction, got spectral norm {nrm:.6g}")
-    vals = defect_singular_values(M)
-    return int(np.count_nonzero(vals > tol))

@@ -7,9 +7,12 @@ import numpy as np
 import pytest
 
 from toepcond import (
+    AnalyticPolynomial,
+    BlaschkeFactor,
     SearchConfig,
     SingularMatrixError,
     ToepcondError,
+    TwoPathMismatchError,
     bracket_endpoints,
     build_T_r,
     estimate_t_a,
@@ -17,12 +20,87 @@ from toepcond import (
     inverse_norm,
     kronecker_bound,
     remark_scan,
-    scaled_trends,
     spectral_norm,
+    taylor,
     theorem_check,
 )
 from toepcond.cli import DEFAULT_R_GRID, parse_r_grid
 from toepcond.core import apply_calculus, reciprocal_series
+
+# a projected search candidate may undershoot |f(0)| >= r by this many
+# units in the last place of r, the rounding of dividing by its norm
+F0_ULPS = 2
+_DIRECTIONS = (1.0, -1.0, 1.0j, -1.0j)
+
+
+def _inverse_norm_series(coeffs):
+    g = reciprocal_series(AnalyticPolynomial.from_coeffs(coeffs))
+    return spectral_norm(apply_calculus(g, g.n).matrix)
+
+
+def _objective(coeffs, r):
+    """Inverse norm of the projected candidate, or (None, None) if infeasible.
+
+    The candidate is rescaled to unit norm when its matrix exceeds norm 1
+    (the inverse norm scales the opposite way, so projection never hurts a
+    maximizer), then rejected if the constant term dropped below r by more
+    than F0_ULPS units in the last place.
+    """
+    f = AnalyticPolynomial.from_coeffs(coeffs)
+    proj = f.coeffs / max(1.0, spectral_norm(apply_calculus(f, f.n).matrix))
+    if abs(proj[0]) < r - F0_ULPS * math.ulp(r):
+        return None, None
+    return _inverse_norm_series(proj), proj
+
+
+def coordinate_search_oracle(n, r, cfg, initial_step=0.1, min_step=1e-12):
+    """The derivative-free coordinate search estimate_t_a used to run.
+
+    Restart 0 starts from the Taylor symbol of T_r, entered unprojected;
+    the others start from rotations e^{i theta} of it, with seeded
+    pseudo-random offsets on every second one. Returns the best raw
+    (unclipped) inverse norm and the winning coefficients.
+    """
+    base = taylor(BlaschkeFactor(r), n).coeffs
+    best_value = -math.inf
+    best_coeffs = None
+    for j in range(max(1, cfg.restarts)):
+        if j == 0:
+            value, current = _inverse_norm_series(base), base.copy()
+        else:
+            theta = 2.0 * math.pi * j / max(1, cfg.restarts)
+            start = np.exp(1j * theta) * base
+            if j % 2 == 0:
+                rng = np.random.default_rng([cfg.seed, j])
+                start = start + 0.05 * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
+                # keep the start feasible in the constant term
+                if abs(start[0]) < r:
+                    start[0] *= (r + 0.05) / max(abs(start[0]), 1e-12)
+            value, current = _objective(start, r)
+            if value is None:
+                continue
+        step = initial_step
+        fails = 0
+        for it in range(cfg.iters):
+            coord = (it // 4) % n
+            direction = _DIRECTIONS[it % 4]
+            cand = current.copy()
+            cand[coord] += step * direction
+            cand_value, cand_proj = _objective(cand, r)
+            if cand_value is not None and cand_value > value:
+                value, current = cand_value, cand_proj
+                fails = 0
+            else:
+                fails += 1
+                if fails >= 4 * n:
+                    step *= 0.5
+                    fails = 0
+                    if step < min_step:
+                        break
+        if value > best_value:
+            best_value = value
+            best_coeffs = current
+    return best_value, best_coeffs
 
 
 class TestKroneckerBound:
@@ -101,6 +179,27 @@ class TestTheoremCheck:
         assert math.isfinite(rec.inv_norm)
         assert rec.inv_norm > 1e14
         assert rec.scaled == pytest.approx(1.0, abs=1e-6)
+
+    def test_closed_form_catches_a_wrong_inverse_norm(self, monkeypatch):
+        # both paths read 0.999 of the truth: they agree with each other and
+        # 0.999 lies inside the bracket [0.875, 1], but r^n ||T_r^{-1}|| = 1
+        # does not hold
+        import toepcond.bounds as bounds_mod
+        import toepcond.linalg as linalg_mod
+
+        real_inverse, real_matrices = linalg_mod.inverse_norm, bounds_mod._bracket_matrices
+
+        def shrunk_matrices(n, r):
+            A, G = real_matrices(n, r)
+            return A, 0.999 * G
+
+        monkeypatch.setattr(linalg_mod, "inverse_norm", lambda A: 0.999 * real_inverse(A))
+        monkeypatch.setattr(bounds_mod, "_bracket_matrices", shrunk_matrices)
+        with pytest.raises(TwoPathMismatchError, match="closed form"):
+            theorem_check(3, 0.5)
+        (rec,) = [rec for rec in grid_sweep(3, (0.5,)) if rec.n == 3]
+        assert not rec.passed
+        assert rec.error.startswith("TwoPathMismatchError: inverse norm misses the closed form")
 
 
 class TestRealArithmetic:
@@ -184,6 +283,26 @@ class TestGridSweep:
         assert bad.error == "ToepcondError: synthetic failure"
         assert ok.error is None
 
+    def test_overflowed_series_fails_with_its_cause(self):
+        # the reciprocal coefficients of b_r grow like r^-k and first leave
+        # the float64 range at index 51 (r = 1e-6), 58 (5e-6) and 61 (1e-5)
+        first_overflow = {1e-6: 51, 5e-6: 58, 1e-5: 61}
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            records = grid_sweep(64, tuple(first_overflow))
+        assert len(records) == 64 * 3
+        for rec in records:
+            k = first_overflow[rec.r]
+            if rec.n <= k:
+                assert rec.passed and rec.error is None
+                assert abs(rec.scaled - 1.0) <= 1e-13
+            else:
+                assert not rec.passed
+                assert rec.error == (
+                    f"SingularMatrixError: reciprocal series overflows at (n={rec.n}, r={rec.r}): "
+                    f"coefficient {k} is beyond the float64 range"
+                )
+
     def test_domain(self):
         with pytest.raises(ValueError):
             grid_sweep(0, (0.5,))
@@ -191,16 +310,6 @@ class TestGridSweep:
             grid_sweep(65, (0.5,))
         with pytest.raises(ValueError):
             grid_sweep(2, (0.5, 1.0))
-
-
-class TestScaledTrends:
-    def test_shapes_and_labels(self):
-        records = grid_sweep(4, (0.5,))
-        trends = scaled_trends(records)
-        assert set(trends) == {"in_n_for_fixed_r", "in_r_for_fixed_n"}
-        assert set(trends["in_n_for_fixed_r"]) == {0.5}
-        assert trends["in_n_for_fixed_r"][0.5] in {"nondecreasing", "nonincreasing", "mixed"}
-        assert all(t == "single" for t in trends["in_r_for_fixed_n"].values())
 
 
 class TestEstimateTa:
@@ -235,6 +344,28 @@ class TestEstimateTa:
         assert abs(coeffs[0]) >= r - 4 * math.ulp(r)
         assert res.kronecker_gap >= 0.0
         assert res.best_value <= kronecker_bound(n, r)
+
+    @pytest.mark.parametrize("n, r", [(n, r) for n in (1, 2, 3) for r in (0.3, 0.5, 0.8)])
+    def test_search_oracle_finds_nothing_better(self, n, r):
+        # the coordinate search at the criterion-7 budget beats the returned
+        # optimum by roundoff at most, and its winner is feasible by the
+        # exact singular values to a few units in the last place
+        cfg = SearchConfig(seed=42, restarts=8, iters=250)
+        res = estimate_t_a(n, r, cfg)
+        value, coeffs = coordinate_search_oracle(n, r, cfg)
+        assert value <= res.best_value * (1.0 + 1e-13)
+        eps = np.finfo(float).eps
+        matrix = apply_calculus(AnalyticPolynomial.from_coeffs(coeffs)).matrix
+        assert np.linalg.svd(matrix, compute_uv=False)[0] <= 1.0 + 4 * eps
+        assert abs(coeffs[0]) >= r - 4 * math.ulp(r)
+
+    @pytest.mark.parametrize("n", range(1, 17))
+    def test_returns_the_symbol_of_T_r(self, n):
+        for r in parse_r_grid(DEFAULT_R_GRID):
+            res = estimate_t_a(n, r)
+            assert np.array_equal(res.best_coeffs.coeffs, taylor(BlaschkeFactor(r), n).coeffs)
+            assert abs(res.scaled_value - 1.0) <= 1e-13
+            assert res.kronecker_gap >= 0.0
 
     def test_deterministic(self):
         cfg = SearchConfig(seed=11, restarts=6, iters=80)

@@ -5,7 +5,7 @@ import json
 import pytest
 
 import toepcond.cli as cli
-from toepcond import BoundsRecord
+from toepcond import BoundsRecord, grid_sweep
 from toepcond.cli import CSV_HEADER, main, parse_r_grid
 
 
@@ -100,6 +100,26 @@ class TestVerify:
         assert fail_lines[0].endswith("error=ToepcondError: synthetic failure")
         # the cause goes to stderr only; the report keeps its columns
         assert out.read_text() == CSV_HEADER + "\n1,0.5,nan,nan,nan,0.5,1,false\n"
+
+    def test_summary_reports_the_worst_deviation(self, capsys):
+        assert main(["verify", "--n-max", "3", "--r-grid", "0.2:0.8:0.3"]) == 0
+        summary = capsys.readouterr().err.splitlines()[0]
+        worst = max(grid_sweep(3, parse_r_grid("0.2:0.8:0.3")), key=lambda rec: abs(rec.scaled - 1.0))
+        assert summary == (
+            f"verify: 9 points, 0 failures; worst |scaled - 1| = "
+            f"{abs(worst.scaled - 1.0):.3g} at n={worst.n} r={worst.r:g}"
+        )
+        assert abs(worst.scaled - 1.0) <= 1e-14
+
+    def test_overflowed_points_fail_with_their_cause(self, capsys):
+        # the grid is the single point r = 1e-6, whose reciprocal series
+        # leaves the float64 range at n = 52: n = 52..64 fail, the rest pass
+        assert main(["verify", "--n-max", "64", "--r-grid", "0.000001:0.000001:0.000003"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("verify: 64 points, 13 failures; worst |scaled - 1| = ")
+        fail_lines = [line for line in err.splitlines() if line.startswith("FAIL")]
+        assert [line.split()[1] for line in fail_lines] == [f"n={n}" for n in range(52, 65)]
+        assert all("error=SingularMatrixError: reciprocal series overflows" in line for line in fail_lines)
 
     def test_thread_cap_does_not_change_output(self, tmp_path, capsys, monkeypatch):
         serial, threaded = tmp_path / "serial.csv", tmp_path / "threaded.csv"
