@@ -1,27 +1,19 @@
-"""Blaschke factors and finite products.
+"""Blaschke factors.
 
 The factor attached to a zero lambda in the open disk is
 b_lambda(z) = (lambda - z)/(1 - conj(lambda) z); it is unimodular on the
-unit circle and vanishes at lambda. This module provides Taylor
-expansions, circle sampling and sup-norm lower bounds.
+unit circle and vanishes at lambda. This module provides its Taylor
+expansion and that of its reciprocal, and samples factors and
+polynomials on the unit circle.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Union
-
 import numpy as np
 
 from .core import AnalyticPolynomial
 from .errors import SingularSymbolError
-
-
-def _check_in_disk(z: complex) -> complex:
-    z = complex(z)
-    if abs(z) >= 1.0:
-        raise ValueError(f"zero must lie in the open unit disk, got |z| = {abs(z):.6g}")
-    return z
 
 
 @dataclass(frozen=True)
@@ -31,33 +23,15 @@ class BlaschkeFactor:
     zero: complex
 
     def __post_init__(self):
-        object.__setattr__(self, "zero", _check_in_disk(self.zero))
+        z = complex(self.zero)
+        if abs(z) >= 1.0:
+            raise ValueError(f"zero must lie in the open unit disk, got |z| = {abs(z):.6g}")
+        object.__setattr__(self, "zero", z)
 
     def eval(self, z) -> np.ndarray:
         z = np.asarray(z, dtype=np.complex128)
         lam = self.zero
         return (lam - z) / (1.0 - np.conj(lam) * z)
-
-
-@dataclass(frozen=True)
-class BlaschkeProduct:
-    """Finite product of Blaschke factors; an inner function of degree n."""
-
-    zeros: tuple
-
-    def __post_init__(self):
-        object.__setattr__(self, "zeros", tuple(_check_in_disk(z) for z in self.zeros))
-
-    @property
-    def degree(self) -> int:
-        return len(self.zeros)
-
-    def eval(self, z) -> np.ndarray:
-        z = np.asarray(z, dtype=np.complex128)
-        out = np.ones_like(z)
-        for lam in self.zeros:
-            out = out * (lam - z) / (1.0 - np.conj(lam) * z)
-        return out
 
 
 def taylor(factor: BlaschkeFactor, n: int) -> AnalyticPolynomial:
@@ -102,18 +76,15 @@ def _check_sample_count(m: int) -> int:
     return m
 
 
-Evaluable = Union[BlaschkeFactor, BlaschkeProduct, AnalyticPolynomial]
-
-
-def eval_on_circle(g: Evaluable, m: int) -> np.ndarray:
+def eval_on_circle(g: BlaschkeFactor | AnalyticPolynomial, m: int) -> np.ndarray:
     """Moduli |g| at the m-th roots of unity e^{2 pi i k/m}, k = 0..m-1.
 
     Polynomials are evaluated in one inverse FFT of the zero-padded
-    coefficient vector; factors and products are evaluated pointwise from
-    their rational form.
+    coefficient vector; factors are evaluated pointwise from their
+    rational form.
     """
     m = _check_sample_count(m)
-    if isinstance(g, (BlaschkeFactor, BlaschkeProduct)):
+    if isinstance(g, BlaschkeFactor):
         z = np.exp(2j * np.pi * np.arange(m) / m)
         return np.abs(g.eval(z))
     if isinstance(g, AnalyticPolynomial):
@@ -127,11 +98,3 @@ def eval_on_circle(g: Evaluable, m: int) -> np.ndarray:
     # ifft uses kernel e^{+2 pi i jk/m}, matching evaluation at the roots
     return np.abs(m * np.fft.ifft(padded))
 
-
-def sup_norm_estimate(g: Evaluable, m: int = 4096) -> float:
-    """Max of |g| over the m-point circle grid: a lower bound on the sup norm.
-
-    Every inequality this package checks needs the sup norm from below
-    only, so no certified upper bound is attempted.
-    """
-    return float(np.max(eval_on_circle(g, m)))

@@ -10,6 +10,7 @@ extremal symbol under the same constraints, which is the symbol of T_r.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -50,8 +51,8 @@ class BoundsRecord:
 @dataclass(eq=False)
 class SearchConfig:
     """Options of the former coordinate search, still accepted and echoed
-    in reports (like TCN_THREADS for verify) but without effect: the
-    optimum estimate_t_a returns is proven, not searched for."""
+    in reports but without effect: the optimum estimate_t_a returns is
+    proven, not searched for."""
 
     seed: int = 42
     restarts: int = 32
@@ -76,30 +77,19 @@ class SearchResult:
     kronecker_gap: float
 
 
-@dataclass(eq=False)
-class RemarkScanReport:
-    """Table of scaled estimates over an (n, r) grid.
-
-    inf_over_n maps each r to the smallest scaled estimate across n;
-    inf_over_r maps each n to the smallest across r. Every scaled
-    estimate is 1 up to roundoff, so both tables are 1s.
-    """
-
-    results: list
-    inf_over_n: dict
-    inf_over_r: dict
-
-
 def kronecker_bound(n: int, r: float) -> float:
     """The unstructured bound 1/r^n on inverse norms of contractions
-    with minimal eigenvalue modulus r."""
+    with minimal eigenvalue modulus r; inf beyond the float64 range."""
     n = int(n)
     r = float(r)
     if n < 1:
         raise ValueError("n must be at least 1")
     if not 0.0 < r <= 1.0:
         raise ValueError("r must lie in (0, 1]")
-    return float(r ** (-n))
+    try:
+        return r ** (-n)
+    except OverflowError:
+        return math.inf
 
 
 def build_T_r(n: int, r: float) -> AnalyticToeplitzMatrix:
@@ -268,21 +258,3 @@ def estimate_t_a(n: int, r: float, config: SearchConfig | None = None) -> Search
         scaled_value=scaled,
         kronecker_gap=1.0 - scaled,
     )
-
-
-def remark_scan(n_list: Sequence[int], r_list: Sequence[float], config: SearchConfig | None = None) -> RemarkScanReport:
-    """Tabulate scaled estimates r^n t(n, r) over a grid.
-
-    Reports the per-r infimum over n and the per-n infimum over r of the
-    scaled estimates, plus each point's gap 1 - r^n t. Since estimate_t_a
-    returns the proven optimum, every entry is 1 up to roundoff.
-    """
-    results = [estimate_t_a(n, r, config) for n in n_list for r in r_list]
-    inf_over_n: dict = {}
-    inf_over_r: dict = {}
-    for res in results:
-        if res.r not in inf_over_n or res.scaled_value < inf_over_n[res.r]:
-            inf_over_n[res.r] = res.scaled_value
-        if res.n not in inf_over_r or res.scaled_value < inf_over_r[res.n]:
-            inf_over_r[res.n] = res.scaled_value
-    return RemarkScanReport(results=results, inf_over_n=inf_over_n, inf_over_r=inf_over_r)

@@ -8,12 +8,10 @@ Subcommands:
 
 Exit codes: 0 success / all pass, 1 verification or computation failure,
 2 usage or domain error. Report files are written atomically; repeated
-runs with identical flags produce byte-identical files. The environment
-variable TCN_THREADS is still validated (a malformed value is a usage
-error) but has no effect: grid sweeps run in one thread. Likewise the
-search options --seed, --restarts and --iters are still accepted and
-echoed in the report but have no effect: search returns the proven
-optimum, not the result of a search.
+runs with identical flags produce byte-identical files. The search
+options --seed, --restarts and --iters are still accepted and echoed in
+the report but have no effect: search returns the proven optimum, not
+the result of a search.
 """
 
 from __future__ import annotations
@@ -23,7 +21,6 @@ import json
 import os
 import sys
 import tempfile
-from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -37,7 +34,6 @@ from .bounds import (
     estimate_t_a,
     grid_sweep,
     kronecker_bound,
-    remark_scan,
     theorem_check,
 )
 from .errors import ToepcondError
@@ -47,23 +43,7 @@ CSV_HEADER = "n,r,norm_T,inv_norm,scaled,lower,upper,pass"
 
 DEFAULT_N_MAX = 12
 DEFAULT_R_GRID = "0.05:0.95:0.05"
-
-
-@dataclass(eq=False)
-class RunConfig:
-    command: str
-    n: Optional[int] = None
-    n_max: Optional[int] = None
-    r: Optional[float] = None
-    r_grid: Optional[str] = None
-    seed: int = 42
-    restarts: int = 32
-    iters: int = 2000
-    output_path: Optional[str] = None
-    format: str = "csv"
-    model: bool = False
-    n_list: Optional[str] = None
-    r_list: Optional[str] = None
+MAX_GRID_POINTS = 1000
 
 
 def _fmt(x: float) -> str:
@@ -75,7 +55,10 @@ def _fmt_bool(b: bool) -> str:
 
 
 def parse_r_grid(spec: str) -> list[float]:
-    """Parse "start:stop:step" into grid values, endpoints strictly in (0,1)."""
+    """Parse "start:stop:step" into grid values, endpoints strictly in (0,1).
+
+    The values are start + k*step, at most MAX_GRID_POINTS of them.
+    """
     parts = spec.split(":")
     if len(parts) != 3:
         raise ValueError(f"grid spec must be start:stop:step, got {spec!r}")
@@ -91,10 +74,9 @@ def parse_r_grid(spec: str) -> list[float]:
         raise ValueError("grid stop must not precede start")
     values = []
     k = 0
-    while True:
-        v = start + k * step
-        if v > stop + 1e-12:
-            break
+    while (v := start + k * step) <= stop + 1e-12:
+        if k == MAX_GRID_POINTS:
+            raise ValueError(f"grid spec {spec!r} has more than {MAX_GRID_POINTS} points")
         values.append(v)
         k += 1
     return values
@@ -142,42 +124,19 @@ def _json_text(payload: dict) -> str:
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
-def _workers_from_env() -> int:
-    raw = os.environ.get("TCN_THREADS", "").strip()
-    if not raw:
-        return 1
-    try:
-        workers = int(raw)
-    except ValueError:
-        raise ValueError(f"TCN_THREADS must be an integer, got {raw!r}") from None
-    if workers < 1:
-        raise ValueError("TCN_THREADS must be at least 1")
-    return workers
-
-
-def cmd_verify(config: RunConfig) -> int:
-    n_max = config.n_max if config.n_max is not None else DEFAULT_N_MAX
-    grid = parse_r_grid(config.r_grid or DEFAULT_R_GRID)
-    _workers_from_env()  # validated only; the sweep runs in one thread
-    records = grid_sweep(n_max, grid)
+def cmd_verify(args: argparse.Namespace) -> int:
+    records = grid_sweep(args.n_max, parse_r_grid(args.r_grid))
     failures = [rec for rec in records if not rec.passed]
-    if config.format == "json":
+    if args.format == "json":
         payload = {
-            "config": {
-                "command": "verify",
-                "n_max": n_max,
-                "r_grid": config.r_grid or DEFAULT_R_GRID,
-                "seed": config.seed,
-                "restarts": config.restarts,
-                "iters": config.iters,
-            },
+            "config": {"command": "verify", "n_max": args.n_max, "r_grid": args.r_grid},
             "records": [_record_dict(rec) for rec in records],
         }
         text = _json_text(payload)
     else:
         lines = [CSV_HEADER] + [_record_row(rec) for rec in records]
         text = "\n".join(lines) + "\n"
-    _write_output(text, config.output_path)
+    _write_output(text, args.output)
     summary = f"verify: {len(records)} points, {len(failures)} failures"
     passed = [rec for rec in records if rec.passed]
     if passed:
@@ -202,13 +161,11 @@ def _matrix_lines(M: np.ndarray) -> list[str]:
     return lines
 
 
-def cmd_extremal(config: RunConfig) -> int:
-    if config.n is None or config.r is None:
-        raise ValueError("extremal requires --n and --r")
-    n, r = int(config.n), float(config.r)
+def cmd_extremal(args: argparse.Namespace) -> int:
+    n, r = args.n, args.r
     lower, upper = bracket_endpoints(n, r)
     kron = kronecker_bound(n, r)
-    if config.model:
+    if args.model:
         zeros = tuple(r * np.exp(2j * np.pi * k / n) for k in range(n))
         report = verify_extremality(r, zeros)
         matrix = report.matrix
@@ -230,20 +187,20 @@ def cmd_extremal(config: RunConfig) -> int:
         print(f"inverse norm = {_fmt(inv_norm)} (bound 1/r^n = {_fmt(kron)})")
     scaled = (r**n) * inv_norm
     print(f"scaled inverse norm r^n * inv = {_fmt(scaled)}, bracket [{_fmt(lower)}, {_fmt(upper)}]")
-    if config.output_path is not None:
+    if args.output is not None:
         rec_like = BoundsRecord(
             n=n, r=r, norm_T=norm_T, inv_norm=inv_norm, scaled=scaled,
             lower=lower, upper=upper,
             passed=(lower - 1e-8 <= scaled <= upper + 1e-8),
         )
-        if config.format == "json":
+        if args.format == "json":
             text = _json_text({
-                "config": {"command": "extremal", "n": n, "r": r, "model": config.model},
+                "config": {"command": "extremal", "n": n, "r": r, "model": args.model},
                 "record": _record_dict(rec_like),
             })
         else:
             text = CSV_HEADER + "\n" + _record_row(rec_like) + "\n"
-        _write_output(text, config.output_path)
+        _write_output(text, args.output)
     return 0
 
 
@@ -273,62 +230,51 @@ def _search_csv(results: Sequence[SearchResult]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _write_search(config: RunConfig, results: Sequence[SearchResult], payload: dict) -> None:
+def _write_search(args: argparse.Namespace, results: Sequence[SearchResult], payload: dict) -> None:
     """Write a search report when --output or --format json asks for one."""
-    if config.output_path is None and config.format != "json":
+    if args.output is None and args.format != "json":
         return
-    text = _json_text(payload) if config.format == "json" else _search_csv(results)
-    _write_output(text, config.output_path)
+    text = _json_text(payload) if args.format == "json" else _search_csv(results)
+    _write_output(text, args.output)
 
 
-def cmd_search(config: RunConfig) -> int:
-    search_cfg = SearchConfig(seed=config.seed, restarts=config.restarts, iters=config.iters)
-    echo = {
-        "command": "search",
-        "seed": config.seed,
-        "restarts": config.restarts,
-        "iters": config.iters,
-    }
-    if config.n_list or config.r_list:
-        if not (config.n_list and config.r_list):
+def cmd_search(args: argparse.Namespace) -> int:
+    search_cfg = SearchConfig(seed=args.seed, restarts=args.restarts, iters=args.iters)
+    echo = {"command": "search", "seed": args.seed, "restarts": args.restarts, "iters": args.iters}
+    if args.n_list or args.r_list:
+        if not (args.n_list and args.r_list):
             raise ValueError("scan mode needs both --n-list and --r-list")
-        ns = _parse_int_list(config.n_list)
-        rs = _parse_float_list(config.r_list)
-        report = remark_scan(ns, rs, search_cfg)
-        for res in report.results:
+        ns = _parse_int_list(args.n_list)
+        rs = _parse_float_list(args.r_list)
+        results = [estimate_t_a(n, r, search_cfg) for n in ns for r in rs]
+        for res in results:
             print(
                 f"n={res.n} r={_fmt(res.r)} estimate={_fmt(res.best_value)} "
                 f"scaled={_fmt(res.scaled_value)} gap={_fmt(res.kronecker_gap)}"
             )
-        for r, v in sorted(report.inf_over_n.items()):
-            print(f"inf over n at r={_fmt(r)}: {_fmt(v)}", file=sys.stderr)
-        for n, v in sorted(report.inf_over_r.items()):
-            print(f"inf over r at n={n}: {_fmt(v)}", file=sys.stderr)
-        _write_search(config, report.results, {
+        _write_search(args, results, {
             "config": {**echo, "n_list": ns, "r_list": rs},
-            "results": [_search_result_dict(res) for res in report.results],
-            "inf_over_n": {_fmt(r): v for r, v in sorted(report.inf_over_n.items())},
-            "inf_over_r": {str(n): v for n, v in sorted(report.inf_over_r.items())},
+            "results": [_search_result_dict(res) for res in results],
         })
         return 0
-    if config.n is None or config.r is None:
+    if args.n is None or args.r is None:
         raise ValueError("search requires --n and --r (or --n-list/--r-list)")
-    res = estimate_t_a(int(config.n), float(config.r), search_cfg)
+    res = estimate_t_a(args.n, args.r, search_cfg)
     print(
         f"n={res.n} r={_fmt(res.r)} estimate={_fmt(res.best_value)} "
         f"scaled={_fmt(res.scaled_value)} gap={_fmt(res.kronecker_gap)} "
         f"restarts={res.restarts_used} seed={res.seed}"
     )
-    _write_search(config, [res], {
+    _write_search(args, [res], {
         "config": {**echo, "n": res.n, "r": res.r},
         "result": _search_result_dict(res),
     })
     return 0
 
 
-def cmd_bound(n: int, r: float) -> int:
-    kron = kronecker_bound(n, r)
-    lower, upper = bracket_endpoints(n, r)
+def cmd_bound(args: argparse.Namespace) -> int:
+    kron = kronecker_bound(args.n, args.r)
+    lower, upper = bracket_endpoints(args.n, args.r)
     print(f"kronecker={_fmt(kron)} lower={_fmt(lower)} upper={_fmt(upper)}")
     return 0
 
@@ -375,22 +321,7 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    return RunConfig(
-        command=args.command,
-        n=getattr(args, "n", None),
-        n_max=getattr(args, "n_max", None),
-        r=getattr(args, "r", None),
-        r_grid=getattr(args, "r_grid", None),
-        seed=getattr(args, "seed", 42),
-        restarts=getattr(args, "restarts", 32),
-        iters=getattr(args, "iters", 2000),
-        output_path=getattr(args, "output", None),
-        format=getattr(args, "format", "csv"),
-        model=getattr(args, "model", False),
-        n_list=getattr(args, "n_list", None),
-        r_list=getattr(args, "r_list", None),
-    )
+COMMANDS = {"verify": cmd_verify, "extremal": cmd_extremal, "search": cmd_search, "bound": cmd_bound}
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
@@ -399,17 +330,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code) if exc.code is not None else 2
-    config = _config_from_args(args)
     try:
-        if config.command == "verify":
-            return cmd_verify(config)
-        if config.command == "extremal":
-            return cmd_extremal(config)
-        if config.command == "search":
-            return cmd_search(config)
-        if config.command == "bound":
-            return cmd_bound(int(config.n), float(config.r))
-        raise ValueError(f"unknown command {config.command!r}")
+        return COMMANDS[args.command](args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -14,17 +14,9 @@ from functools import cached_property
 
 import numpy as np
 
-from . import linalg
 from .errors import BezoutPairError, SingularSymbolError
 
 COMMUTATOR_TOL = 1e-12
-
-
-def _coeff_array(coeffs, n: int) -> np.ndarray:
-    c = np.asarray(coeffs, dtype=np.complex128).reshape(-1)
-    if c.shape[0] != n:
-        raise ValueError(f"expected {n} coefficients, got {c.shape[0]}")
-    return c
 
 
 @dataclass(eq=False)
@@ -37,7 +29,10 @@ class AnalyticPolynomial:
     def __post_init__(self):
         if self.n < 1:
             raise ValueError("truncation order must be at least 1")
-        self.coeffs = _coeff_array(self.coeffs, self.n)
+        c = np.asarray(self.coeffs, dtype=np.complex128).reshape(-1)
+        if c.shape[0] != self.n:
+            raise ValueError(f"expected {self.n} coefficients, got {c.shape[0]}")
+        self.coeffs = c
 
     @classmethod
     def from_coeffs(cls, coeffs) -> "AnalyticPolynomial":
@@ -92,23 +87,6 @@ class AnalyticToeplitzMatrix:
         return float(abs(self.symbol.coeffs[0]))
 
 
-@dataclass(eq=False)
-class GeneralToeplitzMatrix:
-    """Full Toeplitz matrix from diagonals (a_{-n+1}, ..., a_{n-1})."""
-
-    n: int
-    diagonals: np.ndarray
-
-    def __post_init__(self):
-        self.diagonals = _coeff_array(self.diagonals, 2 * self.n - 1)
-
-    @cached_property
-    def matrix(self) -> np.ndarray:
-        # entry(i, j) = a_{i-j}; diagonals[k] holds a_{k-(n-1)}
-        idx = np.subtract.outer(np.arange(self.n), np.arange(self.n)) + self.n - 1
-        return self.diagonals[idx]
-
-
 def jordan_block(n: int) -> np.ndarray:
     """Nilpotent Jordan block: ones on the first subdiagonal."""
     if n < 1:
@@ -149,13 +127,15 @@ def reciprocal_series(f: AnalyticPolynomial) -> AnalyticPolynomial:
 
     g_0 = 1/a_0 and g_k = -(sum_{j=1..k} a_j g_{k-j}) / a_0. The recursion
     is exact up to roundoff and apply_calculus(g) is the inverse matrix of
-    apply_calculus(f). Coefficients beyond the float64 range come back as
-    inf or NaN without a warning; callers test them for finiteness.
+    apply_calculus(f). A constant term of modulus at most 1e-14 is refused
+    with SingularSymbolError. Coefficients beyond the float64 range come
+    back as inf or NaN without a warning; callers test them for finiteness.
     """
     a = f.coeffs
     if abs(a[0]) <= 1e-14:
         raise SingularSymbolError(
-            "constant term is (near) zero; the matrix f(M_n) is singular exactly when f(0) = 0"
+            f"constant term |f(0)| = {abs(a[0]):.3g} is at or below 1e-14, "
+            "the smallest the reciprocal recursion accepts"
         )
     n = f.n
     g = np.zeros(n, dtype=np.complex128)
@@ -184,7 +164,3 @@ def bezout_remainder(f: AnalyticPolynomial, g: AnalyticPolynomial) -> np.ndarray
         raise BezoutPairError(f"f*g differs from 1 mod z^n by {dev:.3e}")
     return -full[n:].copy()
 
-
-def condition_number(A) -> float:
-    """Spectral condition number ||A|| * ||A^{-1}||."""
-    return linalg.spectral_norm(A) * linalg.inverse_norm(A)

@@ -19,7 +19,6 @@ from toepcond import (
     grid_sweep,
     inverse_norm,
     kronecker_bound,
-    remark_scan,
     spectral_norm,
     taylor,
     theorem_check,
@@ -108,6 +107,12 @@ class TestKroneckerBound:
         assert kronecker_bound(1, 0.5) == pytest.approx(2.0, rel=1e-15)
         assert kronecker_bound(3, 0.5) == pytest.approx(8.0, rel=1e-15)
         assert kronecker_bound(2, 1.0) == 1.0
+
+    def test_overflow_gives_inf(self):
+        # 1e6^64 is beyond float64; the value is exact where it is finite
+        assert kronecker_bound(64, 1e-6) == math.inf
+        assert kronecker_bound(2, 5e-324) == math.inf
+        assert kronecker_bound(3, 0.5) == 8.0
 
     def test_domain(self):
         with pytest.raises(ValueError):
@@ -385,19 +390,3 @@ class TestEstimateTa:
         cfg = SearchConfig()
         assert (cfg.seed, cfg.restarts, cfg.iters) == (42, 32, 2000)
 
-
-class TestRemarkScan:
-    def test_structure_and_infima(self):
-        cfg = SearchConfig(restarts=2, iters=60)
-        report = remark_scan((1, 2), (0.3, 0.7), cfg)
-        assert len(report.results) == 4
-        assert set(report.inf_over_n) == {0.3, 0.7}
-        assert set(report.inf_over_r) == {1, 2}
-        for res in report.results:
-            lower, upper = bracket_endpoints(res.n, res.r)
-            assert res.scaled_value >= lower - 1e-6
-            assert res.scaled_value <= upper + 1e-8
-        for r, v in report.inf_over_n.items():
-            assert v == min(res.scaled_value for res in report.results if res.r == r)
-        for n, v in report.inf_over_r.items():
-            assert v == min(res.scaled_value for res in report.results if res.n == n)

@@ -1,12 +1,13 @@
 """Command-line behavior: formats, exit codes, determinism of report files."""
 
 import json
+import time
 
 import pytest
 
 import toepcond.cli as cli
 from toepcond import BoundsRecord, grid_sweep
-from toepcond.cli import CSV_HEADER, main, parse_r_grid
+from toepcond.cli import CSV_HEADER, MAX_GRID_POINTS, main, parse_r_grid
 
 
 class TestParseRGrid:
@@ -16,8 +17,25 @@ class TestParseRGrid:
         assert values[0] == pytest.approx(0.05)
         assert values[-1] == pytest.approx(0.95)
 
+    def test_default_grid_values_are_start_plus_k_step(self):
+        # perfbench keys its verify rows by these exact floats
+        assert parse_r_grid("0.05:0.95:0.05") == [0.05 + k * 0.05 for k in range(19)]
+
     def test_single_point(self):
         assert parse_r_grid("0.5:0.5:0.1") == [0.5]
+
+    def test_point_count_is_capped(self):
+        step = 0.5 / (MAX_GRID_POINTS - 1)
+        assert len(parse_r_grid(f"0.25:0.75:{step!r}")) == MAX_GRID_POINTS
+        with pytest.raises(ValueError, match="more than 1000 points"):
+            parse_r_grid(f"0.25:0.75:{step / 2!r}")
+
+    def test_huge_grid_is_refused_at_once(self, capsys):
+        # 1e9 points: refused before any point is checked
+        start = time.perf_counter()
+        assert main(["verify", "--n-max", "2", "--r-grid", "0.1:0.2:0.0000000001"]) == 2
+        assert time.perf_counter() - start < 1.0
+        assert "more than 1000 points" in capsys.readouterr().err
 
     def test_rejects_malformed_specs(self):
         for bad in ("0:1:0.1", "0.1:0.9", "0.2:0.8:-0.1", "a:b:c", "0.8:0.2:0.1", "0.1:1.0:0.1"):
@@ -38,6 +56,10 @@ class TestBound:
     def test_r_zero_is_usage_error(self, capsys):
         assert main(["bound", "--n", "2", "--r", "0.0"]) == 2
         assert "error:" in capsys.readouterr().err
+
+    def test_bound_beyond_float64_is_inf(self, capsys):
+        assert main(["bound", "--n", "64", "--r", "0.000001"]) == 0
+        assert capsys.readouterr().out == "kronecker=inf lower=1 upper=1\n"
 
 
 class TestVerify:
@@ -66,8 +88,7 @@ class TestVerify:
                      "--format", "json", "--output", str(out)]) == 0
         capsys.readouterr()
         payload = json.loads(out.read_text())
-        assert payload["config"]["n_max"] == 3
-        assert payload["config"]["r_grid"] == "0.2:0.8:0.3"
+        assert payload["config"] == {"command": "verify", "n_max": 3, "r_grid": "0.2:0.8:0.3"}
         records = payload["records"]
         assert len(records) == 9
         assert all(rec["pass"] is True for rec in records)
@@ -120,22 +141,6 @@ class TestVerify:
         fail_lines = [line for line in err.splitlines() if line.startswith("FAIL")]
         assert [line.split()[1] for line in fail_lines] == [f"n={n}" for n in range(52, 65)]
         assert all("error=SingularMatrixError: reciprocal series overflows" in line for line in fail_lines)
-
-    def test_thread_cap_does_not_change_output(self, tmp_path, capsys, monkeypatch):
-        serial, threaded = tmp_path / "serial.csv", tmp_path / "threaded.csv"
-        monkeypatch.delenv("TCN_THREADS", raising=False)
-        assert main(["verify", "--n-max", "3", "--r-grid", "0.2:0.8:0.2", "--output", str(serial)]) == 0
-        monkeypatch.setenv("TCN_THREADS", "3")
-        assert main(["verify", "--n-max", "3", "--r-grid", "0.2:0.8:0.2", "--output", str(threaded)]) == 0
-        capsys.readouterr()
-        assert serial.read_bytes() == threaded.read_bytes()
-
-    def test_bad_thread_cap_is_usage_error(self, capsys, monkeypatch):
-        monkeypatch.setenv("TCN_THREADS", "zero")
-        assert main(["verify", "--n-max", "1", "--r-grid", "0.5:0.5:0.1"]) == 2
-        monkeypatch.setenv("TCN_THREADS", "0")
-        assert main(["verify", "--n-max", "1", "--r-grid", "0.5:0.5:0.1"]) == 2
-        capsys.readouterr()
 
 
 class TestExtremal:
@@ -191,6 +196,16 @@ class TestExtremal:
         assert main(["extremal", "--n", "2"]) == 2
         capsys.readouterr()
 
+    def test_reciprocal_overflow_is_a_computation_failure(self, capsys):
+        assert main(["extremal", "--n", "60", "--r", "0.000001"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: reciprocal series overflows at (n=60, r=1e-06)")
+
+    def test_denormal_r_is_a_typed_error(self, capsys):
+        assert main(["extremal", "--n", "2", "--r", "5e-324"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: constant term |f(0)| = 4.94e-324 is at or below 1e-14")
+
 
 class TestSearch:
     def test_single_point_csv_frozen(self, tmp_path, capsys):
@@ -232,9 +247,29 @@ class TestSearch:
                      "--restarts", "2", "--iters", "40", "--output", str(out)]) == 0
         captured = capsys.readouterr()
         assert captured.out.count("n=") == 2
-        assert "inf over n at r=0.5" in captured.err
+        assert captured.err == ""
         lines = out.read_text().strip().split("\n")
         assert len(lines) == 3
+
+    def test_scan_json_keys(self, tmp_path, capsys):
+        out = tmp_path / "scan.json"
+        assert main(["search", "--n-list", "1,2", "--r-list", "0.3,0.5",
+                     "--format", "json", "--output", str(out)]) == 0
+        assert capsys.readouterr().err == ""
+        payload = json.loads(out.read_text())
+        assert set(payload) == {"config", "results"}
+        assert [(res["n"], res["r"]) for res in payload["results"]] == [(1, 0.3), (1, 0.5), (2, 0.3), (2, 0.5)]
+
+    def test_benchmark_search_call(self, tmp_path, capsys):
+        # the exact argv of perfbench's search_n3 workload, which its checker
+        # reads result.seed from: these flags stay until the workload drops them
+        out = tmp_path / "search.json"
+        assert main(["search", "--n", "3", "--r", "0.5", "--seed", "7", "--restarts", "8",
+                     "--iters", "250", "--format", "json", "--output", str(out)]) == 0
+        capsys.readouterr()
+        result = json.loads(out.read_text())["result"]
+        assert result["seed"] == 7
+        assert result["best_value"] == 8.0
 
     def test_missing_arguments_are_usage_errors(self, capsys):
         assert main(["search"]) == 2

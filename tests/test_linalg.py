@@ -125,7 +125,7 @@ class TestInverseNorm:
             smallest = np.linalg.svd(A, compute_uv=False)[-1]
             assert inverse_norm(A) == pytest.approx(1.0 / smallest, rel=1e-9)
 
-    def test_condition_number_at_least_one(self):
+    def test_spectral_condition_at_least_one(self):
         rng = np.random.default_rng(31)
         for _ in range(20):
             n = int(rng.integers(1, 8))
