@@ -108,6 +108,19 @@ def bracket_endpoints(n: int, r: float) -> tuple[float, float]:
     return max(rn, 1.0 - rn), 1.0
 
 
+def bracket_record(n: int, r: float, norm_T: float, inv_norm: float) -> BoundsRecord:
+    """The record of one point: the scaled inverse norm r^n * inv_norm
+    against the bracket [max(r^n, 1 - r^n), 1], passed within PASS_TOL."""
+    n = int(n)
+    r = float(r)
+    scaled = r**n * inv_norm
+    lower, upper = bracket_endpoints(n, r)
+    return BoundsRecord(
+        n=n, r=r, norm_T=norm_T, inv_norm=inv_norm, scaled=scaled,
+        lower=lower, upper=upper, passed=lower - PASS_TOL <= scaled <= upper + PASS_TOL,
+    )
+
+
 def _bracket_matrices(n: int, r: float) -> tuple[np.ndarray, np.ndarray]:
     """T_r and its reciprocal-series inverse at size n. Both are exactly
     real for real r, so their real parts go to the real LAPACK routines."""
@@ -137,25 +150,13 @@ def _check_point(n: int, r: float, A: np.ndarray, G: np.ndarray) -> BoundsRecord
                 f"inverse-norm paths disagree at (n={n}, r={r}): "
                 f"solve {inv_solve:.17g} vs series {inv_series:.17g} (relative {rel:.3e})"
             )
-    inv_norm = inv_solve if inv_solve is not None else inv_series
-    scaled = float(r) ** int(n) * inv_norm
-    if not abs(scaled - 1.0) <= TWO_PATH_RTOL:
+    rec = bracket_record(n, r, norm_T, inv_solve if inv_solve is not None else inv_series)
+    if not abs(rec.scaled - 1.0) <= TWO_PATH_RTOL:
         raise TwoPathMismatchError(
             f"inverse norm misses the closed form r^n ||T_r^-1|| = 1 at (n={n}, r={r}): "
-            f"r^n * {inv_norm:.17g} = {scaled:.17g}"
+            f"r^n * {rec.inv_norm:.17g} = {rec.scaled:.17g}"
         )
-    lower, upper = bracket_endpoints(n, r)
-    passed = (lower - PASS_TOL <= scaled) and (scaled <= upper + PASS_TOL)
-    return BoundsRecord(
-        n=int(n),
-        r=float(r),
-        norm_T=norm_T,
-        inv_norm=inv_norm,
-        scaled=scaled,
-        lower=lower,
-        upper=upper,
-        passed=passed,
-    )
+    return rec
 
 
 def theorem_check(n: int, r: float) -> BoundsRecord:
@@ -180,12 +181,10 @@ def theorem_check(n: int, r: float) -> BoundsRecord:
 
 
 def _failed_record(n: int, r: float, exc: Exception) -> BoundsRecord:
-    lower, upper = bracket_endpoints(n, r)
-    nan = float("nan")
-    return BoundsRecord(
-        n=int(n), r=float(r), norm_T=nan, inv_norm=nan, scaled=nan,
-        lower=lower, upper=upper, passed=False, error=f"{type(exc).__name__}: {exc}",
-    )
+    # NaN norms fail the bracket, so the record comes out passed = False
+    rec = bracket_record(n, r, math.nan, math.nan)
+    rec.error = f"{type(exc).__name__}: {exc}"
+    return rec
 
 
 def grid_sweep(n_max: int, r_grid: Sequence[float]) -> list[BoundsRecord]:

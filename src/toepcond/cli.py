@@ -2,12 +2,15 @@
 
 Subcommands:
   verify    sweep the bracket check over an (n, r) grid; exit 0 iff all pass
-  extremal  print one constructed matrix with its norms (triangular or model)
+  extremal  print one constructed matrix with its norms (triangular or model),
+            n in 1..64
   search    report the extremal constant 1/r^n and its symbol (or a grid scan)
   bound     print the 1/r^n bound and the bracket endpoints
 
 Exit codes: 0 success / all pass, 1 verification or computation failure,
-2 usage or domain error. Report files are written atomically; repeated
+2 usage or domain error. Every CSV and JSON report comes from one writer,
+_report, fed one tuple per row in header order; a BoundsRecord comes only
+from bounds.bracket_record. Report files are written atomically; repeated
 runs with identical flags produce byte-identical files. The search
 options --seed, --restarts and --iters are still accepted and echoed in
 the report but have no effect: search returns the proven optimum, not
@@ -21,7 +24,7 @@ import json
 import os
 import sys
 import tempfile
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -30,6 +33,7 @@ from .bounds import (
     SearchConfig,
     SearchResult,
     bracket_endpoints,
+    bracket_record,
     build_T_r,
     estimate_t_a,
     grid_sweep,
@@ -40,6 +44,7 @@ from .errors import ToepcondError
 from .model import verify_extremality
 
 CSV_HEADER = "n,r,norm_T,inv_norm,scaled,lower,upper,pass"
+SEARCH_HEADER = "n,r,best_value,scaled_value,kronecker_gap,restarts_used,seed,best_coeffs"
 
 DEFAULT_N_MAX = 12
 DEFAULT_R_GRID = "0.05:0.95:0.05"
@@ -48,10 +53,6 @@ MAX_GRID_POINTS = 1000
 
 def _fmt(x: float) -> str:
     return "%.17g" % float(x)
-
-
-def _fmt_bool(b: bool) -> str:
-    return "true" if b else "false"
 
 
 def parse_r_grid(spec: str) -> list[float]:
@@ -82,12 +83,8 @@ def parse_r_grid(spec: str) -> list[float]:
     return values
 
 
-def _parse_float_list(spec: str) -> list[float]:
-    return [float(p) for p in spec.split(",") if p.strip()]
-
-
-def _parse_int_list(spec: str) -> list[int]:
-    return [int(p) for p in spec.split(",") if p.strip()]
+def _parse_list(spec: str, kind: type) -> list:
+    return [kind(p) for p in spec.split(",") if p.strip()]
 
 
 def _write_output(text: str, path: Optional[str]) -> None:
@@ -106,37 +103,50 @@ def _write_output(text: str, path: Optional[str]) -> None:
         raise
 
 
-def _record_row(rec: BoundsRecord) -> str:
-    floats = (rec.r, rec.norm_T, rec.inv_norm, rec.scaled, rec.lower, rec.upper)
-    return ",".join([str(rec.n), *map(_fmt, floats), _fmt_bool(rec.passed)])
+def _cell(value) -> str:
+    """One CSV cell: a %.17g float, true/false, a plain int, or the
+    ;-joined re+imj form of an array of complex coefficients."""
+    if isinstance(value, float):
+        return _fmt(value)
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, int):
+        return str(value)
+    return ";".join(f"{_fmt(c.real)}{'+' if c.imag >= 0 else '-'}{_fmt(abs(c.imag))}j" for c in value)
 
 
-def _record_dict(rec: BoundsRecord) -> dict:
-    # the CSV columns, with "pass" read from the field `passed`
-    return {key: getattr(rec, "passed" if key == "pass" else key) for key in CSV_HEADER.split(",")}
+def _report(fmt: str, header: str, rows: Iterable[tuple], config: Optional[dict] = None, key: str = "") -> str:
+    """The text of a CSV or JSON report; each row holds the header's columns in order.
+
+    JSON puts the rows under `key` next to the run config, each as an
+    object keyed by the header's names: a list under a plural key
+    ("records", "results"), the one row itself under a singular key
+    ("record", "result"). CSV has no config.
+    """
+    if fmt == "csv":
+        return "\n".join([header, *(",".join(map(_cell, row)) for row in rows)]) + "\n"
+    fields = header.split(",")
+    objects = [dict(zip(fields, row)) for row in rows]
+    payload = {"config": config, key: objects if key.endswith("s") else objects[0]}
+    # coefficient arrays, the one value json cannot take, become [re, im] pairs
+    return json.dumps(payload, indent=2, sort_keys=True,
+                      default=lambda a: [[c.real, c.imag] for c in a.tolist()]) + "\n"
 
 
-def _coeff_pairs(coeffs: np.ndarray) -> list[list[float]]:
-    return [[float(c.real), float(c.imag)] for c in coeffs]
+def _bounds_row(rec: BoundsRecord) -> tuple:
+    return (rec.n, rec.r, rec.norm_T, rec.inv_norm, rec.scaled, rec.lower, rec.upper, rec.passed)
 
 
-def _json_text(payload: dict) -> str:
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+def _search_row(res: SearchResult) -> tuple:
+    return (res.n, res.r, res.best_value, res.scaled_value, res.kronecker_gap,
+            res.restarts_used, res.seed, res.best_coeffs.coeffs)
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
     records = grid_sweep(args.n_max, parse_r_grid(args.r_grid))
     failures = [rec for rec in records if not rec.passed]
-    if args.format == "json":
-        payload = {
-            "config": {"command": "verify", "n_max": args.n_max, "r_grid": args.r_grid},
-            "records": [_record_dict(rec) for rec in records],
-        }
-        text = _json_text(payload)
-    else:
-        lines = [CSV_HEADER] + [_record_row(rec) for rec in records]
-        text = "\n".join(lines) + "\n"
-    _write_output(text, args.output)
+    config = {"command": "verify", "n_max": args.n_max, "r_grid": args.r_grid}
+    _write_output(_report(args.format, CSV_HEADER, map(_bounds_row, records), config, "records"), args.output)
     summary = f"verify: {len(records)} points, {len(failures)} failures"
     passed = [rec for rec in records if rec.passed]
     if passed:
@@ -163,112 +173,65 @@ def _matrix_lines(M: np.ndarray) -> list[str]:
 
 def cmd_extremal(args: argparse.Namespace) -> int:
     n, r = args.n, args.r
-    lower, upper = bracket_endpoints(n, r)
+    if not 1 <= n <= 64:
+        raise ValueError("n must lie in 1..64")
     kron = kronecker_bound(n, r)
     if args.model:
         zeros = tuple(r * np.exp(2j * np.pi * k / n) for k in range(n))
         report = verify_extremality(r, zeros)
-        matrix = report.matrix
-        norm_T, inv_norm = report.norm, report.inv_norm
+        rec = bracket_record(n, r, report.norm, report.inv_norm)
         print(f"model operator, zeros r*(roots of unity), n={n} r={_fmt(r)}")
-        print("\n".join(_matrix_lines(matrix)))
-        print(f"norm = {_fmt(norm_T)}")
-        print(f"inverse norm = {_fmt(inv_norm)} (bound 1/r^n = {_fmt(kron)}, relative gap {_fmt(report.rel_gap)})")
+        print("\n".join(_matrix_lines(report.matrix)))
+        print(f"norm = {_fmt(rec.norm_T)}")
+        print(f"inverse norm = {_fmt(rec.inv_norm)} (bound 1/r^n = {_fmt(kron)}, "
+              f"relative gap {_fmt(report.rel_gap)})")
         print(f"defect rank = {report.defect_rank}")
     else:
         rec = theorem_check(n, r)
         T = build_T_r(n, r)
-        matrix = T.matrix
-        norm_T, inv_norm = rec.norm_T, rec.inv_norm
         print(f"triangular Toeplitz T_r, n={n} r={_fmt(r)}")
         print(f"first column: ({', '.join(_fmt(c.real) for c in T.first_column)})")
-        print("\n".join(_matrix_lines(matrix)))
-        print(f"norm = {_fmt(norm_T)}")
-        print(f"inverse norm = {_fmt(inv_norm)} (bound 1/r^n = {_fmt(kron)})")
-    scaled = (r**n) * inv_norm
-    print(f"scaled inverse norm r^n * inv = {_fmt(scaled)}, bracket [{_fmt(lower)}, {_fmt(upper)}]")
+        print("\n".join(_matrix_lines(T.matrix)))
+        print(f"norm = {_fmt(rec.norm_T)}")
+        print(f"inverse norm = {_fmt(rec.inv_norm)} (bound 1/r^n = {_fmt(kron)})")
+    print(f"scaled inverse norm r^n * inv = {_fmt(rec.scaled)}, bracket [{_fmt(rec.lower)}, {_fmt(rec.upper)}]")
     if args.output is not None:
-        rec_like = BoundsRecord(
-            n=n, r=r, norm_T=norm_T, inv_norm=inv_norm, scaled=scaled,
-            lower=lower, upper=upper,
-            passed=(lower - 1e-8 <= scaled <= upper + 1e-8),
-        )
-        if args.format == "json":
-            text = _json_text({
-                "config": {"command": "extremal", "n": n, "r": r, "model": args.model},
-                "record": _record_dict(rec_like),
-            })
-        else:
-            text = CSV_HEADER + "\n" + _record_row(rec_like) + "\n"
-        _write_output(text, args.output)
+        config = {"command": "extremal", "n": n, "r": r, "model": args.model}
+        _write_output(_report(args.format, CSV_HEADER, [_bounds_row(rec)], config, "record"), args.output)
     return 0
 
 
-def _search_result_dict(res: SearchResult) -> dict:
-    return {
-        "n": res.n,
-        "r": res.r,
-        "best_value": res.best_value,
-        "scaled_value": res.scaled_value,
-        "kronecker_gap": res.kronecker_gap,
-        "restarts_used": res.restarts_used,
-        "seed": res.seed,
-        "best_coeffs": _coeff_pairs(res.best_coeffs.coeffs),
-    }
-
-
 def _search_csv(results: Sequence[SearchResult]) -> str:
-    header = "n,r,best_value,scaled_value,kronecker_gap,restarts_used,seed,best_coeffs"
-    lines = [header]
-    for res in results:
-        coeffs = ";".join(f"{_fmt(c.real)}{'+' if c.imag >= 0 else '-'}{_fmt(abs(c.imag))}j"
-                          for c in res.best_coeffs.coeffs)
-        lines.append(",".join([
-            str(res.n), _fmt(res.r), _fmt(res.best_value), _fmt(res.scaled_value),
-            _fmt(res.kronecker_gap), str(res.restarts_used), str(res.seed), coeffs,
-        ]))
-    return "\n".join(lines) + "\n"
-
-
-def _write_search(args: argparse.Namespace, results: Sequence[SearchResult], payload: dict) -> None:
-    """Write a search report when --output or --format json asks for one."""
-    if args.output is None and args.format != "json":
-        return
-    text = _json_text(payload) if args.format == "json" else _search_csv(results)
-    _write_output(text, args.output)
+    return _report("csv", SEARCH_HEADER, map(_search_row, results))
 
 
 def cmd_search(args: argparse.Namespace) -> int:
     search_cfg = SearchConfig(seed=args.seed, restarts=args.restarts, iters=args.iters)
-    echo = {"command": "search", "seed": args.seed, "restarts": args.restarts, "iters": args.iters}
-    if args.n_list or args.r_list:
+    config = {"command": "search", "seed": args.seed, "restarts": args.restarts, "iters": args.iters}
+    scan = bool(args.n_list or args.r_list)
+    if scan:
         if not (args.n_list and args.r_list):
             raise ValueError("scan mode needs both --n-list and --r-list")
-        ns = _parse_int_list(args.n_list)
-        rs = _parse_float_list(args.r_list)
-        results = [estimate_t_a(n, r, search_cfg) for n in ns for r in rs]
-        for res in results:
-            print(
-                f"n={res.n} r={_fmt(res.r)} estimate={_fmt(res.best_value)} "
-                f"scaled={_fmt(res.scaled_value)} gap={_fmt(res.kronecker_gap)}"
-            )
-        _write_search(args, results, {
-            "config": {**echo, "n_list": ns, "r_list": rs},
-            "results": [_search_result_dict(res) for res in results],
-        })
-        return 0
-    if args.n is None or args.r is None:
-        raise ValueError("search requires --n and --r (or --n-list/--r-list)")
-    res = estimate_t_a(args.n, args.r, search_cfg)
-    print(
-        f"n={res.n} r={_fmt(res.r)} estimate={_fmt(res.best_value)} "
-        f"scaled={_fmt(res.scaled_value)} gap={_fmt(res.kronecker_gap)} "
-        f"restarts={res.restarts_used} seed={res.seed}"
-    )
-    _write_search(args, [res], {
-        "config": {**echo, "n": res.n, "r": res.r},
-        "result": _search_result_dict(res),
-    })
+        ns = _parse_list(args.n_list, int)
+        rs = _parse_list(args.r_list, float)
+        config.update(n_list=ns, r_list=rs)
+    else:
+        if args.n is None or args.r is None:
+            raise ValueError("search requires --n and --r (or --n-list/--r-list)")
+        ns, rs = [args.n], [args.r]
+        config.update(n=args.n, r=args.r)
+    results = [estimate_t_a(n, r, search_cfg) for n in ns for r in rs]
+    for res in results:
+        print(
+            f"n={res.n} r={_fmt(res.r)} estimate={_fmt(res.best_value)} "
+            f"scaled={_fmt(res.scaled_value)} gap={_fmt(res.kronecker_gap)}"
+            + ("" if scan else f" restarts={res.restarts_used} seed={res.seed}")
+        )
+    # a report is written when --output or --format json asks for one
+    if args.output is not None or args.format == "json":
+        key = "results" if scan else "result"
+        text = _report(args.format, SEARCH_HEADER, map(_search_row, results), config, key)
+        _write_output(text, args.output)
     return 0
 
 
@@ -287,22 +250,25 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_verify = sub.add_parser("verify", allow_abbrev=False, help="sweep the bracket check over an (n, r) grid")
+    report_opts = argparse.ArgumentParser(add_help=False)
+    report_opts.add_argument("--format", choices=("csv", "json"), default="csv")
+    report_opts.add_argument("--output", type=str, default=None)
+
+    p_verify = sub.add_parser("verify", parents=[report_opts], allow_abbrev=False,
+                              help="sweep the bracket check over an (n, r) grid")
     p_verify.add_argument("--n-max", type=int, default=DEFAULT_N_MAX)
     p_verify.add_argument("--r-grid", type=str, default=DEFAULT_R_GRID,
                           help="grid as start:stop:step, endpoints strictly inside (0,1)")
-    p_verify.add_argument("--format", choices=("csv", "json"), default="csv")
-    p_verify.add_argument("--output", type=str, default=None)
 
-    p_ext = sub.add_parser("extremal", allow_abbrev=False, help="construct one extremal-candidate matrix")
-    p_ext.add_argument("--n", type=int, required=True)
+    p_ext = sub.add_parser("extremal", parents=[report_opts], allow_abbrev=False,
+                           help="construct one extremal-candidate matrix")
+    p_ext.add_argument("--n", type=int, required=True, help="matrix size, 1..64")
     p_ext.add_argument("--r", type=float, required=True)
     p_ext.add_argument("--model", action="store_true",
                        help="use the model operator with zeros r*(n-th roots of unity)")
-    p_ext.add_argument("--format", choices=("csv", "json"), default="csv")
-    p_ext.add_argument("--output", type=str, default=None)
 
-    p_search = sub.add_parser("search", allow_abbrev=False, help="report the extremal constant and its symbol")
+    p_search = sub.add_parser("search", parents=[report_opts], allow_abbrev=False,
+                              help="report the extremal constant and its symbol")
     p_search.add_argument("--n", type=int)
     p_search.add_argument("--r", type=float)
     p_search.add_argument("--seed", type=int, default=42)
@@ -312,8 +278,6 @@ def _build_parser() -> argparse.ArgumentParser:
                           help="comma-separated n values: run a scan instead of one point")
     p_search.add_argument("--r-list", type=str, default=None,
                           help="comma-separated r values for the scan")
-    p_search.add_argument("--format", choices=("csv", "json"), default="csv")
-    p_search.add_argument("--output", type=str, default=None)
 
     p_bound = sub.add_parser("bound", allow_abbrev=False, help="print the 1/r^n bound and bracket endpoints")
     p_bound.add_argument("--n", type=int, required=True)

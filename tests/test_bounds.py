@@ -23,6 +23,7 @@ from toepcond import (
     taylor,
     theorem_check,
 )
+from toepcond.bounds import PASS_TOL, bracket_record
 from toepcond.cli import DEFAULT_R_GRID, parse_r_grid
 from toepcond.core import apply_calculus, reciprocal_series
 
@@ -152,6 +153,22 @@ class TestBracketEndpoints:
     def test_small_r_side(self):
         lower, _ = bracket_endpoints(1, 0.9)
         assert lower == pytest.approx(0.9, rel=1e-15)
+
+
+class TestBracketRecord:
+    def test_nan_norms_fail(self):
+        rec = bracket_record(2, 0.5, math.nan, math.nan)
+        assert rec.passed is False
+        assert math.isnan(rec.scaled)
+        assert (rec.lower, rec.upper) == bracket_endpoints(2, 0.5)
+        assert rec.error is None
+
+    def test_pass_rule_is_the_bracket_within_pass_tol(self):
+        # n = 1, r = 0.5: scaled = inv_norm / 2 against [0.5, 1]
+        assert bracket_record(1, 0.5, 0.5, 2.0).passed is True
+        assert bracket_record(1, 0.5, 0.5, 2.0 * (1.0 + PASS_TOL / 2)).passed is True
+        assert bracket_record(1, 0.5, 0.5, 2.0 * (1.0 + 4 * PASS_TOL)).passed is False
+        assert bracket_record(1, 0.5, 0.5, 1.0 - 4 * PASS_TOL).passed is False
 
 
 class TestTheoremCheck:

@@ -3,11 +3,68 @@
 import json
 import time
 
+import numpy as np
 import pytest
 
 import toepcond.cli as cli
-from toepcond import BoundsRecord, grid_sweep
+from toepcond import BoundsRecord, grid_sweep, theorem_check, verify_extremality
+from toepcond.bounds import bracket_record
 from toepcond.cli import CSV_HEADER, MAX_GRID_POINTS, main, parse_r_grid
+
+
+def _json_record(rec: BoundsRecord) -> dict:
+    return {key: getattr(rec, "passed" if key == "pass" else key) for key in CSV_HEADER.split(",")}
+
+
+def _json_bytes(payload: dict) -> str:
+    # sorted keys, two-space indent: with exact value types (2.0 vs 2,
+    # True) this rendering fixes every byte of a JSON report
+    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
+# n = 1 and dyadic r, so that every float is exact on any LAPACK build
+_RECORD_R25 = {"n": 1, "r": 0.25, "norm_T": 0.25, "inv_norm": 4.0, "scaled": 1.0,
+               "lower": 0.75, "upper": 1.0, "pass": True}
+_RECORD_R5 = {"n": 1, "r": 0.5, "norm_T": 0.5, "inv_norm": 2.0, "scaled": 1.0,
+              "lower": 0.5, "upper": 1.0, "pass": True}
+_RESULT_R25 = {"n": 1, "r": 0.25, "best_value": 4.0, "scaled_value": 1.0, "kronecker_gap": 0.0,
+               "restarts_used": 32, "seed": 42, "best_coeffs": [[0.25, 0.0]]}
+_RESULT_R5 = {"n": 1, "r": 0.5, "best_value": 2.0, "scaled_value": 1.0, "kronecker_gap": 0.0,
+              "restarts_used": 32, "seed": 42, "best_coeffs": [[0.5, 0.0]]}
+_SEARCH_ECHO = {"command": "search", "seed": 42, "restarts": 32, "iters": 2000}
+_EXTREMAL_CSV = CSV_HEADER + "\n1,0.5,0.5,2,1,0.5,1,true\n"
+_SCAN_CSV = (
+    "n,r,best_value,scaled_value,kronecker_gap,restarts_used,seed,best_coeffs\n"
+    "1,0.25,4,1,0,32,42,0.25+0j\n"
+    "1,0.5,2,1,0,32,42,0.5+0j\n"
+)
+REPORT_GOLDENS = [
+    (["verify", "--n-max", "1", "--r-grid", "0.25:0.5:0.25", "--format", "json"],
+     _json_bytes({"config": {"command": "verify", "n_max": 1, "r_grid": "0.25:0.5:0.25"},
+                  "records": [_RECORD_R25, _RECORD_R5]})),
+    (["extremal", "--n", "1", "--r", "0.5"], _EXTREMAL_CSV),
+    (["extremal", "--n", "1", "--r", "0.5", "--format", "json"],
+     _json_bytes({"config": {"command": "extremal", "n": 1, "r": 0.5, "model": False},
+                  "record": _RECORD_R5})),
+    (["extremal", "--model", "--n", "1", "--r", "0.5"], _EXTREMAL_CSV),
+    (["extremal", "--model", "--n", "1", "--r", "0.5", "--format", "json"],
+     _json_bytes({"config": {"command": "extremal", "n": 1, "r": 0.5, "model": True},
+                  "record": _RECORD_R5})),
+    (["search", "--n", "1", "--r", "0.5", "--format", "json"],
+     _json_bytes({"config": {**_SEARCH_ECHO, "n": 1, "r": 0.5}, "result": _RESULT_R5})),
+    (["search", "--n-list", "1", "--r-list", "0.25,0.5"], _SCAN_CSV),
+    (["search", "--n-list", "1", "--r-list", "0.25,0.5", "--format", "json"],
+     _json_bytes({"config": {**_SEARCH_ECHO, "n_list": [1], "r_list": [0.25, 0.5]},
+                  "results": [_RESULT_R25, _RESULT_R5]})),
+]
+
+
+@pytest.mark.parametrize("argv, expected", REPORT_GOLDENS, ids=[" ".join(argv) for argv, _ in REPORT_GOLDENS])
+def test_report_bytes_are_frozen(argv, expected, tmp_path, capsys):
+    out = tmp_path / "report"
+    assert main(argv + ["--output", str(out)]) == 0
+    capsys.readouterr()
+    assert out.read_text() == expected
 
 
 class TestParseRGrid:
@@ -195,6 +252,29 @@ class TestExtremal:
     def test_missing_argument_is_usage_error(self, capsys):
         assert main(["extremal", "--n", "2"]) == 2
         capsys.readouterr()
+
+    @pytest.mark.parametrize("extra", [[], ["--model"]], ids=["triangular", "model"])
+    @pytest.mark.parametrize("n", ["0", "65"])
+    def test_n_outside_1_to_64_is_usage_error(self, n, extra, capsys):
+        assert main(["extremal", "--n", n, "--r", "0.5", *extra]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: n must lie in 1..64\n"
+
+    def test_record_is_the_theorem_check_record(self, tmp_path, capsys):
+        out = tmp_path / "point.json"
+        assert main(["extremal", "--n", "5", "--r", "0.3", "--format", "json", "--output", str(out)]) == 0
+        capsys.readouterr()
+        assert json.loads(out.read_text())["record"] == _json_record(theorem_check(5, 0.3))
+
+    def test_model_record_is_the_bracket_record_of_its_norms(self, tmp_path, capsys):
+        out = tmp_path / "point.json"
+        assert main(["extremal", "--model", "--n", "3", "--r", "0.5", "--format", "json",
+                     "--output", str(out)]) == 0
+        capsys.readouterr()
+        report = verify_extremality(0.5, tuple(0.5 * np.exp(2j * np.pi * k / 3) for k in range(3)))
+        expected = bracket_record(3, 0.5, report.norm, report.inv_norm)
+        assert json.loads(out.read_text())["record"] == _json_record(expected)
 
     def test_reciprocal_overflow_is_a_computation_failure(self, capsys):
         assert main(["extremal", "--n", "60", "--r", "0.000001"]) == 1
