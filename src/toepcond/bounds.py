@@ -19,14 +19,9 @@ import numpy as np
 from . import linalg
 from .blaschke import BlaschkeFactor, taylor
 from .core import AnalyticPolynomial, AnalyticToeplitzMatrix, apply_calculus, reciprocal_series
-from .errors import (
-    SingularMatrixError,
-    ToepcondError,
-    TwoPathMismatchError,
-)
+from .errors import SingularMatrixError, ToepcondError
 
 PASS_TOL = 1e-8
-TWO_PATH_RTOL = 1e-8
 
 
 @dataclass(eq=False)
@@ -138,44 +133,19 @@ def _check_point(n: int, r: float, A: np.ndarray, G: np.ndarray) -> BoundsRecord
             f"coefficient {overflowed[0]} is beyond the float64 range"
         )
     norm_T = linalg.spectral_norm(A)
-    inv_series = linalg.spectral_norm(G)
-    try:
-        inv_solve = linalg.inverse_norm(A)
-    except SingularMatrixError:
-        inv_solve = None
-    if inv_solve is not None:
-        rel = abs(inv_solve - inv_series) / max(inv_solve, inv_series)
-        if rel > TWO_PATH_RTOL:
-            raise TwoPathMismatchError(
-                f"inverse-norm paths disagree at (n={n}, r={r}): "
-                f"solve {inv_solve:.17g} vs series {inv_series:.17g} (relative {rel:.3e})"
-            )
-    rec = bracket_record(n, r, norm_T, inv_solve if inv_solve is not None else inv_series)
-    if not abs(rec.scaled - 1.0) <= TWO_PATH_RTOL:
-        raise TwoPathMismatchError(
-            f"inverse norm misses the closed form r^n ||T_r^-1|| = 1 at (n={n}, r={r}): "
-            f"r^n * {rec.inv_norm:.17g} = {rec.scaled:.17g}"
-        )
-    return rec
+    return bracket_record(n, r, norm_T, linalg.two_path_inverse_norm(A, G, r**n))
 
 
 def theorem_check(n: int, r: float) -> BoundsRecord:
     """Verify the bracket max(r^n, 1-r^n) <= r^n ||T_r^{-1}|| <= 1 at one point.
 
-    The inverse norm is computed twice, in real arithmetic: as
-    1/sigma_min(T_r) from the LAPACK inverse of T_r itself, and as the
-    spectral norm of the exact reciprocal-series inverse. The two must
-    agree to TWO_PATH_RTOL relative, and the first value must meet the
-    closed form r^n ||T_r^{-1}|| = 1 to TWO_PATH_RTOL (T_r is the model
-    operator of b_r^n up to a diagonal sign change); otherwise a
-    TwoPathMismatchError is raised. The first value fills the record.
-    When the reciprocal series overflows float64 (r^n near 1e-308) a
-    SingularMatrixError is raised before any norm is taken.
-
-    When the inverse norm exceeds 1/linalg.PIVOT_TOL (r^n below about
-    1e-14) the first path reports numerical singularity by contract; the
-    record is then filled from the series path alone, which stays accurate
-    because the reciprocal recursion has no cancellation for these symbols.
+    The inverse norm comes from linalg.two_path_inverse_norm in real
+    arithmetic: the LAPACK value, checked against the exact reciprocal-series
+    inverse of T_r (which gives it alone beyond 1/linalg.PIVOT_TOL, r^n
+    below about 1e-14) and against the closed form r^n ||T_r^{-1}|| = 1
+    (T_r is the model operator of b_r^n up to a diagonal sign change). A
+    reciprocal series beyond float64 raises SingularMatrixError before any
+    norm is taken: the one limit at every r, first at n = 2 for r = 1e-200.
     """
     return _check_point(n, r, *_bracket_matrices(n, r))
 
@@ -231,10 +201,11 @@ def estimate_t_a(n: int, r: float, config: SearchConfig | None = None) -> Search
     has rank one, so the singular values of T_r are 1, ..., 1, r^n.
 
     The result is that symbol, exactly feasible (unit norm, constant term
-    r), with its inverse norm from the reciprocal-series path. The value
-    is clipped to the ceiling 1/r^n, so kronecker_gap >= 0 and
-    scaled_value is 1 up to roundoff. The config is echoed in the result
-    (restarts_used, seed) but changes nothing.
+    r), with the inverse norm theorem_check(n, r) reports for it, under
+    the same two-path and closed-form checks. The value is clipped to the
+    ceiling 1/r^n, so kronecker_gap >= 0 and scaled_value is 1 up to
+    roundoff. The config is echoed in the result (restarts_used, seed)
+    but changes nothing.
     """
     n = int(n)
     r = float(r)
@@ -243,9 +214,8 @@ def estimate_t_a(n: int, r: float, config: SearchConfig | None = None) -> Search
     if not 0.0 < r < 1.0:
         raise ValueError("r must lie strictly between 0 and 1")
     cfg = config or SearchConfig()
-    symbol = taylor(BlaschkeFactor(r), n)
-    g = reciprocal_series(symbol)
-    value = linalg.spectral_norm(apply_calculus(g, g.n).matrix)
+    symbol = build_T_r(n, r).symbol
+    value = theorem_check(n, r).inv_norm
     scaled = min(1.0, r**n * value)
     return SearchResult(
         n=n,

@@ -83,8 +83,12 @@ def parse_r_grid(spec: str) -> list[float]:
     return values
 
 
-def _parse_list(spec: str, kind: type) -> list:
-    return [kind(p) for p in spec.split(",") if p.strip()]
+def _parse_list(spec: str, kind: type, option: str) -> list:
+    try:
+        return [kind(p) for p in spec.split(",")]
+    except ValueError:
+        noun = "integers" if kind is int else "numbers"
+        raise ValueError(f"{option} must be comma-separated {noun}, got {spec!r}") from None
 
 
 def _write_output(text: str, path: Optional[str]) -> None:
@@ -131,6 +135,11 @@ def _report(fmt: str, header: str, rows: Iterable[tuple], config: Optional[dict]
     # coefficient arrays, the one value json cannot take, become [re, im] pairs
     return json.dumps(payload, indent=2, sort_keys=True,
                       default=lambda a: [[c.real, c.imag] for c in a.tolist()]) + "\n"
+
+
+def _wants_report(args: argparse.Namespace) -> bool:
+    """extremal and search write a report when --output or --format json asks for one."""
+    return args.output is not None or args.format == "json"
 
 
 def _bounds_row(rec: BoundsRecord) -> tuple:
@@ -195,7 +204,7 @@ def cmd_extremal(args: argparse.Namespace) -> int:
         print(f"norm = {_fmt(rec.norm_T)}")
         print(f"inverse norm = {_fmt(rec.inv_norm)} (bound 1/r^n = {_fmt(kron)})")
     print(f"scaled inverse norm r^n * inv = {_fmt(rec.scaled)}, bracket [{_fmt(rec.lower)}, {_fmt(rec.upper)}]")
-    if args.output is not None:
+    if _wants_report(args):
         config = {"command": "extremal", "n": n, "r": r, "model": args.model}
         _write_output(_report(args.format, CSV_HEADER, [_bounds_row(rec)], config, "record"), args.output)
     return 0
@@ -212,8 +221,8 @@ def cmd_search(args: argparse.Namespace) -> int:
     if scan:
         if not (args.n_list and args.r_list):
             raise ValueError("scan mode needs both --n-list and --r-list")
-        ns = _parse_list(args.n_list, int)
-        rs = _parse_list(args.r_list, float)
+        ns = _parse_list(args.n_list, int, "--n-list")
+        rs = _parse_list(args.r_list, float, "--r-list")
         config.update(n_list=ns, r_list=rs)
     else:
         if args.n is None or args.r is None:
@@ -227,8 +236,7 @@ def cmd_search(args: argparse.Namespace) -> int:
             f"scaled={_fmt(res.scaled_value)} gap={_fmt(res.kronecker_gap)}"
             + ("" if scan else f" restarts={res.restarts_used} seed={res.seed}")
         )
-    # a report is written when --output or --format json asks for one
-    if args.output is not None or args.format == "json":
+    if _wants_report(args):
         key = "results" if scan else "result"
         text = _report(args.format, SEARCH_HEADER, map(_search_row, results), config, key)
         _write_output(text, args.output)

@@ -46,12 +46,6 @@ class AnalyticPolynomial:
         c[:k] = self.coeffs[:k]
         return AnalyticPolynomial(n, c)
 
-    def __mul__(self, other: "AnalyticPolynomial") -> "AnalyticPolynomial":
-        """Product truncated at max(self.n, other.n)."""
-        n = max(self.n, other.n)
-        full = np.convolve(self.coeffs, other.coeffs)
-        return AnalyticPolynomial(n, full[:n])
-
 
 def _lower_toeplitz(column: np.ndarray) -> np.ndarray:
     n = column.shape[0]
@@ -127,20 +121,18 @@ def reciprocal_series(f: AnalyticPolynomial) -> AnalyticPolynomial:
 
     g_0 = 1/a_0 and g_k = -(sum_{j=1..k} a_j g_{k-j}) / a_0. The recursion
     is exact up to roundoff and apply_calculus(g) is the inverse matrix of
-    apply_calculus(f). A constant term of modulus at most 1e-14 is refused
-    with SingularSymbolError. Coefficients beyond the float64 range come
-    back as inf or NaN without a warning; callers test them for finiteness.
+    apply_calculus(f). Only f(0) = 0, where f(M_n) is singular, is refused
+    with SingularSymbolError. Coefficients beyond the float64 range, 1/f(0)
+    included, come back as inf or NaN without a warning; callers test them
+    for finiteness.
     """
     a = f.coeffs
-    if abs(a[0]) <= 1e-14:
-        raise SingularSymbolError(
-            f"constant term |f(0)| = {abs(a[0]):.3g} is at or below 1e-14, "
-            "the smallest the reciprocal recursion accepts"
-        )
+    if a[0] == 0:
+        raise SingularSymbolError("constant term f(0) = 0: f(M_n) is singular")
     n = f.n
     g = np.zeros(n, dtype=np.complex128)
-    g[0] = 1.0 / a[0]
     with np.errstate(over="ignore", invalid="ignore"):
+        g[0] = 1.0 / a[0]
         for k in range(1, n):
             g[k] = -np.dot(a[1 : k + 1], g[k - 1 :: -1]) / a[0]
     return AnalyticPolynomial(n, g)

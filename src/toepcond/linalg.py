@@ -12,11 +12,14 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import SingularMatrixError
+from .errors import SingularMatrixError, TwoPathMismatchError
 
 # A matrix whose inverse norm exceeds 1/PIVOT_TOL (a smallest singular
 # value below PIVOT_TOL) is reported as singular.
 PIVOT_TOL = 1e-14
+# relative tolerances: of two inverse-norm paths, of a value to its closed form
+TWO_PATH_RTOL = 1e-8
+CLOSED_FORM_RTOL = 1e-12
 
 
 def _as_matrix(A) -> np.ndarray:
@@ -59,6 +62,26 @@ def inverse_norm(A) -> float:
             f"matrix is singular to working precision (inverse norm {val:.3e})"
         )
     return val
+
+
+def two_path_inverse_norm(A, W, scale: float) -> float:
+    """||A^{-1}|| by the one rule every caller shares.
+
+    W is an exact inverse of A from a series or a closed form. The LAPACK
+    inverse_norm(A) gives the value, or ||W|| alone beyond 1/PIVOT_TOL where
+    that refuses. The two must agree to TWO_PATH_RTOL and the value must
+    meet scale * ||A^{-1}|| = 1 to CLOSED_FORM_RTOL, else TwoPathMismatchError.
+    """
+    via_w = spectral_norm(W)
+    try:
+        value = inverse_norm(A)
+    except SingularMatrixError:
+        value = via_w
+    if not abs(value - via_w) <= TWO_PATH_RTOL * max(value, via_w):
+        raise TwoPathMismatchError(f"inverse-norm paths disagree: solve {value:.17g} vs {via_w:.17g}")
+    if not abs(scale * value - 1.0) <= CLOSED_FORM_RTOL:
+        raise TwoPathMismatchError(f"inverse norm misses the closed form: {scale:.17g} * {value:.17g} != 1")
+    return value
 
 
 def defect_singular_values(A) -> np.ndarray:

@@ -22,6 +22,14 @@ The partial products use the factor (z - lambda)/(1 - conj(lambda) z),
 the sign-flipped variant of BlaschkeFactor, so that zeros at the origin
 reproduce the monomial basis and the matrix of the shift is exactly the
 Jordan block.
+
+The inverse, a rank-one change of M^*, is lower triangular with
+(M^{-1})_kk = 1/lambda_k and, for l < k, with s_k = sqrt(1 - |lambda_k|^2),
+
+    (M^{-1})_kl = -s_k s_l / prod_{l <= j <= k} (-lambda_j).
+
+For equal zeros r it is the reciprocal-series matrix of T_r conjugated by
+diag((-1)^k): T_r and M are two constructions of one contraction.
 """
 
 from __future__ import annotations
@@ -31,10 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .errors import ExtremalityError
-
-# relative tolerance of the two norm equalities in verify_extremality
-EXTREMALITY_RTOL = 1e-12
+from .errors import ExtremalityError, SingularMatrixError
 
 
 @dataclass(eq=False)
@@ -76,6 +81,14 @@ def _checked_zeros(zeros) -> tuple:
     return zs
 
 
+def _zeros_and_weights(zeros) -> tuple[tuple, np.ndarray, np.ndarray]:
+    zs = _checked_zeros(zeros)
+    lam = np.array(zs, dtype=np.complex128)
+    a = np.abs(lam)
+    # (1 - a)(1 + a) keeps full relative accuracy as |lambda| -> 1
+    return zs, lam, np.sqrt((1.0 - a) * (1.0 + a))
+
+
 def model_operator(zeros) -> ModelOperatorMatrix:
     """Compressed-shift matrix from its closed-form entries, O(n^2).
 
@@ -85,12 +98,8 @@ def model_operator(zeros) -> ModelOperatorMatrix:
     arbitrarily close to the circle are exact; zeros at the origin give
     the Jordan block.
     """
-    zs = _checked_zeros(zeros)
+    zs, lam, s = _zeros_and_weights(zeros)
     n = len(zs)
-    lam = np.array(zs, dtype=np.complex128)
-    a = np.abs(lam)
-    # (1 - a)(1 + a) keeps full relative accuracy as |lambda| -> 1
-    s = np.sqrt((1.0 - a) * (1.0 + a))
     M = np.diag(lam)
     for k in range(n - 1):
         between = np.cumprod(-np.conj(lam[k + 1 : n - 1]))
@@ -98,16 +107,30 @@ def model_operator(zeros) -> ModelOperatorMatrix:
     return ModelOperatorMatrix(n=n, zeros=zs, matrix=M)
 
 
+def model_inverse(zeros) -> np.ndarray:
+    """Inverse of the compressed-shift matrix from its closed form, O(n^2)
+    and no solve. SingularMatrixError when an entry leaves float64."""
+    zs, lam, s = _zeros_and_weights(zeros)
+    n = len(zs)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        recip = 1.0 / lam
+        W = np.diag(recip)
+        for l in range(n - 1):
+            W[l + 1 :, l] = -s[l] * s[l + 1 :] * np.cumprod(-recip[l:])[1:]
+    if not np.isfinite(W).all():
+        raise SingularMatrixError("model operator inverse has entries beyond the float64 range")
+    return W
+
+
 def verify_extremality(r: float, zeros) -> ExtremalityReport:
     """Check the equality case ||M^{-1}|| = 1/r^n for zeros on |z| = r.
 
-    Builds the model operator, computes both norms, and verifies
-    r^n ||M^{-1}|| = 1 together with the norm identity ||M|| = 1, each to
-    relative EXTREMALITY_RTOL. The norm identity needs a space of
-    dimension at least 2: the 1x1 compression is plain multiplication by
-    its zero, so for n = 1 the expected norm is r itself. The defect rank
-    is reported alongside (it must be 1 for these contractions), counting
-    singular values of I - M*M above half the expected one, 1 - r^(2n).
+    Verifies ||M|| = 1 to relative linalg.CLOSED_FORM_RTOL (for n = 1 the
+    compression is multiplication by its zero, of norm r) and takes the
+    inverse norm from linalg.two_path_inverse_norm, with model_inverse as
+    the second path and r^n ||M^{-1}|| = 1 as the closed form. The defect
+    rank is reported alongside (it must be 1 for these contractions),
+    counting singular values of I - M*M above half the expected 1 - r^(2n).
     """
     r = float(r)
     if not 0.0 < r < 1.0:
@@ -119,16 +142,12 @@ def verify_extremality(r: float, zeros) -> ExtremalityReport:
     op = model_operator(zs)
     n = len(zs)
     nrm = linalg.spectral_norm(op.matrix)
-    inv = linalg.inverse_norm(op.matrix)
+    norm_target = 1.0 if n >= 2 else r
+    if abs(nrm - norm_target) > linalg.CLOSED_FORM_RTOL * norm_target:
+        raise ExtremalityError(f"expected norm {norm_target:.17g}, got {nrm:.17g}")
+    inv = linalg.two_path_inverse_norm(op.matrix, model_inverse(zs), r**n)
     kron = 1.0 / r**n
     rel_gap = abs(inv - kron) / kron
-    norm_target = 1.0 if n >= 2 else r
-    if abs(nrm - norm_target) > EXTREMALITY_RTOL * norm_target:
-        raise ExtremalityError(f"expected norm {norm_target:.17g}, got {nrm:.17g}")
-    if rel_gap > EXTREMALITY_RTOL:
-        raise ExtremalityError(
-            f"inverse norm {inv:.17g} differs from 1/r^n = {kron:.17g} by relative {rel_gap:.3e}"
-        )
     defect = -np.expm1(2 * n * np.log(r))  # 1 - r^(2n) without cancellation
     rank = int(np.count_nonzero(linalg.defect_singular_values(op.matrix) > 0.5 * defect))
     return ExtremalityReport(

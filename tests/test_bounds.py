@@ -202,26 +202,39 @@ class TestTheoremCheck:
         assert rec.inv_norm > 1e14
         assert rec.scaled == pytest.approx(1.0, abs=1e-6)
 
-    def test_closed_form_catches_a_wrong_inverse_norm(self, monkeypatch):
-        # both paths read 0.999 of the truth: they agree with each other and
-        # 0.999 lies inside the bracket [0.875, 1], but r^n ||T_r^{-1}|| = 1
-        # does not hold
+    @staticmethod
+    def _scale_both_paths(monkeypatch, factor):
         import toepcond.bounds as bounds_mod
         import toepcond.linalg as linalg_mod
 
         real_inverse, real_matrices = linalg_mod.inverse_norm, bounds_mod._bracket_matrices
 
-        def shrunk_matrices(n, r):
+        def scaled_matrices(n, r):
             A, G = real_matrices(n, r)
-            return A, 0.999 * G
+            return A, factor * G
 
-        monkeypatch.setattr(linalg_mod, "inverse_norm", lambda A: 0.999 * real_inverse(A))
-        monkeypatch.setattr(bounds_mod, "_bracket_matrices", shrunk_matrices)
+        monkeypatch.setattr(linalg_mod, "inverse_norm", lambda A: factor * real_inverse(A))
+        monkeypatch.setattr(bounds_mod, "_bracket_matrices", scaled_matrices)
+
+    def test_closed_form_catches_a_wrong_inverse_norm(self, monkeypatch):
+        # both paths read 0.999 of the truth: they agree with each other and
+        # 0.999 lies inside the bracket [0.875, 1], but r^n ||T_r^{-1}|| = 1
+        # does not hold
+        self._scale_both_paths(monkeypatch, 0.999)
         with pytest.raises(TwoPathMismatchError, match="closed form"):
             theorem_check(3, 0.5)
         (rec,) = [rec for rec in grid_sweep(3, (0.5,)) if rec.n == 3]
         assert not rec.passed
         assert rec.error.startswith("TwoPathMismatchError: inverse norm misses the closed form")
+
+    def test_closed_form_is_checked_to_1e_12(self, monkeypatch):
+        # (1 - 1e-10) of the truth passes a check at 1e-8 but not the closed
+        # form at 1e-12, which search gets through theorem_check as well
+        self._scale_both_paths(monkeypatch, 1 - 1e-10)
+        with pytest.raises(TwoPathMismatchError, match="closed form"):
+            theorem_check(3, 0.5)
+        with pytest.raises(TwoPathMismatchError, match="closed form"):
+            estimate_t_a(3, 0.5)
 
 
 class TestRealArithmetic:

@@ -284,7 +284,28 @@ class TestExtremal:
     def test_denormal_r_is_a_typed_error(self, capsys):
         assert main(["extremal", "--n", "2", "--r", "5e-324"]) == 1
         err = capsys.readouterr().err
-        assert err.startswith("error: constant term |f(0)| = 4.94e-324 is at or below 1e-14")
+        assert err.startswith("error: reciprocal series overflows at (n=2, r=5e-324): coefficient 0")
+
+    def test_json_format_writes_a_report_without_output(self, capsys):
+        assert main(["extremal", "--n", "1", "--r", "0.5", "--format", "json"]) == 0
+        assert capsys.readouterr().out.endswith(
+            _json_bytes({"config": {"command": "extremal", "n": 1, "r": 0.5, "model": False},
+                         "record": _RECORD_R5}))
+
+    @pytest.mark.parametrize("n, r", [(40, "0.05"), (64, "0.05"), (16, "0.000001")])
+    def test_model_beyond_the_solve_range(self, n, r, capsys):
+        # 1/r^n > 1e14: the closed-form inverse gives the inverse norm alone
+        assert main(["extremal", "--model", "--n", str(n), "--r", r]) == 0
+        out = capsys.readouterr().out
+        assert "defect rank = 1\n" in out
+        assert float(out.split("relative gap ", 1)[1].split(")", 1)[0]) <= 1e-12
+
+    @pytest.mark.parametrize("n, r", [(64, "0.000001"), (2, "5e-324")])
+    def test_model_inverse_overflow_is_a_typed_error(self, n, r, capsys):
+        assert main(["extremal", "--model", "--n", str(n), "--r", r]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: model operator inverse has entries beyond the float64 range\n"
 
 
 class TestSearch:
@@ -355,6 +376,25 @@ class TestSearch:
         assert main(["search"]) == 2
         assert main(["search", "--n-list", "1,2"]) == 2
         capsys.readouterr()
+
+    @pytest.mark.parametrize("lists, message", [
+        (["--n-list", "a", "--r-list", "0.5"], "--n-list must be comma-separated integers, got 'a'"),
+        (["--n-list", "1,,2", "--r-list", "0.5,"], "--n-list must be comma-separated integers, got '1,,2'"),
+        (["--n-list", "1", "--r-list", "0.5,"], "--r-list must be comma-separated numbers, got '0.5,'"),
+    ], ids=["letter", "empty-items", "trailing-comma"])
+    def test_malformed_lists_are_usage_errors(self, lists, message, capsys):
+        assert main(["search", *lists]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+
+    def test_tiny_r_meets_the_overflow_limit_only(self, capsys):
+        # no threshold on r itself: n = 1 is exact at r = 1e-200, and n = 2
+        # stops where the reciprocal series leaves float64
+        assert main(["search", "--n", "1", "--r", "1e-200"]) == 0
+        assert " scaled=1 gap=0 " in capsys.readouterr().out
+        assert main(["search", "--n", "2", "--r", "1e-200"]) == 1
+        assert capsys.readouterr().err.startswith("error: reciprocal series overflows at (n=2, r=1e-200)")
 
 
 class TestParser:

@@ -5,11 +5,13 @@ import pytest
 
 from toepcond import (
     SingularMatrixError,
+    TwoPathMismatchError,
     build_T_r,
     defect_singular_values,
     inverse_norm,
     spectral_norm,
 )
+from toepcond.linalg import two_path_inverse_norm
 
 
 def lower_toeplitz(column):
@@ -138,6 +140,26 @@ class TestInverseNorm:
         # LAPACK inverts the subnormal pivot to NaN instead of raising
         with pytest.raises(SingularMatrixError):
             inverse_norm(np.diag([1.0, 1e-310]))
+
+
+class TestTwoPathInverseNorm:
+    def test_lapack_value_when_paths_agree(self):
+        A = np.diag([0.5, 0.25])
+        W = np.diag([2.0, 4.0 * (1 + 1e-9)])
+        assert two_path_inverse_norm(A, W, 0.25) == inverse_norm(A)
+
+    def test_exact_inverse_alone_beyond_the_solve_range(self):
+        A = np.diag([1.0, 1e-15])
+        W = np.diag([1.0, 1e15])
+        assert two_path_inverse_norm(A, W, 1e-15) == 1e15
+
+    def test_disagreeing_paths_raise(self):
+        with pytest.raises(TwoPathMismatchError, match="paths disagree"):
+            two_path_inverse_norm(np.diag([0.5, 0.25]), np.diag([2.0, 4.0 * (1 + 1e-7)]), 0.25)
+
+    def test_closed_form_miss_raises(self):
+        with pytest.raises(TwoPathMismatchError, match="closed form"):
+            two_path_inverse_norm(np.diag([0.5, 0.25]), np.diag([2.0, 4.0]), 0.25 * (1 + 1e-11))
 
 
 class TestDefect:

@@ -3,14 +3,22 @@
 import numpy as np
 import pytest
 
+import toepcond.linalg as linalg_mod
+import toepcond.model as model_mod
 from toepcond import (
+    BlaschkeFactor,
+    SingularMatrixError,
+    TwoPathMismatchError,
+    apply_calculus,
     defect_singular_values,
     jordan_block,
     model_operator,
+    reciprocal_taylor,
     spectral_norm,
     verify_extremality,
 )
 from toepcond.cli import DEFAULT_R_GRID, parse_r_grid
+from toepcond.model import model_inverse
 
 # Independent oracle: the compressed shift by trapezoidal quadrature of
 # <z e_k, e_l> over the circle, doubling the sample count until the Gram
@@ -168,6 +176,38 @@ class TestModelOperator:
             model_operator((0.5, 1.0))
 
 
+class TestModelInverse:
+    def test_matches_numpy_inverse(self):
+        rng = np.random.default_rng(67)
+        for _ in range(100):
+            n = int(rng.integers(1, 12))
+            zeros = tuple((0.3 + 0.69 * rng.uniform()) * np.exp(2j * np.pi * rng.uniform())
+                          for _ in range(n))
+            M = model_operator(zeros).matrix
+            W = model_inverse(zeros)
+            oracle = np.linalg.inv(M)
+            assert np.abs(W @ M - np.eye(n)).max() <= 1e-12
+            assert np.abs(W - oracle).max() <= 1e-13 * np.abs(oracle).max()
+
+    @pytest.mark.parametrize("r", [0.05, 0.3, 0.5, 0.9, 0.99])
+    def test_equal_zeros_give_the_signed_reciprocal_series(self, r):
+        # W = D G D with G the reciprocal-series matrix of T_r and
+        # D = diag((-1)^k): the model operator of b_r^n and T_r differ by D
+        for n in range(1, 40):
+            G = apply_calculus(reciprocal_taylor(BlaschkeFactor(r), n)).matrix
+            D = np.diag((-1.0) ** np.arange(n))
+            expected = D @ G @ D
+            W = model_inverse((r,) * n)
+            lower = np.tril(np.ones((n, n), dtype=bool))
+            assert np.all(W[~lower] == 0)
+            assert np.max(np.abs(W[lower] - expected[lower]) / np.abs(expected[lower])) <= 1e-14
+
+    @pytest.mark.parametrize("zeros", [(0.0, 0.5), (1e-6,) * 64, (5e-324, -5e-324)])
+    def test_entries_beyond_float64_raise(self, zeros):
+        with pytest.raises(SingularMatrixError, match="beyond the float64 range"):
+            model_inverse(zeros)
+
+
 class TestVerifyExtremality:
     def test_single_zero(self):
         # the 1x1 compression is multiplication by the zero itself: norm r,
@@ -215,17 +255,29 @@ class TestVerifyExtremality:
 
     @pytest.mark.parametrize(
         "n, r",
-        # points with 1/r^n above 1e14 are left out: inverse_norm reports
-        # the model operator singular there before the rank is counted
         [(n, r) for n in (1, 2, 8, 32, 64)
-         for r in parse_r_grid(DEFAULT_R_GRID) + [0.9999, 0.999999999, 1.0 - 1e-12]
-         if r**n >= 1e-14],
+         for r in parse_r_grid(DEFAULT_R_GRID) + [0.9999, 0.999999999, 1.0 - 1e-12]],
     )
     def test_defect_rank_is_one_up_to_the_circle(self, n, r):
         # the one defect singular value 1 - r^(2n) falls below any fixed
         # tolerance as r -> 1 (2e-12 at n = 1, r = 1 - 1e-12)
         zeros = tuple(r * np.exp(2j * np.pi * k / n) for k in range(n))
         assert verify_extremality(r, zeros).defect_rank == 1
+
+    def test_closed_form_is_checked_to_1e_12(self, monkeypatch):
+        # both paths read (1 - 1e-10) times the truth: they agree, and a
+        # check at 1e-8 would pass, but r^n ||M^{-1}|| = 1 does not hold
+        real_inverse, real_model_inverse = linalg_mod.inverse_norm, model_mod.model_inverse
+        monkeypatch.setattr(linalg_mod, "inverse_norm", lambda A: (1 - 1e-10) * real_inverse(A))
+        monkeypatch.setattr(model_mod, "model_inverse", lambda zs: (1 - 1e-10) * real_model_inverse(zs))
+        with pytest.raises(TwoPathMismatchError, match="closed form"):
+            verify_extremality(0.5, (0.5, -0.5, 0.5j))
+
+    def test_disagreeing_paths_raise(self, monkeypatch):
+        real_model_inverse = model_mod.model_inverse
+        monkeypatch.setattr(model_mod, "model_inverse", lambda zs: 2.0 * real_model_inverse(zs))
+        with pytest.raises(TwoPathMismatchError, match="paths disagree"):
+            verify_extremality(0.5, (0.5, -0.5, 0.5j))
 
     def test_rejects_off_circle_zeros(self):
         with pytest.raises(ValueError):
