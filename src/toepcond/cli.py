@@ -8,7 +8,10 @@ Subcommands:
   bound     print the 1/r^n bound and the bracket endpoints
 
 Exit codes: 0 success / all pass, 1 verification or computation failure,
-2 usage or domain error. Every CSV and JSON report comes from one writer,
+2 usage or domain error. r lies in (0, 1] for bound, as 1/r^n is defined at
+r = 1, and in (0, 1) for the rest, as b_r degenerates there. main builds
+its parser once per process, on the first call, and extremal formats a
+matrix one row at a time. Every CSV and JSON report comes from one writer,
 _report, fed one tuple per row in header order; a BoundsRecord comes only
 from bounds.bracket_record. Report files are written atomically; repeated
 runs with identical flags produce byte-identical files. The search
@@ -20,6 +23,7 @@ the result of a search.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -174,10 +178,10 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _matrix_lines(M: np.ndarray) -> list[str]:
-    lines = []
-    for row in M:
-        lines.append("  [" + ", ".join(f"{c.real:+.6f}{c.imag:+.6f}j" for c in row) + "]")
-    return lines
+    # each row's interleaved (re, im) floats go through one format string
+    rows = np.ascontiguousarray(M, np.complex128).view(np.float64).tolist()
+    line = "  [" + ", ".join(["%+.6f%+.6fj"] * M.shape[1]) + "]"
+    return [line % tuple(row) for row in rows]
 
 
 def cmd_extremal(args: argparse.Namespace) -> int:
@@ -250,6 +254,7 @@ def cmd_bound(args: argparse.Namespace) -> int:
     return 0
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="toepcond",

@@ -39,6 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
+from .bounds import kronecker_bound
 from .errors import ExtremalityError, SingularMatrixError
 
 
@@ -100,10 +101,10 @@ def model_operator(zeros) -> ModelOperatorMatrix:
     """
     zs, lam, s = _zeros_and_weights(zeros)
     n = len(zs)
-    M = np.diag(lam)
-    for k in range(n - 1):
-        between = np.cumprod(-np.conj(lam[k + 1 : n - 1]))
-        M[k + 1 :, k] = s[k] * s[k + 1 :] * np.concatenate(([1.0], between))
+    rows, cols = np.indices((n, n))
+    between = np.where(rows > cols + 1, -np.conj(lam)[rows - 1], 1.0)
+    M = np.tril(s[:, None] * s * np.cumprod(between, axis=0), -1)
+    np.fill_diagonal(M, lam)
     return ModelOperatorMatrix(n=n, zeros=zs, matrix=M)
 
 
@@ -112,11 +113,12 @@ def model_inverse(zeros) -> np.ndarray:
     and no solve. SingularMatrixError when an entry leaves float64."""
     zs, lam, s = _zeros_and_weights(zeros)
     n = len(zs)
+    rows, cols = np.indices((n, n))
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         recip = 1.0 / lam
-        W = np.diag(recip)
-        for l in range(n - 1):
-            W[l + 1 :, l] = -s[l] * s[l + 1 :] * np.cumprod(-recip[l:])[1:]
+        between = np.where(rows >= cols, -recip[rows], 1.0)
+        W = np.tril(-(s[:, None] * s) * np.cumprod(between, axis=0), -1)
+        np.fill_diagonal(W, recip)
     if not np.isfinite(W).all():
         raise SingularMatrixError("model operator inverse has entries beyond the float64 range")
     return W
@@ -146,7 +148,7 @@ def verify_extremality(r: float, zeros) -> ExtremalityReport:
     if abs(nrm - norm_target) > linalg.CLOSED_FORM_RTOL * norm_target:
         raise ExtremalityError(f"expected norm {norm_target:.17g}, got {nrm:.17g}")
     inv = linalg.two_path_inverse_norm(op.matrix, model_inverse(zs), r**n)
-    kron = 1.0 / r**n
+    kron = kronecker_bound(n, r)
     rel_gap = abs(inv - kron) / kron
     defect = -np.expm1(2 * n * np.log(r))  # 1 - r^(2n) without cancellation
     rank = int(np.count_nonzero(linalg.defect_singular_values(op.matrix) > 0.5 * defect))

@@ -397,6 +397,50 @@ class TestSearch:
         assert capsys.readouterr().err.startswith("error: reciprocal series overflows at (n=2, r=1e-200)")
 
 
+# three pairs in which the second call leaves to its default an option the
+# first call sets, then a usage error followed by a valid call
+PARSER_REUSE_SEQUENCE = [
+    ["search", "--n", "1", "--r", "0.5", "--seed", "7", "--format", "json"],
+    ["search", "--n", "1", "--r", "0.5", "--format", "json"],
+    ["extremal", "--model", "--n", "2", "--r", "0.5", "--format", "json"],
+    ["extremal", "--n", "2", "--r", "0.5", "--format", "json"],
+    ["verify", "--n-max", "3"],
+    ["verify"],
+    ["extremal", "--n", "2"],
+    ["bound", "--n", "3", "--r", "0.5"],
+]
+
+
+def _json_tail(out: str) -> dict:
+    return json.loads(out[out.index("\n{") + 1 :])
+
+
+class TestParserReuse:
+    def test_parser_is_built_once(self):
+        assert cli._build_parser() is cli._build_parser()
+
+    def test_each_call_gives_its_first_call_output(self, capsys):
+        def run(argv):
+            code = main(argv)
+            captured = capsys.readouterr()
+            return code, captured.out, captured.err
+
+        in_sequence = [run(argv) for argv in PARSER_REUSE_SEQUENCE]
+        first_calls = []
+        for argv in PARSER_REUSE_SEQUENCE:
+            cli._build_parser.cache_clear()
+            first_calls.append(run(argv))
+        assert in_sequence == first_calls
+        seeds = [_json_tail(out)["config"]["seed"] for _, out, _ in in_sequence[0:2]]
+        assert seeds == [7, 42]
+        models = [_json_tail(out)["config"]["model"] for _, out, _ in in_sequence[2:4]]
+        assert models == [True, False]
+        assert [err.split(",")[0] for _, _, err in in_sequence[4:6]] == [
+            "verify: 57 points", "verify: 228 points"]
+        assert [code for code, _, _ in in_sequence[6:]] == [2, 0]
+        assert in_sequence[7][1] == "kronecker=8 lower=0.875 upper=1\n"
+
+
 class TestParser:
     def test_unknown_command(self, capsys):
         assert main(["bogus"]) == 2

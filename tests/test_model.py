@@ -1,5 +1,7 @@
 """Compressed-shift matrices: closed form, quadrature oracle, extremality."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -17,6 +19,7 @@ from toepcond import (
     spectral_norm,
     verify_extremality,
 )
+from toepcond.bounds import kronecker_bound
 from toepcond.cli import DEFAULT_R_GRID, parse_r_grid
 from toepcond.model import model_inverse
 
@@ -71,6 +74,54 @@ def random_zeros(rng, n, radius):
                  for _ in range(n))
 
 
+# Oracles for the closed-form builders: the same TMW entries filled one
+# column at a time, each column from its own 1-D cumprod.
+def _oracle_zeros_and_weights(zeros):
+    lam = np.array([complex(z) for z in zeros], dtype=np.complex128)
+    a = np.abs(lam)
+    return lam, np.sqrt((1.0 - a) * (1.0 + a))
+
+
+def loop_model_operator(zeros):
+    lam, s = _oracle_zeros_and_weights(zeros)
+    n = len(lam)
+    M = np.diag(lam)
+    for k in range(n - 1):
+        between = np.cumprod(-np.conj(lam[k + 1 : n - 1]))
+        M[k + 1 :, k] = s[k] * s[k + 1 :] * np.concatenate(([1.0], between))
+    return M
+
+
+def loop_model_inverse(zeros):
+    """The inverse with non-finite entries left in place."""
+    lam, s = _oracle_zeros_and_weights(zeros)
+    n = len(lam)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        recip = 1.0 / lam
+        W = np.diag(recip)
+        for l in range(n - 1):
+            W[l + 1 :, l] = -s[l] * s[l + 1 :] * np.cumprod(-recip[l:])[1:]
+    return W
+
+
+def assert_within_ulps(actual, expected, ulps=4):
+    assert np.all(np.abs(actual - expected) <= ulps * np.spacing(np.abs(expected)))
+
+
+def oracle_zero_sets():
+    """Seeded zero sets, n <= 64, with zeros at 0 and at |lambda| = 1 - 1e-12."""
+    rng = np.random.default_rng(20261018)
+    sets = [(0.0,) * 64, (1.0 - 1e-12,) * 64, (0.0, 0.5, 0.0), (1e-6,) * 64, (5e-324, -5e-324)]
+    for _ in range(60):
+        n = int(rng.integers(1, 65))
+        moduli = rng.choice([0.0, 1.0 - 1e-12, 0.05, 0.5, 0.9], size=n)
+        moduli = np.where(rng.uniform(size=n) < 0.5, rng.uniform(size=n), moduli)
+        sets.append(tuple(moduli * np.exp(2j * np.pi * rng.uniform(size=n))))
+    for n, r in [(64, 1e-6), (2, 5e-324), (40, 0.05), (32, 0.9999)]:
+        sets.append(tuple(r * np.exp(2j * np.pi * k / n) for k in range(n)))
+    return sets
+
+
 class TestMalmquistWalshSamples:
     def test_single_zero_pointwise(self):
         m = 16
@@ -103,7 +154,7 @@ class TestMalmquistWalshSamples:
 
 class TestModelOperator:
     def test_zeros_at_origin_reproduce_shift(self):
-        for n in range(1, 9):
+        for n in (*range(1, 9), 17, 64):
             assert np.array_equal(model_operator((0.0,) * n).matrix, jordan_block(n))
 
     def test_two_zero_exemplar(self):
@@ -174,6 +225,22 @@ class TestModelOperator:
             model_operator(())
         with pytest.raises(ValueError):
             model_operator((0.5, 1.0))
+
+
+class TestBuildersAgainstLoopOracles:
+    @pytest.mark.parametrize("zeros", oracle_zero_sets())
+    def test_operator_within_4_ulp(self, zeros):
+        assert_within_ulps(model_operator(zeros).matrix, loop_model_operator(zeros))
+
+    @pytest.mark.parametrize("zeros", oracle_zero_sets())
+    def test_inverse_within_4_ulp_and_raises_where_the_loop_overflows(self, zeros):
+        # RuntimeWarnings are errors in this suite, so raising is the only way out
+        expected = loop_model_inverse(zeros)
+        if np.isfinite(expected).all():
+            assert_within_ulps(model_inverse(zeros), expected)
+        else:
+            with pytest.raises(SingularMatrixError, match="beyond the float64 range"):
+                model_inverse(zeros)
 
 
 class TestModelInverse:
@@ -278,6 +345,25 @@ class TestVerifyExtremality:
         monkeypatch.setattr(model_mod, "model_inverse", lambda zs: 2.0 * real_model_inverse(zs))
         with pytest.raises(TwoPathMismatchError, match="paths disagree"):
             verify_extremality(0.5, (0.5, -0.5, 0.5j))
+
+    def test_gap_is_to_the_printed_bound_and_finite(self):
+        # `extremal --model` prints kronecker_bound(n, r) as the bound; the
+        # gap is measured to it, e.g. at (40, 0.05) and (8, 0.9), where
+        # 1.0 / r**n differs from r ** -n in the last bit
+        succeeded = 0
+        for n in (1, 2, 8, 16, 32, 40, 52, 64):
+            for r in (5e-324, 1e-200, 1e-6, 0.05, 0.5, 0.9, 0.9999, 1.0 - 1e-12):
+                zeros = tuple(r * np.exp(2j * np.pi * k / n) for k in range(n))
+                try:
+                    report = verify_extremality(r, zeros)
+                except SingularMatrixError:
+                    continue
+                succeeded += 1
+                assert report.kronecker == kronecker_bound(n, r)
+                assert report.rel_gap == abs(report.inv_norm - report.kronecker) / report.kronecker
+                assert math.isfinite(report.rel_gap) and report.rel_gap <= 1e-12
+        # the rest overflow: r = 5e-324 at every n, 1e-200 from n = 2, 1e-6 from n = 52
+        assert succeeded == 64 - 8 - 7 - 2
 
     def test_rejects_off_circle_zeros(self):
         with pytest.raises(ValueError):
