@@ -54,8 +54,9 @@ def reciprocal_taylor(factor: BlaschkeFactor, n: int) -> AnalyticPolynomial:
     """First n Taylor coefficients of 1/b_lambda at 0.
 
     Closed form: c_0 = 1/lambda, c_k = (1 - |lambda|^2)/lambda^{k+1}. Equals
-    reciprocal_series(taylor(factor, n)) up to roundoff. Undefined for
-    lambda = 0, where the factor itself vanishes at the origin.
+    reciprocal_series(taylor(factor, n)) up to roundoff, with its contract:
+    coefficients beyond float64 come back as inf or NaN without a warning.
+    Undefined for lambda = 0, where the factor itself vanishes at the origin.
     """
     if n < 1:
         raise ValueError("n must be at least 1")
@@ -63,9 +64,10 @@ def reciprocal_taylor(factor: BlaschkeFactor, n: int) -> AnalyticPolynomial:
     if lam == 0:
         raise SingularSymbolError("the factor with zero at the origin vanishes at 0")
     c = np.zeros(n, dtype=np.complex128)
-    c[0] = 1.0 / lam
-    if n > 1:
-        c[1:] = (1.0 - abs(lam) ** 2) / lam ** np.arange(2, n + 1)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        c[0] = 1.0 / lam
+        if n > 1:
+            c[1:] = (1.0 - abs(lam) ** 2) / lam ** np.arange(2, n + 1)
     return AnalyticPolynomial(n, c)
 
 

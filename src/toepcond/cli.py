@@ -71,8 +71,8 @@ def parse_r_grid(spec: str) -> list[float]:
         start, stop, step = (float(p) for p in parts)
     except ValueError:
         raise ValueError(f"grid spec has non-numeric parts: {spec!r}") from None
-    if step <= 0.0:
-        raise ValueError("grid step must be positive")
+    if not 0.0 < step < np.inf:
+        raise ValueError("grid step must be finite and positive")
     if not (0.0 < start < 1.0 and 0.0 < stop < 1.0):
         raise ValueError("grid endpoints must lie strictly between 0 and 1")
     if stop < start:
@@ -100,15 +100,18 @@ def _write_output(text: str, path: Optional[str]) -> None:
         sys.stdout.write(text)
         return
     directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".toepcond-", text=True)
     try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".toepcond-", text=True)
+        try:
+            with os.fdopen(fd, "w", encoding="utf-8") as fh:
+                fh.write(text)
+            os.replace(tmp, path)
+        except BaseException:
+            if os.path.exists(tmp):
+                os.unlink(tmp)
+            raise
+    except OSError as exc:
+        raise ValueError(f"cannot write --output {path}: {exc.strerror or exc}") from None
 
 
 def _cell(value) -> str:
@@ -129,12 +132,14 @@ def _report(fmt: str, header: str, rows: Iterable[tuple], config: Optional[dict]
     JSON puts the rows under `key` next to the run config, each as an
     object keyed by the header's names: a list under a plural key
     ("records", "results"), the one row itself under a singular key
-    ("record", "result"). CSV has no config.
+    ("record", "result"). CSV has no config. A non-finite float, which
+    strict JSON cannot hold, is null in JSON and nan or inf in CSV.
     """
     if fmt == "csv":
         return "\n".join([header, *(",".join(map(_cell, row)) for row in rows)]) + "\n"
     fields = header.split(",")
-    objects = [dict(zip(fields, row)) for row in rows]
+    objects = [{f: None if isinstance(v, float) and not np.isfinite(v) else v for f, v in zip(fields, row)}
+               for row in rows]
     payload = {"config": config, key: objects if key.endswith("s") else objects[0]}
     # coefficient arrays, the one value json cannot take, become [re, im] pairs
     return json.dumps(payload, indent=2, sort_keys=True,

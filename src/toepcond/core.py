@@ -123,8 +123,8 @@ def reciprocal_series(f: AnalyticPolynomial) -> AnalyticPolynomial:
     is exact up to roundoff and apply_calculus(g) is the inverse matrix of
     apply_calculus(f). Only f(0) = 0, where f(M_n) is singular, is refused
     with SingularSymbolError. Coefficients beyond the float64 range, 1/f(0)
-    included, come back as inf or NaN without a warning; callers test them
-    for finiteness.
+    included, come back as inf or NaN without a warning;
+    linalg.two_path_inverse_norm refuses them.
     """
     a = f.coeffs
     if a[0] == 0:

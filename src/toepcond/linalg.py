@@ -67,11 +67,17 @@ def inverse_norm(A) -> float:
 def two_path_inverse_norm(A, W, scale: float) -> float:
     """||A^{-1}|| by the one rule every caller shares.
 
-    W is an exact inverse of A from a series or a closed form. The LAPACK
-    inverse_norm(A) gives the value, or ||W|| alone beyond 1/PIVOT_TOL where
-    that refuses. The two must agree to TWO_PATH_RTOL and the value must
-    meet scale * ||A^{-1}|| = 1 to CLOSED_FORM_RTOL, else TwoPathMismatchError.
+    W is an exact inverse of A from a series or a closed form; a W with an
+    entry beyond float64 (inf or NaN) raises SingularMatrixError naming the
+    first, in row-major order. The LAPACK inverse_norm(A) gives the value,
+    or ||W|| alone beyond 1/PIVOT_TOL where that refuses. The two must agree
+    to TWO_PATH_RTOL and the value must meet scale * ||A^{-1}|| = 1 to
+    CLOSED_FORM_RTOL, else TwoPathMismatchError.
     """
+    finite = np.isfinite(W)
+    if not finite.all():
+        i, j = np.argwhere(~finite)[0]
+        raise SingularMatrixError(f"exact inverse has entries beyond the float64 range, first at ({i}, {j})")
     via_w = spectral_norm(W)
     try:
         value = inverse_norm(A)

@@ -82,6 +82,17 @@ class TestReciprocalTaylor:
             recursed = reciprocal_series(taylor(BlaschkeFactor(lam), n)).coeffs
             assert np.allclose(closed, recursed, atol=1e-12 * np.abs(closed).max())
 
+    @pytest.mark.parametrize("lam, n", [(1e-200, 3), (1e-6, 64), (-1e-6j, 64), (1e-5, 64), (0.05, 64), (0.9999, 64)])
+    def test_beyond_float64_without_a_warning_and_equal_to_the_series_where_finite(self, lam, n):
+        # RuntimeWarnings are errors in this suite; past float64 the
+        # coefficients are inf or NaN, as reciprocal_series leaves them
+        closed = reciprocal_taylor(BlaschkeFactor(lam), n).coeffs
+        recursed = reciprocal_series(taylor(BlaschkeFactor(lam), n)).coeffs
+        finite = np.isfinite(recursed)
+        assert np.array_equal(np.isfinite(closed), finite)
+        rel = np.abs(closed[finite] - recursed[finite]) / np.abs(recursed[finite])
+        assert np.all(rel <= 1e-12)
+
     def test_convolution_identity(self):
         lam = 0.4 - 0.3j
         n = 12

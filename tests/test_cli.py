@@ -1,6 +1,8 @@
 """Command-line behavior: formats, exit codes, determinism of report files."""
 
+import errno
 import json
+import os
 import time
 
 import numpy as np
@@ -94,6 +96,14 @@ class TestParseRGrid:
         assert time.perf_counter() - start < 1.0
         assert "more than 1000 points" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("step", ["nan", "inf"])
+    def test_non_finite_step_is_usage_error(self, step, capsys):
+        # start + 0*step would be NaN: an empty grid that passes vacuously
+        assert main(["verify", "--n-max", "2", "--r-grid", f"0.1:0.5:{step}"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: grid step must be finite and positive\n"
+
     def test_rejects_malformed_specs(self):
         for bad in ("0:1:0.1", "0.1:0.9", "0.2:0.8:-0.1", "a:b:c", "0.8:0.2:0.1", "0.1:1.0:0.1"):
             with pytest.raises(ValueError):
@@ -151,6 +161,19 @@ class TestVerify:
         assert all(rec["pass"] is True for rec in records)
         assert set(records[0]) == {"n", "r", "norm_T", "inv_norm", "scaled", "lower", "upper", "pass"}
 
+    def test_failed_points_are_null_in_strict_json(self, capsys):
+        # n = 2, 3 overflow at r = 1e-300; RFC 8259 has no NaN token
+        assert main(["verify", "--n-max", "3", "--r-grid", "1e-300:1e-300:0.1", "--format", "json"]) == 1
+
+        def refuse(token):
+            raise AssertionError(f"non-JSON constant {token}")
+
+        records = json.loads(capsys.readouterr().out, parse_constant=refuse)["records"]
+        assert [rec["pass"] for rec in records] == [True, False, False]
+        for rec in records[1:]:
+            assert rec["norm_T"] is None and rec["inv_norm"] is None and rec["scaled"] is None
+            assert rec["lower"] == rec["upper"] == 1.0
+
     def test_malformed_grid_is_usage_error(self, capsys):
         assert main(["verify", "--r-grid", "0:1:0.1"]) == 2
         assert "error:" in capsys.readouterr().err
@@ -197,7 +220,24 @@ class TestVerify:
         assert err.startswith("verify: 64 points, 13 failures; worst |scaled - 1| = ")
         fail_lines = [line for line in err.splitlines() if line.startswith("FAIL")]
         assert [line.split()[1] for line in fail_lines] == [f"n={n}" for n in range(52, 65)]
-        assert all("error=SingularMatrixError: reciprocal series overflows" in line for line in fail_lines)
+        assert all(line.endswith("error=SingularMatrixError: exact inverse has entries beyond the float64 range, "
+                                 "first at (51, 0)") for line in fail_lines)
+
+
+class TestUnwritableOutput:
+    def test_missing_directory_is_usage_error(self, tmp_path, capsys):
+        target = tmp_path / "missing" / "x.csv"
+        assert main(["extremal", "--n", "2", "--r", "0.5", "--output", str(target)]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: cannot write --output {target}: {os.strerror(errno.ENOENT)}\n"
+        assert list(tmp_path.iterdir()) == []
+
+    def test_directory_target_is_usage_error(self, tmp_path, capsys):
+        assert main(["verify", "--n-max", "2", "--output", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: cannot write --output {tmp_path}: {os.strerror(errno.EISDIR)}\n"
+        # the temp file written next to the target is removed again
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestExtremal:
@@ -279,12 +319,12 @@ class TestExtremal:
     def test_reciprocal_overflow_is_a_computation_failure(self, capsys):
         assert main(["extremal", "--n", "60", "--r", "0.000001"]) == 1
         err = capsys.readouterr().err
-        assert err.startswith("error: reciprocal series overflows at (n=60, r=1e-06)")
+        assert err == "error: exact inverse has entries beyond the float64 range, first at (51, 0)\n"
 
     def test_denormal_r_is_a_typed_error(self, capsys):
         assert main(["extremal", "--n", "2", "--r", "5e-324"]) == 1
         err = capsys.readouterr().err
-        assert err.startswith("error: reciprocal series overflows at (n=2, r=5e-324): coefficient 0")
+        assert err == "error: exact inverse has entries beyond the float64 range, first at (0, 0)\n"
 
     def test_json_format_writes_a_report_without_output(self, capsys):
         assert main(["extremal", "--n", "1", "--r", "0.5", "--format", "json"]) == 0
@@ -300,12 +340,12 @@ class TestExtremal:
         assert "defect rank = 1\n" in out
         assert float(out.split("relative gap ", 1)[1].split(")", 1)[0]) <= 1e-12
 
-    @pytest.mark.parametrize("n, r", [(64, "0.000001"), (2, "5e-324")])
-    def test_model_inverse_overflow_is_a_typed_error(self, n, r, capsys):
+    @pytest.mark.parametrize("n, r, first", [(64, "0.000001", "(51, 0)"), (2, "5e-324", "(0, 0)")])
+    def test_model_inverse_overflow_is_a_typed_error(self, n, r, first, capsys):
         assert main(["extremal", "--model", "--n", str(n), "--r", r]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == "error: model operator inverse has entries beyond the float64 range\n"
+        assert captured.err == f"error: exact inverse has entries beyond the float64 range, first at {first}\n"
 
 
 class TestSearch:
@@ -394,7 +434,7 @@ class TestSearch:
         assert main(["search", "--n", "1", "--r", "1e-200"]) == 0
         assert " scaled=1 gap=0 " in capsys.readouterr().out
         assert main(["search", "--n", "2", "--r", "1e-200"]) == 1
-        assert capsys.readouterr().err.startswith("error: reciprocal series overflows at (n=2, r=1e-200)")
+        assert capsys.readouterr().err == "error: exact inverse has entries beyond the float64 range, first at (1, 0)\n"
 
 
 # three pairs in which the second call leaves to its default an option the

@@ -157,6 +157,23 @@ class TestTwoPathInverseNorm:
         with pytest.raises(TwoPathMismatchError, match="paths disagree"):
             two_path_inverse_norm(np.diag([0.5, 0.25]), np.diag([2.0, 4.0 * (1 + 1e-7)]), 0.25)
 
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_non_finite_exact_inverse_is_refused_naming_its_first_entry(self, bad):
+        # refused before any SVD: numpy's SVD raises LinAlgError on a NaN,
+        # and an infinite W made the two paths "disagree" as 1 vs nan
+        W = np.eye(3)
+        W[1, 0] = W[2, 2] = bad
+        with pytest.raises(SingularMatrixError) as info:
+            two_path_inverse_norm(np.eye(3), W, 1.0)
+        assert str(info.value) == "exact inverse has entries beyond the float64 range, first at (1, 0)"
+
+    def test_first_entry_is_in_row_major_order(self):
+        W = np.eye(3, dtype=complex)
+        W[2, 0] = complex(0.0, np.inf)
+        W[1, 2] = complex(np.nan, 0.0)
+        with pytest.raises(SingularMatrixError, match=r"first at \(1, 2\)$"):
+            two_path_inverse_norm(np.eye(3), W, 1.0)
+
     def test_closed_form_miss_raises(self):
         with pytest.raises(TwoPathMismatchError, match="closed form"):
             two_path_inverse_norm(np.diag([0.5, 0.25]), np.diag([2.0, 4.0]), 0.25 * (1 + 1e-11))
