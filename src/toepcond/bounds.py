@@ -3,9 +3,9 @@
 For 0 < r < 1 the matrix T_r, the Blaschke factor of r applied to the
 Jordan block, is a contraction with spectrum {r} whose scaled inverse norm
 r^n ||T_r^{-1}|| lies in [max(r^n, 1 - r^n), 1] and in fact equals 1.
-theorem_check verifies that bracket point by point with two independent
-inverse-norm computations and the closed form; estimate_t_a returns the
-extremal symbol under the same constraints, which is the symbol of T_r.
+check_contraction, the one per-point check of T_r and of the model operator
+(one contraction in two bases), verifies it with the closed form of ||A|| and
+two inverse-norm paths; estimate_t_a returns the extremal symbol, T_r's.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ import numpy as np
 from . import linalg
 from .blaschke import BlaschkeFactor, taylor
 from .core import AnalyticPolynomial, AnalyticToeplitzMatrix, apply_calculus, reciprocal_series
-from .errors import ToepcondError
+from .errors import ExtremalityError, ToepcondError
 
 PASS_TOL = 1e-8
 
@@ -124,22 +124,30 @@ def _bracket_matrices(n: int, r: float) -> tuple[np.ndarray, np.ndarray]:
     return T.matrix.real, G.matrix.real
 
 
-def _check_point(n: int, r: float, A: np.ndarray, G: np.ndarray) -> BoundsRecord:
-    return bracket_record(n, r, linalg.spectral_norm(A), linalg.two_path_inverse_norm(A, G, r**n))
+def check_contraction(n: int, r: float, A: np.ndarray, W: np.ndarray) -> BoundsRecord:
+    """The record of an n x n contraction A with spectrum on |z| = r and W its
+    exact inverse. ||A|| must meet its closed form 1 (r at n = 1) to relative
+    linalg.CLOSED_FORM_RTOL, else ExtremalityError; ||A^{-1}|| comes from
+    linalg.two_path_inverse_norm(A, W, r^n)."""
+    norm = linalg.spectral_norm(A)
+    target = 1.0 if n >= 2 else r
+    if abs(norm - target) > linalg.CLOSED_FORM_RTOL * target:
+        raise ExtremalityError(f"expected norm {target:.17g}, got {norm:.17g}")
+    return bracket_record(n, r, norm, linalg.two_path_inverse_norm(A, W, r**n))
 
 
 def theorem_check(n: int, r: float) -> BoundsRecord:
     """Verify the bracket max(r^n, 1-r^n) <= r^n ||T_r^{-1}|| <= 1 at one point.
 
-    The inverse norm comes from linalg.two_path_inverse_norm in real
-    arithmetic: the LAPACK value, checked against the exact reciprocal-series
-    inverse of T_r (which gives it alone beyond 1/linalg.PIVOT_TOL, r^n
-    below about 1e-14) and against the closed form r^n ||T_r^{-1}|| = 1
-    (T_r is the model operator of b_r^n up to a diagonal sign change). That
-    rule refuses a series beyond float64 at its first such coefficient k,
-    entry (k, 0): the one limit at every r, first at n = 2 for r = 1e-200.
+    T_r goes through check_contraction in real arithmetic: ||T_r|| = 1, and
+    the LAPACK inverse norm checked against the exact reciprocal-series
+    inverse (which gives it alone beyond 1/linalg.PIVOT_TOL, r^n below about
+    1e-14) and the closed form r^n ||T_r^{-1}|| = 1 (T_r is the model operator
+    of b_r^n up to a diagonal sign change). That rule refuses a series beyond
+    float64 at its first such coefficient k, entry (k, 0): the one limit at
+    every r, first at n = 2 for r = 1e-200.
     """
-    return _check_point(n, r, *_bracket_matrices(n, r))
+    return check_contraction(n, r, *_bracket_matrices(n, r))
 
 
 def _failed_record(n: int, r: float, exc: Exception) -> BoundsRecord:
@@ -165,17 +173,12 @@ def grid_sweep(n_max: int, r_grid: Sequence[float]) -> list[BoundsRecord]:
     for r in rs:
         if not 0.0 < r < 1.0:
             raise ValueError("grid values must lie strictly between 0 and 1")
-    ns = range(1, n_max + 1)
     records = []
     for r in rs:
-        try:
-            A, G = _bracket_matrices(n_max, r)
-        except ToepcondError as exc:
-            records.extend(_failed_record(n, r, exc) for n in ns)
-            continue
-        for n in ns:
+        A, G = _bracket_matrices(n_max, r)
+        for n in range(1, n_max + 1):
             try:
-                records.append(_check_point(n, r, A[:n, :n], G[:n, :n]))
+                records.append(check_contraction(n, r, A[:n, :n], G[:n, :n]))
             except ToepcondError as exc:
                 records.append(_failed_record(n, r, exc))
     records.sort(key=lambda rec: (rec.n, rec.r))

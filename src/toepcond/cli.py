@@ -7,22 +7,24 @@ Subcommands:
   search    report the extremal constant 1/r^n and its symbol (or a grid scan)
   bound     print the 1/r^n bound and the bracket endpoints
 
-Exit codes: 0 success / all pass, 1 verification or computation failure,
+Exit codes: 0 success / all pass, 1 verification or computation failure
+(a verify point or search scan pair fails on a FAIL line and the rest go on),
 2 usage or domain error. r lies in (0, 1] for bound, as 1/r^n is defined at
 r = 1, and in (0, 1) for the rest, as b_r degenerates there. main builds
 its parser once per process, on the first call, and extremal formats a
 matrix one row at a time. Every CSV and JSON report comes from one writer,
 _report, fed one tuple per row in header order; a BoundsRecord comes only
-from bounds.bracket_record. Report files are written atomically; repeated
-runs with identical flags produce byte-identical files. The search
-options --seed, --restarts and --iters are still accepted and echoed in
-the report but have no effect: search returns the proven optimum, not
-the result of a search.
+from bounds.bracket_record. --output is checked before any work and written
+atomically; repeated runs with identical flags give byte-identical files.
+The search options --seed, --restarts and --iters are still accepted and
+echoed in the report but have no effect: search returns the proven
+optimum, not the result of a search.
 """
 
 from __future__ import annotations
 
 import argparse
+import errno
 import functools
 import json
 import os
@@ -95,6 +97,27 @@ def _parse_list(spec: str, kind: type, option: str) -> list:
         raise ValueError(f"{option} must be comma-separated {noun}, got {spec!r}") from None
 
 
+def _output_error(path: str, exc: OSError) -> ValueError:
+    return ValueError(f"cannot write --output {path}: {exc.strerror or exc}")
+
+
+def _check_output(path: Optional[str]) -> None:
+    """Refuse an unwritable --output before any work, with the error the
+    write would meet: the target names a file that is no directory, and its
+    directory takes an unnamed file, which leaves none behind."""
+    if path is None:
+        return
+    try:
+        if os.path.isdir(path):
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR))
+        if not os.path.basename(path):  # "" or a trailing separator
+            code = errno.ENOTDIR if path else errno.ENOENT
+            raise OSError(code, os.strerror(code))
+        tempfile.TemporaryFile(dir=os.path.dirname(os.path.abspath(path))).close()
+    except OSError as exc:
+        raise _output_error(path, exc) from None
+
+
 def _write_output(text: str, path: Optional[str]) -> None:
     if path is None:
         sys.stdout.write(text)
@@ -111,7 +134,7 @@ def _write_output(text: str, path: Optional[str]) -> None:
                 os.unlink(tmp)
             raise
     except OSError as exc:
-        raise ValueError(f"cannot write --output {path}: {exc.strerror or exc}") from None
+        raise _output_error(path, exc) from None
 
 
 def _cell(value) -> str:
@@ -238,7 +261,15 @@ def cmd_search(args: argparse.Namespace) -> int:
             raise ValueError("search requires --n and --r (or --n-list/--r-list)")
         ns, rs = [args.n], [args.r]
         config.update(n=args.n, r=args.r)
-    results = [estimate_t_a(n, r, search_cfg) for n in ns for r in rs]
+    results, failures = [], []
+    for n in ns:
+        for r in rs:
+            try:
+                results.append(estimate_t_a(n, r, search_cfg))
+            except ToepcondError as exc:
+                if not scan:
+                    raise
+                failures.append(f"FAIL n={n} r={_fmt(r)} error={type(exc).__name__}: {exc}")
     for res in results:
         print(
             f"n={res.n} r={_fmt(res.r)} estimate={_fmt(res.best_value)} "
@@ -249,7 +280,9 @@ def cmd_search(args: argparse.Namespace) -> int:
         key = "results" if scan else "result"
         text = _report(args.format, SEARCH_HEADER, map(_search_row, results), config, key)
         _write_output(text, args.output)
-    return 0
+    for line in failures:
+        print(line, file=sys.stderr)
+    return 1 if failures else 0
 
 
 def cmd_bound(args: argparse.Namespace) -> int:
@@ -313,6 +346,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except SystemExit as exc:
         return int(exc.code) if exc.code is not None else 2
     try:
+        _check_output(getattr(args, "output", None))
         return COMMANDS[args.command](args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

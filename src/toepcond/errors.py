@@ -22,7 +22,7 @@ class BezoutPairError(ToepcondError):
 
 
 class ExtremalityError(ToepcondError):
-    """A model operator failed its norm-equality checks."""
+    """A contraction missed the closed form of its norm."""
 
 
 class TwoPathMismatchError(ToepcondError):

@@ -39,8 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .bounds import kronecker_bound
-from .errors import ExtremalityError
+from .bounds import check_contraction, kronecker_bound
 
 
 @dataclass(eq=False)
@@ -125,12 +124,11 @@ def model_inverse(zeros) -> np.ndarray:
 def verify_extremality(r: float, zeros) -> ExtremalityReport:
     """Check the equality case ||M^{-1}|| = 1/r^n for zeros on |z| = r.
 
-    Verifies ||M|| = 1 to relative linalg.CLOSED_FORM_RTOL (for n = 1 the
-    compression is multiplication by its zero, of norm r) and takes the
-    inverse norm from linalg.two_path_inverse_norm, with model_inverse as
-    the second path and r^n ||M^{-1}|| = 1 as the closed form (and which
-    refuses a model_inverse beyond float64). The defect rank (it must be 1
-    here) counts singular values of I - M*M above half of 1 - r^(2n).
+    M and model_inverse go through bounds.check_contraction, the check of
+    T_r in theorem_check: ||M|| = 1 (for n = 1 the compression is
+    multiplication by its zero, of norm r) and two inverse-norm paths with the
+    closed form r^n ||M^{-1}|| = 1. The defect rank (it must be 1 here)
+    counts singular values of I - M*M above half of 1 - r^(2n).
     """
     r = float(r)
     if not 0.0 < r < 1.0:
@@ -141,13 +139,9 @@ def verify_extremality(r: float, zeros) -> ExtremalityReport:
             raise ValueError(f"all zeros must have modulus r = {r}, got |z| = {abs(z):.12g}")
     op = model_operator(zs)
     n = len(zs)
-    nrm = linalg.spectral_norm(op.matrix)
-    norm_target = 1.0 if n >= 2 else r
-    if abs(nrm - norm_target) > linalg.CLOSED_FORM_RTOL * norm_target:
-        raise ExtremalityError(f"expected norm {norm_target:.17g}, got {nrm:.17g}")
-    inv = linalg.two_path_inverse_norm(op.matrix, model_inverse(zs), r**n)
+    rec = check_contraction(n, r, op.matrix, model_inverse(zs))
     kron = kronecker_bound(n, r)
-    rel_gap = abs(inv - kron) / kron
+    rel_gap = abs(rec.inv_norm - kron) / kron
     defect = -np.expm1(2 * n * np.log(r))  # 1 - r^(2n) without cancellation
     rank = int(np.count_nonzero(linalg.defect_singular_values(op.matrix) > 0.5 * defect))
     return ExtremalityReport(
@@ -155,8 +149,8 @@ def verify_extremality(r: float, zeros) -> ExtremalityReport:
         r=r,
         zeros=zs,
         matrix=op.matrix,
-        norm=nrm,
-        inv_norm=inv,
+        norm=rec.norm_T,
+        inv_norm=rec.inv_norm,
         kronecker=kron,
         rel_gap=rel_gap,
         defect_rank=rank,

@@ -9,6 +9,7 @@ import pytest
 from toepcond import (
     AnalyticPolynomial,
     BlaschkeFactor,
+    ExtremalityError,
     SearchConfig,
     SingularMatrixError,
     ToepcondError,
@@ -235,6 +236,34 @@ class TestTheoremCheck:
             theorem_check(3, 0.5)
         with pytest.raises(TwoPathMismatchError, match="closed form"):
             estimate_t_a(3, 0.5)
+
+    @staticmethod
+    def _scale_T_r(monkeypatch, factor):
+        # factor * T_r with its exact inverse: only ||T_r|| = 1 (r at n = 1) is off
+        import toepcond.bounds as bounds_mod
+
+        real_matrices = bounds_mod._bracket_matrices
+
+        def scaled_matrices(n, r):
+            A, G = real_matrices(n, r)
+            return factor * A, G / factor
+
+        monkeypatch.setattr(bounds_mod, "_bracket_matrices", scaled_matrices)
+
+    def test_norm_closed_form_is_checked_to_1e_12(self, monkeypatch):
+        self._scale_T_r(monkeypatch, 1 + 1e-11)
+        with pytest.raises(ExtremalityError, match="expected norm 1, got 1.00000000001"):
+            theorem_check(3, 0.5)
+        records = grid_sweep(3, (0.5,))
+        assert [rec.n for rec in records] == [1, 2, 3]
+        for rec in records:
+            assert not rec.passed
+            assert rec.error.startswith("ExtremalityError: expected norm ")
+
+    def test_norm_within_1e_12_passes(self, monkeypatch):
+        self._scale_T_r(monkeypatch, 1 + 1e-13)
+        assert theorem_check(3, 0.5).passed
+        assert all(rec.passed and rec.error is None for rec in grid_sweep(3, (0.5,)))
 
 
 class TestRealArithmetic:

@@ -239,6 +239,34 @@ class TestUnwritableOutput:
         # the temp file written next to the target is removed again
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("argv", [
+        ["extremal", "--n", "2", "--r", "0.5"],
+        ["extremal", "--n", "2", "--r", "0.5", "--model", "--format", "json"],
+        ["search", "--n", "2", "--r", "0.5"],
+        ["search", "--n-list", "1,2", "--r-list", "0.5", "--format", "json"],
+    ], ids=["extremal", "extremal-model", "search", "search-scan"])
+    @pytest.mark.parametrize("target, code", [
+        ("missing/x.csv", errno.ENOENT), (".", errno.EISDIR), ("new/", errno.ENOTDIR), ("", errno.ENOENT),
+    ], ids=["missing", "directory", "trailing-slash", "empty"])
+    def test_refused_before_anything_is_printed(self, argv, target, code, tmp_path, capsys, monkeypatch):
+        # each with the error the write after the work would meet
+        monkeypatch.chdir(tmp_path)
+        assert main([*argv, "--output", target]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: cannot write --output {target}: {os.strerror(code)}\n"
+        assert list(tmp_path.iterdir()) == []
+
+    def test_refused_before_the_sweep(self, tmp_path, capsys, monkeypatch):
+        # the n_max = 64 sweep takes most of a second; the refusal does not run it
+        sweeps = []
+        monkeypatch.setattr(cli, "grid_sweep", lambda *a: sweeps.append(a) or grid_sweep(*a))
+        start = time.perf_counter()
+        assert main(["verify", "--n-max", "64", "--output", str(tmp_path / "missing" / "x.csv")]) == 2
+        assert time.perf_counter() - start < 0.2
+        assert sweeps == []
+        assert capsys.readouterr().err.startswith("error: cannot write --output ")
+
 
 class TestExtremal:
     def test_triangular_report(self, capsys):
@@ -400,6 +428,27 @@ class TestSearch:
         payload = json.loads(out.read_text())
         assert set(payload) == {"config", "results"}
         assert [(res["n"], res["r"]) for res in payload["results"]] == [(1, 0.3), (1, 0.5), (2, 0.3), (2, 0.5)]
+
+    def test_scan_records_a_failing_pair_and_goes_on(self, tmp_path, capsys):
+        # (2, 1e-200) leaves float64 at series coefficient 1; the other pairs
+        # are rows of the report, and the failure is named on stderr
+        out = tmp_path / "scan.csv"
+        assert main(["search", "--n-list", "1,2", "--r-list", "0.5,1e-200", "--output", str(out)]) == 1
+        captured = capsys.readouterr()
+        tiny = "9.9999999999999998e-201"
+        assert [line.split(" estimate=")[0] for line in captured.out.splitlines()] == [
+            "n=1 r=0.5", f"n=1 r={tiny}", "n=2 r=0.5"]
+        assert captured.err == (f"FAIL n=2 r={tiny} error=SingularMatrixError: "
+                                "exact inverse has entries beyond the float64 range, first at (1, 0)\n")
+        rows = [row.split(",")[:2] for row in out.read_text().splitlines()[1:]]
+        assert rows == [["1", "0.5"], ["1", tiny], ["2", "0.5"]]
+
+    def test_scan_json_leaves_failed_pairs_out(self, capsys):
+        assert main(["search", "--n-list", "2,3", "--r-list", "1e-200", "--format", "json"]) == 1
+        captured = capsys.readouterr()
+        assert json.loads(captured.out)["results"] == []
+        assert [line.split(" error=")[0] for line in captured.err.splitlines()] == [
+            "FAIL n=2 r=9.9999999999999998e-201", "FAIL n=3 r=9.9999999999999998e-201"]
 
     def test_benchmark_search_call(self, tmp_path, capsys):
         # the exact argv of perfbench's search_n3 workload, which its checker

@@ -9,6 +9,7 @@ import toepcond.linalg as linalg_mod
 import toepcond.model as model_mod
 from toepcond import (
     BlaschkeFactor,
+    ExtremalityError,
     SingularMatrixError,
     TwoPathMismatchError,
     apply_calculus,
@@ -343,6 +344,30 @@ class TestVerifyExtremality:
         monkeypatch.setattr(model_mod, "model_inverse", lambda zs: (1 - 1e-10) * real_model_inverse(zs))
         with pytest.raises(TwoPathMismatchError, match="closed form"):
             verify_extremality(0.5, (0.5, -0.5, 0.5j))
+
+    @staticmethod
+    def _scale_model(monkeypatch, factor):
+        # factor * M with its exact inverse: only ||M|| = 1 (r at n = 1) is off
+        real_operator, real_model_inverse = model_mod.model_operator, model_mod.model_inverse
+
+        def scaled_operator(zs):
+            op = real_operator(zs)
+            op.matrix = factor * op.matrix
+            return op
+
+        monkeypatch.setattr(model_mod, "model_operator", scaled_operator)
+        monkeypatch.setattr(model_mod, "model_inverse", lambda zs: real_model_inverse(zs) / factor)
+
+    @pytest.mark.parametrize("zeros", [(0.5,), (0.5, -0.5, 0.5j)])
+    def test_norm_closed_form_is_checked_to_1e_12(self, zeros, monkeypatch):
+        self._scale_model(monkeypatch, 1 + 1e-11)
+        with pytest.raises(ExtremalityError, match="expected norm "):
+            verify_extremality(0.5, zeros)
+
+    @pytest.mark.parametrize("zeros", [(0.5,), (0.5, -0.5, 0.5j)])
+    def test_norm_within_1e_12_passes(self, zeros, monkeypatch):
+        self._scale_model(monkeypatch, 1 + 1e-13)
+        assert verify_extremality(0.5, zeros).norm == pytest.approx(1.0 if len(zeros) > 1 else 0.5, rel=1e-12)
 
     def test_disagreeing_paths_raise(self, monkeypatch):
         real_model_inverse = model_mod.model_inverse

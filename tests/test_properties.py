@@ -43,7 +43,7 @@ def test_row_wise_lines_match_per_entry_formatting(M):
 OVERFLOW = re.compile(r"exact inverse has entries beyond the float64 range, first at \(\d+, \d+\)")
 RADII = st.one_of(
     st.sampled_from([5e-324, 1e-300, 1e-200, 1e-154, 1e-6, 0.05, 0.5, 0.9, 0.9999, 1.0 - 1e-12,
-                     1.0 - 2.0**-53, 1.0]),
+                     1.0 - 1e-15, 1.0 - 2.0**-52, 1.0 - 2.0**-53, 1.0]),
     st.floats(min_value=5e-324, max_value=1.0),
 )
 
