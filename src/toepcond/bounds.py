@@ -185,6 +185,18 @@ def grid_sweep(n_max: int, r_grid: Sequence[float]) -> list[BoundsRecord]:
     return records
 
 
+def check_search_point(n: int, r: float) -> tuple[int, float]:
+    """(n, r) as estimate_t_a takes them; ValueError unless n lies in 1..16
+    and r in (0, 1)."""
+    n = int(n)
+    r = float(r)
+    if not 1 <= n <= 16:
+        raise ValueError("n must lie in 1..16")
+    if not 0.0 < r < 1.0:
+        raise ValueError("r must lie strictly between 0 and 1")
+    return n, r
+
+
 def estimate_t_a(n: int, r: float, config: SearchConfig | None = None) -> SearchResult:
     """The largest inverse norm over symbols f with ||f(M_n)|| <= 1 and
     |f(0)| >= r, together with a symbol that attains it.
@@ -202,12 +214,7 @@ def estimate_t_a(n: int, r: float, config: SearchConfig | None = None) -> Search
     roundoff. The config is echoed in the result (restarts_used, seed)
     but changes nothing.
     """
-    n = int(n)
-    r = float(r)
-    if not 1 <= n <= 16:
-        raise ValueError("n must lie in 1..16")
-    if not 0.0 < r < 1.0:
-        raise ValueError("r must lie strictly between 0 and 1")
+    n, r = check_search_point(n, r)
     cfg = config or SearchConfig()
     symbol = build_T_r(n, r).symbol
     value = theorem_check(n, r).inv_norm

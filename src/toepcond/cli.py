@@ -14,8 +14,9 @@ r = 1, and in (0, 1) for the rest, as b_r degenerates there. main builds
 its parser once per process, on the first call, and extremal formats a
 matrix one row at a time. Every CSV and JSON report comes from one writer,
 _report, fed one tuple per row in header order; a BoundsRecord comes only
-from bounds.bracket_record. --output is checked before any work and written
-atomically; repeated runs with identical flags give byte-identical files.
+from bounds.bracket_record. --output and every (n, r) of a search scan are
+checked before any work; --output is written atomically, and repeated runs
+with identical flags give byte-identical files.
 The search options --seed, --restarts and --iters are still accepted and
 echoed in the report but have no effect: search returns the proven
 optimum, not the result of a search.
@@ -39,8 +40,8 @@ from .bounds import (
     SearchConfig,
     SearchResult,
     bracket_endpoints,
-    bracket_record,
     build_T_r,
+    check_search_point,
     estimate_t_a,
     grid_sweep,
     kronecker_bound,
@@ -220,7 +221,7 @@ def cmd_extremal(args: argparse.Namespace) -> int:
     if args.model:
         zeros = tuple(r * np.exp(2j * np.pi * k / n) for k in range(n))
         report = verify_extremality(r, zeros)
-        rec = bracket_record(n, r, report.norm, report.inv_norm)
+        rec = report.record
         print(f"model operator, zeros r*(roots of unity), n={n} r={_fmt(r)}")
         print("\n".join(_matrix_lines(report.matrix)))
         print(f"norm = {_fmt(rec.norm_T)}")
@@ -261,6 +262,10 @@ def cmd_search(args: argparse.Namespace) -> int:
             raise ValueError("search requires --n and --r (or --n-list/--r-list)")
         ns, rs = [args.n], [args.r]
         config.update(n=args.n, r=args.r)
+    # every pair is in the domain before the first one is computed
+    for n in ns:
+        for r in rs:
+            check_search_point(n, r)
     results, failures = [], []
     for n in ns:
         for r in rs:

@@ -6,6 +6,10 @@ LAPACK takes about half the time at n = 64. Every norm is a singular
 value from numpy's LAPACK SVD: the matrices here have n <= 64, where a
 full SVD is cheap and gives every singular value to machine precision,
 clustered ones included.
+
+An inverse norm takes one SVD: of the LAPACK inverse X where X is trusted,
+else of the exact inverse W. two_path_inverse_norm compares a trusted X
+with W entry by entry, in O(n^2), not through a second SVD.
 """
 
 from __future__ import annotations
@@ -41,6 +45,33 @@ def spectral_norm(A) -> float:
     return float(np.linalg.svd(_as_matrix(A), compute_uv=False)[0])
 
 
+def _lapack_inverse(M: np.ndarray) -> np.ndarray:
+    """LAPACK's inverse X of the square matrix M, or SingularMatrixError when
+    M is exactly singular or an entry of X is NaN or beyond 1/PIVOT_TOL: as
+    |X_ij| <= ||X||, such an X is refused without the SVD of _trusted_inverse."""
+    try:
+        X = np.linalg.inv(M)
+    except np.linalg.LinAlgError:
+        raise SingularMatrixError("matrix is exactly singular") from None
+    # the negated test refuses a NaN peak too: an inverse that overflowed
+    # or came out NaN has no finite norm
+    peak = np.abs(X).max()
+    if not peak <= 1.0 / PIVOT_TOL:
+        raise SingularMatrixError(f"matrix is singular to working precision (inverse entry {peak:.3e})")
+    return X
+
+
+def _trusted_inverse(M: np.ndarray) -> tuple[np.ndarray, float]:
+    """The LAPACK inverse X of M and ||X||, refused as SingularMatrixError
+    by _lapack_inverse or when ||X|| exceeds 1/PIVOT_TOL, the range in
+    which an inverse computed by elimination is no longer trusted."""
+    X = _lapack_inverse(M)
+    val = spectral_norm(X)
+    if not val <= 1.0 / PIVOT_TOL:
+        raise SingularMatrixError(f"matrix is singular to working precision (inverse norm {val:.3e})")
+    return X, val
+
+
 def inverse_norm(A) -> float:
     """Largest singular value of A^{-1}, i.e. 1/sigma_min(A).
 
@@ -51,40 +82,37 @@ def inverse_norm(A) -> float:
     """
     M = _as_matrix(A)
     _require_square(M)
-    try:
-        inv = np.linalg.inv(M)
-    except np.linalg.LinAlgError:
-        raise SingularMatrixError("matrix is exactly singular") from None
-    # an inverse that overflowed or came out NaN has no finite norm
-    val = spectral_norm(inv) if np.isfinite(inv).all() else np.inf
-    if not val <= 1.0 / PIVOT_TOL:
-        raise SingularMatrixError(
-            f"matrix is singular to working precision (inverse norm {val:.3e})"
-        )
-    return val
+    return _trusted_inverse(M)[1]
 
 
 def two_path_inverse_norm(A, W, scale: float) -> float:
-    """||A^{-1}|| by the one rule every caller shares.
+    """||A^{-1}|| by the one rule every caller shares, from one SVD.
 
     W is an exact inverse of A from a series or a closed form; a W with an
     entry beyond float64 (inf or NaN) raises SingularMatrixError naming the
-    first, in row-major order. The LAPACK inverse_norm(A) gives the value,
-    or ||W|| alone beyond 1/PIVOT_TOL where that refuses. The two must agree
-    to TWO_PATH_RTOL and the value must meet scale * ||A^{-1}|| = 1 to
-    CLOSED_FORM_RTOL, else TwoPathMismatchError.
+    first, in row-major order. The value is ||X|| for X the LAPACK inverse
+    of A, as inverse_norm(A) gives it, or ||W|| alone where that refuses
+    (beyond 1/PIVOT_TOL). A trusted X must agree with W entry by entry:
+    n * max|X - W| <= TWO_PATH_RTOL * value, which bounds ||X - W|| and so
+    the gap between the two norms, and also catches a W with the right
+    singular values but wrong entries. The value must meet
+    scale * ||A^{-1}|| = 1 to CLOSED_FORM_RTOL. Either miss raises
+    TwoPathMismatchError.
     """
     finite = np.isfinite(W)
     if not finite.all():
         i, j = np.argwhere(~finite)[0]
         raise SingularMatrixError(f"exact inverse has entries beyond the float64 range, first at ({i}, {j})")
-    via_w = spectral_norm(W)
+    M = _as_matrix(A)
+    n = _require_square(M)
     try:
-        value = inverse_norm(A)
+        X, value = _trusted_inverse(M)
     except SingularMatrixError:
-        value = via_w
-    if not abs(value - via_w) <= TWO_PATH_RTOL * max(value, via_w):
-        raise TwoPathMismatchError(f"inverse-norm paths disagree: solve {value:.17g} vs {via_w:.17g}")
+        value = spectral_norm(W)
+    else:
+        gap = n * np.abs(X - W).max()
+        if not gap <= TWO_PATH_RTOL * value:
+            raise TwoPathMismatchError(f"inverse-norm paths disagree: n * max|X - W| = {gap:.3g} at norm {value:.17g}")
     if not abs(scale * value - 1.0) <= CLOSED_FORM_RTOL:
         raise TwoPathMismatchError(f"inverse norm misses the closed form: {scale:.17g} * {value:.17g} != 1")
     return value

@@ -39,7 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .bounds import check_contraction, kronecker_bound
+from .bounds import BoundsRecord, check_contraction, kronecker_bound
 
 
 @dataclass(eq=False)
@@ -58,17 +58,28 @@ class ModelOperatorMatrix:
 
 @dataclass(eq=False)
 class ExtremalityReport:
-    """Norm equalities of a model operator with all zeros on |z| = r."""
+    """Norm equalities of a model operator with all zeros on |z| = r.
+
+    `record` is the bracket record of bounds.check_contraction; `norm` and
+    `inv_norm` read from it.
+    """
 
     n: int
     r: float
     zeros: tuple
     matrix: np.ndarray
-    norm: float
-    inv_norm: float
+    record: BoundsRecord
     kronecker: float
     rel_gap: float
     defect_rank: int
+
+    @property
+    def norm(self) -> float:
+        return self.record.norm_T
+
+    @property
+    def inv_norm(self) -> float:
+        return self.record.inv_norm
 
 
 def _checked_zeros(zeros) -> tuple:
@@ -149,8 +160,7 @@ def verify_extremality(r: float, zeros) -> ExtremalityReport:
         r=r,
         zeros=zs,
         matrix=op.matrix,
-        norm=rec.norm_T,
-        inv_norm=rec.inv_norm,
+        record=rec,
         kronecker=kron,
         rel_gap=rel_gap,
         defect_rank=rank,

@@ -208,13 +208,13 @@ class TestTheoremCheck:
         import toepcond.bounds as bounds_mod
         import toepcond.linalg as linalg_mod
 
-        real_inverse, real_matrices = linalg_mod.inverse_norm, bounds_mod._bracket_matrices
+        real_inverse, real_matrices = linalg_mod._lapack_inverse, bounds_mod._bracket_matrices
 
         def scaled_matrices(n, r):
             A, G = real_matrices(n, r)
             return A, factor * G
 
-        monkeypatch.setattr(linalg_mod, "inverse_norm", lambda A: factor * real_inverse(A))
+        monkeypatch.setattr(linalg_mod, "_lapack_inverse", lambda M: factor * real_inverse(M))
         monkeypatch.setattr(bounds_mod, "_bracket_matrices", scaled_matrices)
 
     def test_closed_form_catches_a_wrong_inverse_norm(self, monkeypatch):

@@ -450,6 +450,20 @@ class TestSearch:
         assert [line.split(" error=")[0] for line in captured.err.splitlines()] == [
             "FAIL n=2 r=9.9999999999999998e-201", "FAIL n=3 r=9.9999999999999998e-201"]
 
+    @pytest.mark.parametrize(
+        "n_list, r_list, message",
+        [("1,17", "0.5", "n must lie in 1..16"), ("1,2", "0.5,1.5", "r must lie strictly between 0 and 1"),
+         ("0,1", "0.5", "n must lie in 1..16"), ("1", "0.5,nan", "r must lie strictly between 0 and 1")],
+    )
+    def test_scan_checks_every_pair_before_any_work(self, n_list, r_list, message, monkeypatch, capsys):
+        calls = []
+        monkeypatch.setattr(cli, "estimate_t_a", lambda *args: calls.append(args))
+        assert main(["search", "--n-list", n_list, "--r-list", r_list]) == 2
+        captured = capsys.readouterr()
+        assert calls == []
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+
     def test_benchmark_search_call(self, tmp_path, capsys):
         # the exact argv of perfbench's search_n3 workload, which its checker
         # reads result.seed from: these flags stay until the workload drops them

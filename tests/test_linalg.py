@@ -3,15 +3,19 @@
 import numpy as np
 import pytest
 
+import toepcond.bounds as bounds_mod
 from toepcond import (
     SingularMatrixError,
     TwoPathMismatchError,
     build_T_r,
     defect_singular_values,
+    grid_sweep,
     inverse_norm,
     spectral_norm,
 )
-from toepcond.linalg import two_path_inverse_norm
+from toepcond.cli import DEFAULT_R_GRID, parse_r_grid
+from toepcond.core import apply_calculus, reciprocal_series
+from toepcond.linalg import PIVOT_TOL, two_path_inverse_norm
 
 
 def lower_toeplitz(column):
@@ -177,6 +181,57 @@ class TestTwoPathInverseNorm:
     def test_closed_form_miss_raises(self):
         with pytest.raises(TwoPathMismatchError, match="closed form"):
             two_path_inverse_norm(np.diag([0.5, 0.25]), np.diag([2.0, 4.0]), 0.25 * (1 + 1e-11))
+
+    @pytest.mark.parametrize("n", [3, 12])
+    def test_right_norm_wrong_matrix_raises(self, n):
+        # W^T and W with two rows swapped have the singular values of the
+        # exact inverse W, so a comparison of norms alone lets them through
+        r = 0.5
+        T = build_T_r(n, r)
+        A = T.matrix.real
+        W = apply_calculus(reciprocal_series(T.symbol), n).matrix.real
+        assert two_path_inverse_norm(A, W, r**n) == inverse_norm(A)
+        for wrong in (W.T, W[[1, 0, *range(2, n)]]):
+            assert np.allclose(np.linalg.svd(wrong, compute_uv=False), np.linalg.svd(W, compute_uv=False))
+            with pytest.raises(TwoPathMismatchError, match="paths disagree"):
+                two_path_inverse_norm(A, wrong, r**n)
+
+
+class TestOneSvdPerInverseNorm:
+    def test_grid_sweep_values_and_svd_count(self, svd_dtypes, monkeypatch):
+        # each point takes one SVD for ||T_r|| and one for its inverse norm,
+        # of the LAPACK inverse X where X is trusted, else of the series W;
+        # in the band max|X_ij| <= 1/PIVOT_TOL < ||X|| the SVD of X refuses
+        # it, and W takes a third
+        counts = {}
+        real_check = bounds_mod.check_contraction
+
+        def counted(n, r, A, W):
+            before = len(svd_dtypes)
+            try:
+                return real_check(n, r, A, W)
+            finally:
+                counts[n, r] = len(svd_dtypes) - before
+
+        monkeypatch.setattr(bounds_mod, "check_contraction", counted)
+        grid = parse_r_grid(DEFAULT_R_GRID)
+        records = grid_sweep(64, grid)
+        assert len(records) == len(counts) == 64 * len(grid)
+        for r in grid:
+            T = build_T_r(64, r)
+            A = T.matrix.real
+            W = apply_calculus(reciprocal_series(T.symbol), 64).matrix.real
+            for rec in (rec for rec in records if rec.r == r):
+                n = rec.n
+                X = np.linalg.inv(A[:n, :n])
+                band = np.abs(X).max() <= 1.0 / PIVOT_TOL < spectral_norm(X)
+                try:
+                    expected = inverse_norm(A[:n, :n])
+                except SingularMatrixError:
+                    expected = spectral_norm(W[:n, :n])
+                assert rec.error is None
+                assert rec.inv_norm == expected
+                assert counts[n, r] == (3 if band else 2)
 
 
 class TestDefect:

@@ -289,6 +289,18 @@ class TestVerifyExtremality:
         assert report.inv_norm == pytest.approx(1.0 / 0.3, rel=1e-9)
         assert report.defect_rank == 1
 
+    def test_report_carries_the_record_of_its_check(self):
+        # the record check_contraction made is the report's one source of
+        # its norms and bracket, which extremal --model prints
+        from toepcond.bounds import bracket_record, check_contraction
+
+        zeros = (0.5, -0.5, 0.5j)
+        report = verify_extremality(0.5, zeros)
+        rec = check_contraction(3, 0.5, model_operator(zeros).matrix, model_inverse(zeros))
+        assert vars(report.record) == vars(rec)
+        assert (report.norm, report.inv_norm) == (rec.norm_T, rec.inv_norm)
+        assert vars(report.record) == vars(bracket_record(3, 0.5, report.norm, report.inv_norm))
+
     def test_equal_real_zeros(self):
         report = verify_extremality(0.6, (0.6, 0.6, 0.6))
         assert report.inv_norm == pytest.approx(4.62962962962963, rel=1e-9)
@@ -339,8 +351,8 @@ class TestVerifyExtremality:
     def test_closed_form_is_checked_to_1e_12(self, monkeypatch):
         # both paths read (1 - 1e-10) times the truth: they agree, and a
         # check at 1e-8 would pass, but r^n ||M^{-1}|| = 1 does not hold
-        real_inverse, real_model_inverse = linalg_mod.inverse_norm, model_mod.model_inverse
-        monkeypatch.setattr(linalg_mod, "inverse_norm", lambda A: (1 - 1e-10) * real_inverse(A))
+        real_inverse, real_model_inverse = linalg_mod._lapack_inverse, model_mod.model_inverse
+        monkeypatch.setattr(linalg_mod, "_lapack_inverse", lambda M: (1 - 1e-10) * real_inverse(M))
         monkeypatch.setattr(model_mod, "model_inverse", lambda zs: (1 - 1e-10) * real_model_inverse(zs))
         with pytest.raises(TwoPathMismatchError, match="closed form"):
             verify_extremality(0.5, (0.5, -0.5, 0.5j))
