@@ -140,12 +140,12 @@ def theorem_check(n: int, r: float) -> BoundsRecord:
     """Verify the bracket max(r^n, 1-r^n) <= r^n ||T_r^{-1}|| <= 1 at one point.
 
     T_r goes through check_contraction in real arithmetic: ||T_r|| = 1, and
-    the LAPACK inverse norm checked against the exact reciprocal-series
-    inverse (which gives it alone beyond 1/linalg.PIVOT_TOL, r^n below about
-    1e-14) and the closed form r^n ||T_r^{-1}|| = 1 (T_r is the model operator
-    of b_r^n up to a diagonal sign change). That rule refuses a series beyond
-    float64 at its first such coefficient k, entry (k, 0): the one limit at
-    every r, first at n = 2 for r = 1e-200.
+    ||T_r^{-1}|| from the exact reciprocal-series inverse, checked against
+    the LAPACK inverse up to 1/linalg.PIVOT_TOL (r^n above about 1e-14) and
+    always against the closed form r^n ||T_r^{-1}|| = 1 (T_r is the model
+    operator of b_r^n up to a diagonal sign change). That rule refuses a
+    series beyond float64 at its first such coefficient k, entry (k, 0): the
+    one limit at every r, first at n = 2 for r = 1e-200.
     """
     return check_contraction(n, r, *_bracket_matrices(n, r))
 

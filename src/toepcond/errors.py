@@ -9,8 +9,8 @@ class ToepcondError(Exception):
 
 class SingularMatrixError(ToepcondError):
     """A matrix is singular to working precision: LAPACK finds it exactly
-    singular, its inverse norm is beyond the singularity threshold, or its
-    inverse has entries beyond the float64 range."""
+    singular, linalg.inverse_norm finds its inverse beyond the singularity
+    threshold, or its exact inverse has entries beyond the float64 range."""
 
 
 class SingularSymbolError(ToepcondError):

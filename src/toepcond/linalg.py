@@ -7,9 +7,9 @@ value from numpy's LAPACK SVD: the matrices here have n <= 64, where a
 full SVD is cheap and gives every singular value to machine precision,
 clustered ones included.
 
-An inverse norm takes one SVD: of the LAPACK inverse X where X is trusted,
-else of the exact inverse W. two_path_inverse_norm compares a trusted X
-with W entry by entry, in O(n^2), not through a second SVD.
+two_path_inverse_norm takes an inverse norm from one SVD, of the exact
+inverse W; the LAPACK inverse X only checks it, entry by entry in O(n^2),
+wherever ||W|| lies within the range in which elimination is trusted.
 """
 
 from __future__ import annotations
@@ -46,43 +46,35 @@ def spectral_norm(A) -> float:
 
 
 def _lapack_inverse(M: np.ndarray) -> np.ndarray:
-    """LAPACK's inverse X of the square matrix M, or SingularMatrixError when
-    M is exactly singular or an entry of X is NaN or beyond 1/PIVOT_TOL: as
-    |X_ij| <= ||X||, such an X is refused without the SVD of _trusted_inverse."""
+    """LAPACK's inverse of the square matrix M, or SingularMatrixError when
+    LAPACK finds M exactly singular."""
     try:
-        X = np.linalg.inv(M)
+        return np.linalg.inv(M)
     except np.linalg.LinAlgError:
         raise SingularMatrixError("matrix is exactly singular") from None
-    # the negated test refuses a NaN peak too: an inverse that overflowed
-    # or came out NaN has no finite norm
-    peak = np.abs(X).max()
-    if not peak <= 1.0 / PIVOT_TOL:
-        raise SingularMatrixError(f"matrix is singular to working precision (inverse entry {peak:.3e})")
-    return X
-
-
-def _trusted_inverse(M: np.ndarray) -> tuple[np.ndarray, float]:
-    """The LAPACK inverse X of M and ||X||, refused as SingularMatrixError
-    by _lapack_inverse or when ||X|| exceeds 1/PIVOT_TOL, the range in
-    which an inverse computed by elimination is no longer trusted."""
-    X = _lapack_inverse(M)
-    val = spectral_norm(X)
-    if not val <= 1.0 / PIVOT_TOL:
-        raise SingularMatrixError(f"matrix is singular to working precision (inverse norm {val:.3e})")
-    return X, val
 
 
 def inverse_norm(A) -> float:
     """Largest singular value of A^{-1}, i.e. 1/sigma_min(A).
 
     Forms A^{-1} with LAPACK and takes its top singular value. Raises
-    SingularMatrixError when LAPACK finds A exactly singular, or when the
-    result exceeds 1/PIVOT_TOL, the range in which an inverse computed by
-    elimination is no longer trusted.
+    SingularMatrixError when LAPACK finds A exactly singular, or when an
+    entry of the inverse is NaN or beyond 1/PIVOT_TOL or its norm is beyond
+    1/PIVOT_TOL, the range in which an inverse computed by elimination is
+    no longer trusted.
     """
     M = _as_matrix(A)
     _require_square(M)
-    return _trusted_inverse(M)[1]
+    X = _lapack_inverse(M)
+    # |X_ij| <= ||X||, so an entry refuses X without its SVD; the negated
+    # test refuses a NaN too, which numpy's SVD does not accept
+    peak = np.abs(X).max()
+    if not peak <= 1.0 / PIVOT_TOL:
+        raise SingularMatrixError(f"matrix is singular to working precision (inverse entry {peak:.3e})")
+    val = spectral_norm(X)
+    if not val <= 1.0 / PIVOT_TOL:
+        raise SingularMatrixError(f"matrix is singular to working precision (inverse norm {val:.3e})")
+    return val
 
 
 def two_path_inverse_norm(A, W, scale: float) -> float:
@@ -90,12 +82,13 @@ def two_path_inverse_norm(A, W, scale: float) -> float:
 
     W is an exact inverse of A from a series or a closed form; a W with an
     entry beyond float64 (inf or NaN) raises SingularMatrixError naming the
-    first, in row-major order. The value is ||X|| for X the LAPACK inverse
-    of A, as inverse_norm(A) gives it, or ||W|| alone where that refuses
-    (beyond 1/PIVOT_TOL). A trusted X must agree with W entry by entry:
-    n * max|X - W| <= TWO_PATH_RTOL * value, which bounds ||X - W|| and so
-    the gap between the two norms, and also catches a W with the right
-    singular values but wrong entries. The value must meet
+    first, in row-major order. The value is ||W||. Where it is at most
+    1/PIVOT_TOL, the LAPACK inverse X of A must agree with W entry by
+    entry: n * max|X - W| <= TWO_PATH_RTOL * value, which bounds ||X - W||
+    and so the gap between the two norms, and also catches a W with the
+    right singular values but wrong entries; an A that LAPACK finds exactly
+    singular raises SingularMatrixError. Beyond 1/PIVOT_TOL elimination is
+    not trusted and W stands alone. The value must meet
     scale * ||A^{-1}|| = 1 to CLOSED_FORM_RTOL. Either miss raises
     TwoPathMismatchError.
     """
@@ -105,12 +98,10 @@ def two_path_inverse_norm(A, W, scale: float) -> float:
         raise SingularMatrixError(f"exact inverse has entries beyond the float64 range, first at ({i}, {j})")
     M = _as_matrix(A)
     n = _require_square(M)
-    try:
-        X, value = _trusted_inverse(M)
-    except SingularMatrixError:
-        value = spectral_norm(W)
-    else:
-        gap = n * np.abs(X - W).max()
+    value = spectral_norm(W)
+    if value <= 1.0 / PIVOT_TOL:
+        # a NaN in X makes the gap NaN, which the negated test refuses
+        gap = n * np.abs(_lapack_inverse(M) - W).max()
         if not gap <= TWO_PATH_RTOL * value:
             raise TwoPathMismatchError(f"inverse-norm paths disagree: n * max|X - W| = {gap:.3g} at norm {value:.17g}")
     if not abs(scale * value - 1.0) <= CLOSED_FORM_RTOL:

@@ -12,6 +12,7 @@ from toepcond import (
     grid_sweep,
     inverse_norm,
     spectral_norm,
+    theorem_check,
 )
 from toepcond.cli import DEFAULT_R_GRID, parse_r_grid
 from toepcond.core import apply_calculus, reciprocal_series
@@ -147,15 +148,49 @@ class TestInverseNorm:
 
 
 class TestTwoPathInverseNorm:
-    def test_lapack_value_when_paths_agree(self):
+    def test_exact_inverse_value_when_paths_agree(self):
+        # X = A^{-1} checks W to 1e-8, and the value is ||W||, not ||X||
         A = np.diag([0.5, 0.25])
         W = np.diag([2.0, 4.0 * (1 + 1e-9)])
-        assert two_path_inverse_norm(A, W, 0.25) == inverse_norm(A)
+        assert two_path_inverse_norm(A, W, 0.25 / (1 + 1e-9)) == spectral_norm(W) != inverse_norm(A)
 
     def test_exact_inverse_alone_beyond_the_solve_range(self):
         A = np.diag([1.0, 1e-15])
         W = np.diag([1.0, 1e15])
         assert two_path_inverse_norm(A, W, 1e-15) == 1e15
+
+    def test_exact_inverse_beyond_the_threshold_still_meets_its_closed_form(self):
+        # 1e20 * W puts ||W|| beyond 1/PIVOT_TOL, where X does not check it
+        A, W = bounds_mod._bracket_matrices(3, 0.5)
+        with pytest.raises(TwoPathMismatchError, match="closed form"):
+            two_path_inverse_norm(A, 1e20 * W, 0.5**3)
+
+    def test_threshold_is_read_on_the_exact_inverse(self, monkeypatch):
+        # at (14, 0.1) ||W|| lies just past 1/PIVOT_TOL and ||X|| just inside
+        # it: W decides alone, and no LAPACK inverse is formed
+        A, W = bounds_mod._bracket_matrices(14, 0.1)
+        assert spectral_norm(np.linalg.inv(A)) <= 1.0 / PIVOT_TOL < spectral_norm(W)
+        inversions = []
+        real_inv = np.linalg.inv
+        monkeypatch.setattr(np.linalg, "inv", lambda M: inversions.append(M) or real_inv(M))
+        rec = theorem_check(14, 0.1)
+        assert rec.passed
+        assert rec.inv_norm == spectral_norm(W)
+        assert inversions == []
+
+    @pytest.mark.parametrize(
+        "A, error",
+        [
+            (np.zeros((2, 2)), SingularMatrixError),
+            (np.diag([1.0, 1e-20]), TwoPathMismatchError),
+            (np.array([[1.0, np.nan], [0.0, 1.0]]), TwoPathMismatchError),
+        ],
+        ids=["zero", "tiny_pivot", "nan_entry"],
+    )
+    def test_matrix_refused_by_lapack_does_not_pass_on_the_exact_inverse(self, A, error):
+        # W = I claims A is well conditioned, so X must check it
+        with pytest.raises(error):
+            two_path_inverse_norm(A, np.eye(2), 1.0)
 
     def test_disagreeing_paths_raise(self):
         with pytest.raises(TwoPathMismatchError, match="paths disagree"):
@@ -190,7 +225,7 @@ class TestTwoPathInverseNorm:
         T = build_T_r(n, r)
         A = T.matrix.real
         W = apply_calculus(reciprocal_series(T.symbol), n).matrix.real
-        assert two_path_inverse_norm(A, W, r**n) == inverse_norm(A)
+        assert two_path_inverse_norm(A, W, r**n) == spectral_norm(W)
         for wrong in (W.T, W[[1, 0, *range(2, n)]]):
             assert np.allclose(np.linalg.svd(wrong, compute_uv=False), np.linalg.svd(W, compute_uv=False))
             with pytest.raises(TwoPathMismatchError, match="paths disagree"):
@@ -199,39 +234,35 @@ class TestTwoPathInverseNorm:
 
 class TestOneSvdPerInverseNorm:
     def test_grid_sweep_values_and_svd_count(self, svd_dtypes, monkeypatch):
-        # each point takes one SVD for ||T_r|| and one for its inverse norm,
-        # of the LAPACK inverse X where X is trusted, else of the series W;
-        # in the band max|X_ij| <= 1/PIVOT_TOL < ||X|| the SVD of X refuses
-        # it, and W takes a third
+        # each point takes one SVD for ||T_r|| and one of the series W for its
+        # inverse norm, and one LAPACK inverse, to check W, exactly where
+        # ||W|| <= 1/PIVOT_TOL
+        inversions = []
+        real_inv = np.linalg.inv
+        monkeypatch.setattr(np.linalg, "inv", lambda M: inversions.append(M) or real_inv(M))
         counts = {}
         real_check = bounds_mod.check_contraction
 
         def counted(n, r, A, W):
-            before = len(svd_dtypes)
+            svds, invs = len(svd_dtypes), len(inversions)
             try:
                 return real_check(n, r, A, W)
             finally:
-                counts[n, r] = len(svd_dtypes) - before
+                counts[n, r] = (len(svd_dtypes) - svds, len(inversions) - invs)
 
         monkeypatch.setattr(bounds_mod, "check_contraction", counted)
         grid = parse_r_grid(DEFAULT_R_GRID)
         records = grid_sweep(64, grid)
         assert len(records) == len(counts) == 64 * len(grid)
         for r in grid:
-            T = build_T_r(64, r)
-            A = T.matrix.real
-            W = apply_calculus(reciprocal_series(T.symbol), 64).matrix.real
+            W = apply_calculus(reciprocal_series(build_T_r(64, r).symbol), 64).matrix.real
             for rec in (rec for rec in records if rec.r == r):
                 n = rec.n
-                X = np.linalg.inv(A[:n, :n])
-                band = np.abs(X).max() <= 1.0 / PIVOT_TOL < spectral_norm(X)
-                try:
-                    expected = inverse_norm(A[:n, :n])
-                except SingularMatrixError:
-                    expected = spectral_norm(W[:n, :n])
+                expected = spectral_norm(W[:n, :n])
                 assert rec.error is None
                 assert rec.inv_norm == expected
-                assert counts[n, r] == (3 if band else 2)
+                assert abs(rec.scaled - 1.0) <= 1e-14
+                assert counts[n, r] == (2, int(expected <= 1.0 / PIVOT_TOL))
 
 
 class TestDefect:
