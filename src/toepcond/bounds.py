@@ -116,36 +116,40 @@ def bracket_record(n: int, r: float, norm_T: float, inv_norm: float) -> BoundsRe
     )
 
 
-def _bracket_matrices(n: int, r: float) -> tuple[np.ndarray, np.ndarray]:
-    """T_r and its reciprocal-series inverse at size n. Both are exactly
-    real for real r, so their real parts go to the real LAPACK routines."""
+def _bracket_matrices(n: int, r: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """T_r, its reciprocal-series inverse and its extremal vector x_k = r^k
+    at size n. The matrices are exactly real for real r, so their real parts
+    go to the real LAPACK routines."""
     T = build_T_r(n, r)
     G = apply_calculus(reciprocal_series(T.symbol), T.n)
-    return T.matrix.real, G.matrix.real
+    return T.matrix.real, G.matrix.real, float(r) ** np.arange(T.n)
 
 
-def check_contraction(n: int, r: float, A: np.ndarray, W: np.ndarray) -> BoundsRecord:
-    """The record of an n x n contraction A with spectrum on |z| = r and W its
-    exact inverse. ||A|| must meet its closed form 1 (r at n = 1) to relative
+def check_contraction(n: int, r: float, A: np.ndarray, W: np.ndarray, x: np.ndarray) -> BoundsRecord:
+    """The record of an n x n lower-triangular contraction A with spectrum on
+    |z| = r, W its exact inverse and x a vector that attains ||A^{-1}||.
+    ||A|| must meet its closed form 1 (r at n = 1) to relative
     linalg.CLOSED_FORM_RTOL, else ExtremalityError; ||A^{-1}|| comes from
-    linalg.two_path_inverse_norm(A, W, r^n)."""
+    linalg.two_path_inverse_norm(A, W, x, ||A||, r^n)."""
     norm = linalg.spectral_norm(A)
     target = 1.0 if n >= 2 else r
     if abs(norm - target) > linalg.CLOSED_FORM_RTOL * target:
         raise ExtremalityError(f"expected norm {target:.17g}, got {norm:.17g}")
-    return bracket_record(n, r, norm, linalg.two_path_inverse_norm(A, W, r**n))
+    return bracket_record(n, r, norm, linalg.two_path_inverse_norm(A, W, x, norm, r**n))
 
 
 def theorem_check(n: int, r: float) -> BoundsRecord:
     """Verify the bracket max(r^n, 1-r^n) <= r^n ||T_r^{-1}|| <= 1 at one point.
 
     T_r goes through check_contraction in real arithmetic: ||T_r|| = 1, and
-    ||T_r^{-1}|| from the exact reciprocal-series inverse, checked against
-    the LAPACK inverse up to 1/linalg.PIVOT_TOL (r^n above about 1e-14) and
-    always against the closed form r^n ||T_r^{-1}|| = 1 (T_r is the model
-    operator of b_r^n up to a diagonal sign change). That rule refuses a
-    series beyond float64 at its first such coefficient k, entry (k, 0): the
-    one limit at every r, first at n = 2 for r = 1e-200.
+    ||T_r^{-1}|| = ||W x||/||x|| for the exact reciprocal-series inverse W
+    and x_k = r^k, the extremal vector (T_r^{-1} x = r^-n J x, J the
+    reversal). That value must meet the determinant bound ||T_r||^(n-1)/r^n,
+    agree with the LAPACK inverse up to 1/linalg.PIVOT_TOL (r^n above about
+    1e-14), and always meet the closed form r^n ||T_r^{-1}|| = 1 (T_r is the
+    model operator of b_r^n up to a diagonal sign change). That rule refuses
+    a series beyond float64 at its first such coefficient k, entry (k, 0):
+    the one limit at every r, first at n = 2 for r = 1e-200.
     """
     return check_contraction(n, r, *_bracket_matrices(n, r))
 
@@ -160,10 +164,10 @@ def _failed_record(n: int, r: float, exc: Exception) -> BoundsRecord:
 def grid_sweep(n_max: int, r_grid: Sequence[float]) -> list[BoundsRecord]:
     """theorem_check over every (n, r) with 1 <= n <= n_max, r in r_grid.
 
-    T_r and its reciprocal series are built once per r, at size n_max:
-    the matrices at size n are exactly their leading n x n blocks, so each
-    record is bitwise theorem_check(n, r). A point whose check raises gets
-    NaN norms, passed = False and its exception in `error`; the sweep
+    T_r, its reciprocal series and its extremal vector are built once per
+    r, at size n_max: those at size n are exactly their leading blocks, so
+    each record is bitwise theorem_check(n, r). A point whose check raises
+    gets NaN norms, passed = False and its exception in `error`; the sweep
     always completes. Records come back sorted by (n, r).
     """
     n_max = int(n_max)
@@ -175,10 +179,10 @@ def grid_sweep(n_max: int, r_grid: Sequence[float]) -> list[BoundsRecord]:
             raise ValueError("grid values must lie strictly between 0 and 1")
     records = []
     for r in rs:
-        A, G = _bracket_matrices(n_max, r)
+        A, G, x = _bracket_matrices(n_max, r)
         for n in range(1, n_max + 1):
             try:
-                records.append(check_contraction(n, r, A[:n, :n], G[:n, :n]))
+                records.append(check_contraction(n, r, A[:n, :n], G[:n, :n], x[:n]))
             except ToepcondError as exc:
                 records.append(_failed_record(n, r, exc))
     records.sort(key=lambda rec: (rec.n, rec.r))

@@ -132,25 +132,34 @@ def model_inverse(zeros) -> np.ndarray:
     return W
 
 
+def _extremal_vector(lam: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """x_k = conj(e_k(0)) = s_k prod_{j < k} (-conj(lambda_j)): the
+    reproducing kernel of the model space at 0 in the Malmquist-Walsh
+    basis, at which ||M^{-1} x|| = ||M^{-1}|| ||x||."""
+    return s * np.concatenate(([1.0], np.cumprod(-np.conj(lam[:-1]))))
+
+
 def verify_extremality(r: float, zeros) -> ExtremalityReport:
     """Check the equality case ||M^{-1}|| = 1/r^n for zeros on |z| = r.
 
-    M and model_inverse go through bounds.check_contraction, the check of
-    T_r in theorem_check: ||M|| = 1 (for n = 1 the compression is
-    multiplication by its zero, of norm r) and two inverse-norm paths with the
-    closed form r^n ||M^{-1}|| = 1. The defect rank (it must be 1 here)
-    counts singular values of I - M*M above half of 1 - r^(2n).
+    M, model_inverse and the extremal vector x_k = s_k prod_{j < k}
+    (-conj(lambda_j)) go through bounds.check_contraction, the check of T_r
+    in theorem_check: ||M|| = 1 (for n = 1 the compression is multiplication
+    by its zero, of norm r), and ||M^{-1}|| = ||M^{-1} x||/||x|| within the
+    determinant bound ||M||^(n-1)/r^n, checked against the LAPACK inverse
+    and the closed form r^n ||M^{-1}|| = 1. The defect rank (it must be 1
+    here) counts singular values of I - M*M above half of 1 - r^(2n).
     """
     r = float(r)
     if not 0.0 < r < 1.0:
         raise ValueError("r must lie strictly between 0 and 1")
-    zs = _checked_zeros(zeros)
+    zs, lam, s = _zeros_and_weights(zeros)
     for z in zs:
         if abs(abs(z) - r) > 1e-12:
             raise ValueError(f"all zeros must have modulus r = {r}, got |z| = {abs(z):.12g}")
     op = model_operator(zs)
     n = len(zs)
-    rec = check_contraction(n, r, op.matrix, model_inverse(zs))
+    rec = check_contraction(n, r, op.matrix, model_inverse(zs), _extremal_vector(lam, s))
     kron = kronecker_bound(n, r)
     rel_gap = abs(rec.inv_norm - kron) / kron
     defect = -np.expm1(2 * n * np.log(r))  # 1 - r^(2n) without cancellation

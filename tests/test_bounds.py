@@ -204,24 +204,19 @@ class TestTheoremCheck:
         assert rec.scaled == pytest.approx(1.0, abs=1e-6)
 
     @staticmethod
-    def _scale_both_paths(monkeypatch, factor):
+    def _wrong_radius(monkeypatch, factor):
+        # T_r' with r'^-n = factor * r^-n, its exact inverse and its extremal
+        # vector in place of T_r's: every path agrees on the wrong value
         import toepcond.bounds as bounds_mod
-        import toepcond.linalg as linalg_mod
 
-        real_inverse, real_matrices = linalg_mod._lapack_inverse, bounds_mod._bracket_matrices
-
-        def scaled_matrices(n, r):
-            A, G = real_matrices(n, r)
-            return A, factor * G
-
-        monkeypatch.setattr(linalg_mod, "_lapack_inverse", lambda M: factor * real_inverse(M))
-        monkeypatch.setattr(bounds_mod, "_bracket_matrices", scaled_matrices)
+        real_matrices = bounds_mod._bracket_matrices
+        monkeypatch.setattr(bounds_mod, "_bracket_matrices", lambda n, r: real_matrices(n, r * factor ** (-1.0 / n)))
 
     def test_closed_form_catches_a_wrong_inverse_norm(self, monkeypatch):
-        # both paths read 0.999 of the truth: they agree with each other and
+        # every path reads 0.999 of the truth: they agree with each other and
         # 0.999 lies inside the bracket [0.875, 1], but r^n ||T_r^{-1}|| = 1
         # does not hold
-        self._scale_both_paths(monkeypatch, 0.999)
+        self._wrong_radius(monkeypatch, 0.999)
         with pytest.raises(TwoPathMismatchError, match="closed form"):
             theorem_check(3, 0.5)
         (rec,) = [rec for rec in grid_sweep(3, (0.5,)) if rec.n == 3]
@@ -231,7 +226,7 @@ class TestTheoremCheck:
     def test_closed_form_is_checked_to_1e_12(self, monkeypatch):
         # (1 - 1e-10) of the truth passes a check at 1e-8 but not the closed
         # form at 1e-12, which search gets through theorem_check as well
-        self._scale_both_paths(monkeypatch, 1 - 1e-10)
+        self._wrong_radius(monkeypatch, 1 - 1e-10)
         with pytest.raises(TwoPathMismatchError, match="closed form"):
             theorem_check(3, 0.5)
         with pytest.raises(TwoPathMismatchError, match="closed form"):
@@ -245,8 +240,8 @@ class TestTheoremCheck:
         real_matrices = bounds_mod._bracket_matrices
 
         def scaled_matrices(n, r):
-            A, G = real_matrices(n, r)
-            return factor * A, G / factor
+            A, G, x = real_matrices(n, r)
+            return factor * A, G / factor, x
 
         monkeypatch.setattr(bounds_mod, "_bracket_matrices", scaled_matrices)
 
@@ -264,6 +259,35 @@ class TestTheoremCheck:
         self._scale_T_r(monkeypatch, 1 + 1e-13)
         assert theorem_check(3, 0.5).passed
         assert all(rec.passed and rec.error is None for rec in grid_sweep(3, (0.5,)))
+
+    def test_halved_corner_beyond_the_solve_range_is_refused(self, monkeypatch):
+        # T_r[0, 0] = r/2 next to the unchanged series W at (64, 0.05): ||A||
+        # still meets 1 and W alone meets the closed form, but the inverse
+        # norm of that A is twice 1/r^n, which its determinant bound shows
+        import toepcond.bounds as bounds_mod
+
+        real_matrices = bounds_mod._bracket_matrices
+
+        def halved_corner(n, r):
+            A, G, x = real_matrices(n, r)
+            A = A.copy()
+            A[0, 0] = r / 2
+            return A, G, x
+
+        monkeypatch.setattr(bounds_mod, "_bracket_matrices", halved_corner)
+        with pytest.raises(TwoPathMismatchError, match="enclosure"):
+            theorem_check(64, 0.05)
+        (rec,) = [rec for rec in grid_sweep(64, (0.05,)) if rec.n == 64]
+        assert rec.error.startswith("TwoPathMismatchError: inverse norm outside its enclosure")
+
+    def test_inverse_norm_up_to_the_float64_limit(self):
+        # ||T_r^{-1}|| = 1e300 at (2, 1e-150), whose square numpy's vector
+        # norm cannot hold
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rec = theorem_check(2, 1e-150)
+        assert abs(rec.scaled - 1.0) <= 1e-12
+        assert rec.passed
 
 
 class TestRealArithmetic:

@@ -4,6 +4,7 @@ import errno
 import json
 import os
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -291,6 +292,16 @@ class TestExtremal:
         norm = float(out.split("norm = ", 1)[1].split("\n", 1)[0])
         assert abs(norm - 1.0) <= 1e-12
         assert "defect rank = 1" in out
+
+    @pytest.mark.parametrize("argv", [["--r", "0.001"], ["--model", "--r", "0.0001"]], ids=["triangular", "model"])
+    def test_inverse_norm_past_the_square_root_of_float64(self, argv, capsys):
+        # ||A^{-1}|| = 1e192 and 1e256 at n = 64: their squares leave float64
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["extremal", "--n", "64", *argv]) == 0
+        out = capsys.readouterr().out
+        scaled = float(out.split("r^n * inv = ", 1)[1].split(",", 1)[0])
+        assert abs(scaled - 1.0) <= 1e-12
 
     @pytest.mark.parametrize("n", [1, 2, 8])
     @pytest.mark.parametrize("r", ["0.999999999", "0.999999999999"])

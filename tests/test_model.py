@@ -275,8 +275,9 @@ class TestModelInverse:
         # the builder returns them without a warning; the one rule refuses them
         W = model_inverse(zeros)
         assert not np.isfinite(W).all()
+        x = model_mod._extremal_vector(*model_mod._zeros_and_weights(zeros)[1:])
         with pytest.raises(SingularMatrixError) as info:
-            linalg_mod.two_path_inverse_norm(model_operator(zeros).matrix, W, 1.0)
+            linalg_mod.two_path_inverse_norm(model_operator(zeros).matrix, W, x, 1.0, 1.0)
         assert str(info.value) == f"exact inverse has entries beyond the float64 range, first at {first}"
 
 
@@ -296,7 +297,8 @@ class TestVerifyExtremality:
 
         zeros = (0.5, -0.5, 0.5j)
         report = verify_extremality(0.5, zeros)
-        rec = check_contraction(3, 0.5, model_operator(zeros).matrix, model_inverse(zeros))
+        x = model_mod._extremal_vector(*model_mod._zeros_and_weights(zeros)[1:])
+        rec = check_contraction(3, 0.5, model_operator(zeros).matrix, model_inverse(zeros), x)
         assert vars(report.record) == vars(rec)
         assert (report.norm, report.inv_norm) == (rec.norm_T, rec.inv_norm)
         assert vars(report.record) == vars(bracket_record(3, 0.5, report.norm, report.inv_norm))
@@ -384,8 +386,32 @@ class TestVerifyExtremality:
     def test_disagreeing_paths_raise(self, monkeypatch):
         real_model_inverse = model_mod.model_inverse
         monkeypatch.setattr(model_mod, "model_inverse", lambda zs: 2.0 * real_model_inverse(zs))
-        with pytest.raises(TwoPathMismatchError, match="paths disagree"):
+        with pytest.raises(TwoPathMismatchError, match="enclosure"):
             verify_extremality(0.5, (0.5, -0.5, 0.5j))
+
+    @pytest.mark.parametrize("n, r", [(4, 0.5), (64, 0.05)])
+    def test_certificate_of_T_r_is_wrong_for_non_real_zeros(self, n, r, monkeypatch):
+        # x_k = r^k attains ||T_r^{-1}|| but not the inverse norm of a model
+        # operator whose zeros are not all equal
+        monkeypatch.setattr(model_mod, "_extremal_vector", lambda lam, s: r ** np.arange(lam.size))
+        zeros = tuple(r * np.exp(2j * np.pi * k / n) for k in range(n))
+        with pytest.raises(TwoPathMismatchError, match="enclosure"):
+            verify_extremality(r, zeros)
+
+    def test_certificate_attains_the_inverse_norm_for_random_phases(self):
+        # ||M^{-1} x|| = ||M^{-1}|| ||x|| for zeros anywhere on |z| = r
+        rng = np.random.default_rng(17)
+        for _ in range(40):
+            n = int(rng.integers(1, 33))
+            r = float(rng.uniform(0.05, 0.999))
+            zeros = tuple(r * np.exp(2j * np.pi * rng.uniform(size=n)))
+            x = model_mod._extremal_vector(*model_mod._zeros_and_weights(zeros)[1:])
+            W = model_inverse(zeros)
+            top = np.linalg.svd(W, compute_uv=False)[0]
+            assert np.linalg.norm(W @ x) / np.linalg.norm(x) == pytest.approx(top, rel=1e-13)
+            report = verify_extremality(r, zeros)
+            assert report.inv_norm == pytest.approx(top, rel=1e-13)
+            assert report.rel_gap <= 1e-12
 
     def test_gap_is_to_the_printed_bound_and_finite(self):
         # `extremal --model` prints kronecker_bound(n, r) as the bound; the
