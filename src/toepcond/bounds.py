@@ -4,12 +4,13 @@ For 0 < r < 1 the matrix T_r, the Blaschke factor of r applied to the
 Jordan block, is a contraction with spectrum {r} whose scaled inverse norm
 r^n ||T_r^{-1}|| lies in [max(r^n, 1 - r^n), 1] and in fact equals 1.
 check_contraction, the one per-point check of T_r and of the model operator
-(one contraction in two bases), verifies it with the closed form of ||A|| and
-two inverse-norm paths; estimate_t_a returns the extremal symbol, T_r's.
+(one contraction in two bases), states and applies the rule that verifies
+it; estimate_t_a returns the extremal symbol, T_r's.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -19,9 +20,12 @@ import numpy as np
 from . import linalg
 from .blaschke import BlaschkeFactor, taylor
 from .core import AnalyticPolynomial, AnalyticToeplitzMatrix, apply_calculus, reciprocal_series
-from .errors import ExtremalityError, ToepcondError
+from .errors import ExtremalityError, SingularMatrixError, ToepcondError, TwoPathMismatchError
 
 PASS_TOL = 1e-8
+# relative tolerances: of two inverse-norm paths, of a value to its closed form
+TWO_PATH_RTOL = 1e-8
+CLOSED_FORM_RTOL = 1e-12
 
 
 @dataclass(eq=False)
@@ -125,31 +129,94 @@ def _bracket_matrices(n: int, r: float) -> tuple[np.ndarray, np.ndarray, np.ndar
     return T.matrix.real, G.matrix.real, float(r) ** np.arange(T.n)
 
 
-def check_contraction(n: int, r: float, A: np.ndarray, W: np.ndarray, x: np.ndarray) -> BoundsRecord:
-    """The record of an n x n lower-triangular contraction A with spectrum on
-    |z| = r, W its exact inverse and x a vector that attains ||A^{-1}||.
-    ||A|| must meet its closed form 1 (r at n = 1) to relative
-    linalg.CLOSED_FORM_RTOL, else ExtremalityError; ||A^{-1}|| comes from
-    linalg.two_path_inverse_norm(A, W, x, ||A||, r^n)."""
-    norm = linalg.spectral_norm(A)
+@functools.cache
+def _strictly_upper(n: int) -> np.ndarray:
+    """Mask of the entries above the diagonal of an n x n matrix."""
+    return np.subtract.outer(np.arange(n), np.arange(n)) < 0
+
+
+def _vector_norm(v: np.ndarray) -> float:
+    """||v|| without overflow up to the float64 limit: math.hypot scales the
+    entries, where numpy's vector norm squares them and overflows past 1e154."""
+    return math.hypot(*np.abs(v).tolist())
+
+
+def check_contraction(n: int, r: float, A, W, x) -> BoundsRecord:
+    """The record of a lower-triangular n x n contraction A with spectrum on
+    |z| = r, its exact inverse W (a series or a closed form) and a vector x
+    with ||A^{-1} x|| = ||A^{-1}|| ||x|| (the reproducing kernel of the model
+    space at 0), by the one rule for every reported norm:
+
+    - Before any kernel: ValueError for an A that is not n x n, finite and
+      lower triangular, a W or x of another shape, or a zero or non-finite
+      x; SingularMatrixError naming the first inf or NaN entry of W.
+    - ||A|| (one SVD) meets its closed form 1 (r at n = 1) to relative
+      CLOSED_FORM_RTOL, else ExtremalityError.
+    - The value ||W x||/||x||, a lower bound on ||W||, meets the enclosure
+      ||A^{-1}|| <= ||A||^(n-1)/|det A| to relative TWO_PATH_RTOL: the
+      singular values of A are at most ||A|| and multiply to prod |A_kk|,
+      of which a zero is a SingularMatrixError.
+    - Up to 1/linalg.PIVOT_TOL, beyond which elimination is not trusted, the
+      LAPACK inverse X agrees with W: n * max|X - W| <= TWO_PATH_RTOL * value
+      (SingularMatrixError where LAPACK finds A exactly singular).
+    - r^n * value = 1 to CLOSED_FORM_RTOL.
+
+    A miss in the last three raises TwoPathMismatchError.
+    """
+    M = linalg._as_matrix(A)
+    W, x = np.asarray(W), np.asarray(x)
+    if M.shape != (n, n):
+        raise ValueError(f"expected an n x n matrix at n = {n}, got shape {M.shape}")
+    if W.shape != M.shape:
+        raise ValueError(f"exact inverse has shape {W.shape}, A has shape {M.shape}")
+    if x.shape != (n,):
+        raise ValueError(f"certificate has shape {x.shape}, A has shape {M.shape}")
+    if M[_strictly_upper(n)].any():
+        raise ValueError("expected a lower-triangular matrix")
+    if not np.isfinite(M).all():
+        raise ValueError("expected a finite matrix")
+    length = _vector_norm(x)
+    if not 0.0 < length < math.inf:
+        raise ValueError("certificate must be nonzero and finite")
+    finite = np.isfinite(W)
+    if not finite.all():
+        i, j = np.argwhere(~finite)[0]
+        raise SingularMatrixError(f"exact inverse has entries beyond the float64 range, first at ({i}, {j})")
+    norm = linalg.spectral_norm(M)
     target = 1.0 if n >= 2 else r
-    if abs(norm - target) > linalg.CLOSED_FORM_RTOL * target:
+    if abs(norm - target) > CLOSED_FORM_RTOL * target:
         raise ExtremalityError(f"expected norm {target:.17g}, got {norm:.17g}")
-    return bracket_record(n, r, norm, linalg.two_path_inverse_norm(A, W, x, norm, r**n))
+    value = _vector_norm(W @ x) / length
+    diagonal = np.abs(np.diagonal(M)).tolist()
+    if 0.0 in diagonal:
+        raise SingularMatrixError("matrix is exactly singular")
+    # ||A||^(n-1)/|det A| as factors ||A||/|A_kk| >= 1 over 1/|A_00|, which
+    # do not underflow where |det A| would; a Python float overflows to inf
+    # without a warning
+    upper = math.prod([norm / d for d in diagonal[1:]]) / diagonal[0]
+    # a NaN, or an upper bound beyond float64, fails the negated test
+    if not abs(value - upper) <= TWO_PATH_RTOL * upper < math.inf:
+        raise TwoPathMismatchError(
+            f"inverse norm outside its enclosure: ||W x||/||x|| = {value:.17g}, ||A||^(n-1)/|det A| = {upper:.17g}"
+        )
+    if value <= 1.0 / linalg.PIVOT_TOL:
+        # a NaN in X makes the gap NaN, which the negated test refuses
+        gap = n * np.abs(linalg._lapack_inverse(M) - W).max()
+        if not gap <= TWO_PATH_RTOL * value:
+            raise TwoPathMismatchError(f"inverse-norm paths disagree: n * max|X - W| = {gap:.3g} at norm {value:.17g}")
+    scale = r**n
+    if not abs(scale * value - 1.0) <= CLOSED_FORM_RTOL:
+        raise TwoPathMismatchError(f"inverse norm misses the closed form: {scale:.17g} * {value:.17g} != 1")
+    return bracket_record(n, r, norm, value)
 
 
 def theorem_check(n: int, r: float) -> BoundsRecord:
     """Verify the bracket max(r^n, 1-r^n) <= r^n ||T_r^{-1}|| <= 1 at one point.
 
-    T_r goes through check_contraction in real arithmetic: ||T_r|| = 1, and
-    ||T_r^{-1}|| = ||W x||/||x|| for the exact reciprocal-series inverse W
-    and x_k = r^k, the extremal vector (T_r^{-1} x = r^-n J x, J the
-    reversal). That value must meet the determinant bound ||T_r||^(n-1)/r^n,
-    agree with the LAPACK inverse up to 1/linalg.PIVOT_TOL (r^n above about
-    1e-14), and always meet the closed form r^n ||T_r^{-1}|| = 1 (T_r is the
-    model operator of b_r^n up to a diagonal sign change). That rule refuses
-    a series beyond float64 at its first such coefficient k, entry (k, 0):
-    the one limit at every r, first at n = 2 for r = 1e-200.
+    T_r, its reciprocal-series inverse and its extremal vector x_k = r^k go
+    through check_contraction in real arithmetic. The one limit at every r
+    is a series beyond float64, refused at its first such coefficient k,
+    entry (k, 0): first at n = 2 for r = 1e-200.
     """
     return check_contraction(n, r, *_bracket_matrices(n, r))
 
@@ -205,18 +272,12 @@ def estimate_t_a(n: int, r: float, config: SearchConfig | None = None) -> Search
     """The largest inverse norm over symbols f with ||f(M_n)|| <= 1 and
     |f(0)| >= r, together with a symbol that attains it.
 
-    That maximum is the Kronecker bound 1/r^n, attained by the Taylor
-    symbol of b_r. No feasible f exceeds it: the singular values of f(M_n)
-    are at most 1 and their product is |f(0)|^n >= r^n, so its smallest
-    singular value is at least r^n. T_r = b_r(M_n) reaches it: I - T_r*T_r
-    has rank one, so the singular values of T_r are 1, ..., 1, r^n.
-
-    The result is that symbol, exactly feasible (unit norm, constant term
-    r), with the inverse norm theorem_check(n, r) reports for it, under
-    the same two-path and closed-form checks. The value is clipped to the
-    ceiling 1/r^n, so kronecker_gap >= 0 and scaled_value is 1 up to
-    roundoff. The config is echoed in the result (restarts_used, seed)
-    but changes nothing.
+    That maximum is the Kronecker bound 1/r^n: check_contraction's
+    enclosure bounds ||f(M_n)^{-1}|| by 1/|det f(M_n)| = 1/|f(0)|^n, and
+    T_r = b_r(M_n), whose inverse norm is 1/r^n, attains it. The result is
+    the Taylor symbol of b_r (unit norm, constant term r) with the inverse
+    norm theorem_check(n, r) reports for it, clipped to the ceiling 1/r^n,
+    so kronecker_gap >= 0 and scaled_value is 1 up to roundoff.
     """
     n, r = check_search_point(n, r)
     cfg = config or SearchConfig()

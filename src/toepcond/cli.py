@@ -10,16 +10,12 @@ Subcommands:
 Exit codes: 0 success / all pass, 1 verification or computation failure
 (a verify point or search scan pair fails on a FAIL line and the rest go on),
 2 usage or domain error. r lies in (0, 1] for bound, as 1/r^n is defined at
-r = 1, and in (0, 1) for the rest, as b_r degenerates there. main builds
-its parser once per process, on the first call, and extremal formats a
-matrix one row at a time. Every CSV and JSON report comes from one writer,
-_report, fed one tuple per row in header order; a BoundsRecord comes only
-from bounds.bracket_record. --output and every (n, r) of a search scan are
-checked before any work; --output is written atomically, and repeated runs
-with identical flags give byte-identical files.
-The search options --seed, --restarts and --iters are still accepted and
-echoed in the report but have no effect: search returns the proven
-optimum, not the result of a search.
+r = 1, and in (0, 1) for the rest, as b_r degenerates there. --output and
+every (n, r) of a search scan are checked before any work; --output is
+written atomically, and repeated runs with identical flags give
+byte-identical files. The search options --seed, --restarts and --iters are
+still accepted and echoed in the report but have no effect: search returns
+the proven optimum, not the result of a search.
 """
 
 from __future__ import annotations
@@ -217,7 +213,6 @@ def cmd_extremal(args: argparse.Namespace) -> int:
     n, r = args.n, args.r
     if not 1 <= n <= 64:
         raise ValueError("n must lie in 1..64")
-    kron = kronecker_bound(n, r)
     if args.model:
         zeros = tuple(r * np.exp(2j * np.pi * k / n) for k in range(n))
         report = verify_extremality(r, zeros)
@@ -225,7 +220,7 @@ def cmd_extremal(args: argparse.Namespace) -> int:
         print(f"model operator, zeros r*(roots of unity), n={n} r={_fmt(r)}")
         print("\n".join(_matrix_lines(report.matrix)))
         print(f"norm = {_fmt(rec.norm_T)}")
-        print(f"inverse norm = {_fmt(rec.inv_norm)} (bound 1/r^n = {_fmt(kron)}, "
+        print(f"inverse norm = {_fmt(rec.inv_norm)} (bound 1/r^n = {_fmt(report.kronecker)}, "
               f"relative gap {_fmt(report.rel_gap)})")
         print(f"defect rank = {report.defect_rank}")
     else:
@@ -235,7 +230,7 @@ def cmd_extremal(args: argparse.Namespace) -> int:
         print(f"first column: ({', '.join(_fmt(c.real) for c in T.first_column)})")
         print("\n".join(_matrix_lines(T.matrix)))
         print(f"norm = {_fmt(rec.norm_T)}")
-        print(f"inverse norm = {_fmt(rec.inv_norm)} (bound 1/r^n = {_fmt(kron)})")
+        print(f"inverse norm = {_fmt(rec.inv_norm)} (bound 1/r^n = {_fmt(kronecker_bound(n, r))})")
     print(f"scaled inverse norm r^n * inv = {_fmt(rec.scaled)}, bracket [{_fmt(rec.lower)}, {_fmt(rec.upper)}]")
     if _wants_report(args):
         config = {"command": "extremal", "n": n, "r": r, "model": args.model}
@@ -252,6 +247,8 @@ def cmd_search(args: argparse.Namespace) -> int:
     config = {"command": "search", "seed": args.seed, "restarts": args.restarts, "iters": args.iters}
     scan = bool(args.n_list or args.r_list)
     if scan:
+        if args.n is not None or args.r is not None:
+            raise ValueError("--n/--r and --n-list/--r-list cannot be combined")
         if not (args.n_list and args.r_list):
             raise ValueError("scan mode needs both --n-list and --r-list")
         ns = _parse_list(args.n_list, int, "--n-list")

@@ -124,7 +124,7 @@ def reciprocal_series(f: AnalyticPolynomial) -> AnalyticPolynomial:
     apply_calculus(f). Only f(0) = 0, where f(M_n) is singular, is refused
     with SingularSymbolError. Coefficients beyond the float64 range, 1/f(0)
     included, come back as inf or NaN without a warning;
-    linalg.two_path_inverse_norm refuses them.
+    bounds.check_contraction refuses them.
     """
     a = f.coeffs
     if a[0] == 0:

@@ -26,5 +26,6 @@ class ExtremalityError(ToepcondError):
 
 
 class TwoPathMismatchError(ToepcondError):
-    """The two independent inverse-norm computations disagree, or the
-    inverse norm misses its closed form."""
+    """The inverse norm leaves its enclosure ||A||^(n-1)/|det A|, the two
+    independent inverse-norm computations disagree, or the inverse norm
+    misses its closed form (see bounds.check_contraction)."""

@@ -82,34 +82,33 @@ class ExtremalityReport:
         return self.record.inv_norm
 
 
-def _checked_zeros(zeros) -> tuple:
+def _checked_zeros(zeros) -> tuple[tuple, np.ndarray, np.ndarray]:
+    """The zeros as a tuple of complex numbers and as an array, and their
+    weights s_k; ValueError unless there is one at least and all lie in the
+    open unit disk."""
     zs = tuple(complex(z) for z in zeros)
     if len(zs) == 0:
         raise ValueError("at least one zero is required")
-    for z in zs:
-        if abs(z) >= 1.0:
-            raise ValueError(f"zeros must lie in the open unit disk, got |z| = {abs(z):.6g}")
-    return zs
-
-
-def _zeros_and_weights(zeros) -> tuple[tuple, np.ndarray, np.ndarray]:
-    zs = _checked_zeros(zeros)
     lam = np.array(zs, dtype=np.complex128)
+    # |z| bit for bit as Python's abs(complex) gives it; np.abs may differ
+    moduli = np.hypot(lam.real, lam.imag)
+    outside = moduli >= 1.0
+    if outside.any():
+        raise ValueError(f"zeros must lie in the open unit disk, got |z| = {moduli[outside.argmax()]:.6g}")
+    return zs, lam, _weights(lam)
+
+
+def _weights(lam: np.ndarray) -> np.ndarray:
+    # s_k = sqrt((1 - |lambda_k|)(1 + |lambda_k|)), accurate as |lambda_k| -> 1
     a = np.abs(lam)
-    # (1 - a)(1 + a) keeps full relative accuracy as |lambda| -> 1
-    return zs, lam, np.sqrt((1.0 - a) * (1.0 + a))
+    return np.sqrt((1.0 - a) * (1.0 + a))
 
 
 def model_operator(zeros) -> ModelOperatorMatrix:
-    """Compressed-shift matrix from its closed-form entries, O(n^2).
-
-    Column k holds lambda_k on the diagonal and, below it, the weights
-    s_k * s_l times the running product of -conj(lambda_j) over the zeros
-    strictly between k and l, with s_k = sqrt(1 - |lambda_k|^2). Zeros
-    arbitrarily close to the circle are exact; zeros at the origin give
-    the Jordan block.
-    """
-    zs, lam, s = _zeros_and_weights(zeros)
+    """Compressed-shift matrix from the closed-form entries of the module
+    docstring, O(n^2) with no Python loop; zeros arbitrarily close to the
+    circle are exact."""
+    zs, lam, s = _checked_zeros(zeros)
     n = len(zs)
     rows, cols = np.indices((n, n))
     between = np.where(rows > cols + 1, -np.conj(lam)[rows - 1], 1.0)
@@ -121,8 +120,12 @@ def model_operator(zeros) -> ModelOperatorMatrix:
 def model_inverse(zeros) -> np.ndarray:
     """Inverse of the compressed-shift matrix from its closed form, O(n^2)
     and no solve. Entries beyond float64 are inf or NaN, without a warning."""
-    zs, lam, s = _zeros_and_weights(zeros)
-    n = len(zs)
+    _, lam, s = _checked_zeros(zeros)
+    return _inverse_matrix(lam, s)
+
+
+def _inverse_matrix(lam: np.ndarray, s: np.ndarray) -> np.ndarray:
+    n = lam.size
     rows, cols = np.indices((n, n))
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         recip = 1.0 / lam
@@ -142,24 +145,23 @@ def _extremal_vector(lam: np.ndarray, s: np.ndarray) -> np.ndarray:
 def verify_extremality(r: float, zeros) -> ExtremalityReport:
     """Check the equality case ||M^{-1}|| = 1/r^n for zeros on |z| = r.
 
-    M, model_inverse and the extremal vector x_k = s_k prod_{j < k}
-    (-conj(lambda_j)) go through bounds.check_contraction, the check of T_r
-    in theorem_check: ||M|| = 1 (for n = 1 the compression is multiplication
-    by its zero, of norm r), and ||M^{-1}|| = ||M^{-1} x||/||x|| within the
-    determinant bound ||M||^(n-1)/r^n, checked against the LAPACK inverse
-    and the closed form r^n ||M^{-1}|| = 1. The defect rank (it must be 1
-    here) counts singular values of I - M*M above half of 1 - r^(2n).
+    M (its zeros validated once, by model_operator), its closed-form
+    inverse and its extremal vector go through bounds.check_contraction.
+    The defect rank (it must be 1 here) counts singular values of I - M*M
+    above half of 1 - r^(2n).
     """
     r = float(r)
     if not 0.0 < r < 1.0:
         raise ValueError("r must lie strictly between 0 and 1")
-    zs, lam, s = _zeros_and_weights(zeros)
-    for z in zs:
-        if abs(abs(z) - r) > 1e-12:
-            raise ValueError(f"all zeros must have modulus r = {r}, got |z| = {abs(z):.12g}")
-    op = model_operator(zs)
-    n = len(zs)
-    rec = check_contraction(n, r, op.matrix, model_inverse(zs), _extremal_vector(lam, s))
+    op = model_operator(zeros)
+    lam = np.array(op.zeros, dtype=np.complex128)
+    moduli = np.hypot(lam.real, lam.imag)
+    off = np.abs(moduli - r) > 1e-12
+    if off.any():
+        raise ValueError(f"all zeros must have modulus r = {r}, got |z| = {moduli[off.argmax()]:.12g}")
+    s = _weights(lam)
+    n = op.n
+    rec = check_contraction(n, r, op.matrix, _inverse_matrix(lam, s), _extremal_vector(lam, s))
     kron = kronecker_bound(n, r)
     rel_gap = abs(rec.inv_norm - kron) / kron
     defect = -np.expm1(2 * n * np.log(r))  # 1 - r^(2n) without cancellation
@@ -167,7 +169,7 @@ def verify_extremality(r: float, zeros) -> ExtremalityReport:
     return ExtremalityReport(
         n=n,
         r=r,
-        zeros=zs,
+        zeros=op.zeros,
         matrix=op.matrix,
         record=rec,
         kronecker=kron,

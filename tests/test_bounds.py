@@ -6,6 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
+import toepcond.bounds as bounds_mod
 from toepcond import (
     AnalyticPolynomial,
     BlaschkeFactor,
@@ -24,9 +25,10 @@ from toepcond import (
     taylor,
     theorem_check,
 )
-from toepcond.bounds import PASS_TOL, bracket_record
+from toepcond.bounds import PASS_TOL, bracket_record, check_contraction
 from toepcond.cli import DEFAULT_R_GRID, parse_r_grid
 from toepcond.core import apply_calculus, reciprocal_series
+from toepcond.linalg import PIVOT_TOL
 
 # a projected search candidate may undershoot |f(0)| >= r by this many
 # units in the last place of r, the rounding of dividing by its norm
@@ -207,8 +209,6 @@ class TestTheoremCheck:
     def _wrong_radius(monkeypatch, factor):
         # T_r' with r'^-n = factor * r^-n, its exact inverse and its extremal
         # vector in place of T_r's: every path agrees on the wrong value
-        import toepcond.bounds as bounds_mod
-
         real_matrices = bounds_mod._bracket_matrices
         monkeypatch.setattr(bounds_mod, "_bracket_matrices", lambda n, r: real_matrices(n, r * factor ** (-1.0 / n)))
 
@@ -235,8 +235,6 @@ class TestTheoremCheck:
     @staticmethod
     def _scale_T_r(monkeypatch, factor):
         # factor * T_r with its exact inverse: only ||T_r|| = 1 (r at n = 1) is off
-        import toepcond.bounds as bounds_mod
-
         real_matrices = bounds_mod._bracket_matrices
 
         def scaled_matrices(n, r):
@@ -264,8 +262,6 @@ class TestTheoremCheck:
         # T_r[0, 0] = r/2 next to the unchanged series W at (64, 0.05): ||A||
         # still meets 1 and W alone meets the closed form, but the inverse
         # norm of that A is twice 1/r^n, which its determinant bound shows
-        import toepcond.bounds as bounds_mod
-
         real_matrices = bounds_mod._bracket_matrices
 
         def halved_corner(n, r):
@@ -288,6 +284,206 @@ class TestTheoremCheck:
             rec = theorem_check(2, 1e-150)
         assert abs(rec.scaled - 1.0) <= 1e-12
         assert rec.passed
+
+
+# attains ||diag(a, b)^{-1}|| for |a| > |b|
+E1 = np.array([0.0, 1.0])
+
+
+def triangular_case(n, r):
+    """T_r, its exact inverse and its extremal vector r^k at (n, r)."""
+    return bounds_mod._bracket_matrices(n, r)
+
+
+@pytest.fixture
+def kernels(monkeypatch):
+    """Record every matrix handed to np.linalg.svd and np.linalg.inv."""
+    seen = {"svd": [], "inv": []}
+    real_svd, real_inv = np.linalg.svd, np.linalg.inv
+    monkeypatch.setattr(np.linalg, "svd", lambda M, *a, **k: seen["svd"].append(M) or real_svd(M, *a, **k))
+    monkeypatch.setattr(np.linalg, "inv", lambda M: seen["inv"].append(M) or real_inv(M))
+    return seen
+
+
+class TestCheckContraction:
+    def test_exact_inverse_value_when_paths_agree(self):
+        # diag(1, r^2) with its corner 1e-9 off: X = A^{-1} and ||A||/|det A|
+        # check W to 1e-8, and the value is ||W e_1||, not ||X||
+        A = np.diag([1.0, 0.25 * (1 + 1e-9)])
+        W = np.diag([1.0, 4.0])
+        assert check_contraction(2, 0.5, A, W, E1).inv_norm == spectral_norm(W) != inverse_norm(A)
+
+    def test_exact_inverse_alone_beyond_the_solve_range(self, kernels):
+        # r^2 = 2^-50 puts 1/r^2 past 1/PIVOT_TOL: W decides, and no LAPACK
+        # inverse is formed
+        r = 2.0**-25
+        rec = check_contraction(2, r, np.diag([1.0, r * r]), np.diag([1.0, 2.0**50]), E1)
+        assert rec.inv_norm == 2.0**50 > 1.0 / PIVOT_TOL
+        assert kernels["inv"] == []
+
+    def test_exact_inverse_beyond_the_threshold_still_meets_its_closed_form(self):
+        # 1e20 * W puts the value beyond 1/PIVOT_TOL, where X does not check
+        # it: the determinant bound of A refuses it. The right W at a radius
+        # whose r^n is 1e-11 off misses only the closed form.
+        A, W, x = triangular_case(3, 0.5)
+        with pytest.raises(TwoPathMismatchError, match="enclosure"):
+            check_contraction(3, 0.5, A, 1e20 * W, x)
+        A, W, x = triangular_case(20, 0.1)
+        assert check_contraction(20, 0.1, A, W, x).inv_norm > 1.0 / PIVOT_TOL
+        with pytest.raises(TwoPathMismatchError, match="closed form"):
+            check_contraction(20, 0.1 * (1 + 1e-11) ** (1 / 20), A, W, x)
+
+    def test_threshold_is_read_on_the_exact_inverse(self, monkeypatch):
+        # at (14, 0.1) ||W|| lies just past 1/PIVOT_TOL and ||X|| just inside
+        # it: the value ||W x||/||x|| decides alone, and no LAPACK inverse is
+        # formed
+        A, W, _ = triangular_case(14, 0.1)
+        assert spectral_norm(np.linalg.inv(A)) <= 1.0 / PIVOT_TOL < spectral_norm(W)
+        inversions = []
+        real_inv = np.linalg.inv
+        monkeypatch.setattr(np.linalg, "inv", lambda M: inversions.append(M) or real_inv(M))
+        rec = theorem_check(14, 0.1)
+        assert rec.passed
+        assert 1.0 / PIVOT_TOL < rec.inv_norm == pytest.approx(spectral_norm(W), rel=1e-15)
+        assert inversions == []
+
+    @pytest.mark.parametrize(
+        "A, error",
+        [(np.diag([1.0, 0.0]), SingularMatrixError), (np.diag([1.0, 1e-20]), TwoPathMismatchError)],
+        ids=["zero", "tiny_pivot"],
+    )
+    def test_matrix_refused_by_lapack_does_not_pass_on_the_exact_inverse(self, A, error):
+        # W = I and ||A|| = 1 claim A is well conditioned, so A must refute it
+        with pytest.raises(error):
+            check_contraction(2, 1.0, A, np.eye(2), np.array([1.0, 0.0]))
+
+    def test_disagreeing_paths_raise(self):
+        with pytest.raises(TwoPathMismatchError, match="enclosure"):
+            check_contraction(2, 0.5, np.diag([1.0, 0.25]), np.diag([1.0, 4.0 * (1 + 1e-7)]), E1)
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_non_finite_exact_inverse_is_refused_naming_its_first_entry(self, bad, kernels):
+        # refused before any kernel: an infinite W made the two paths
+        # "disagree" as 1 vs nan
+        A, W, x = triangular_case(3, 0.5)
+        W = W.copy()
+        W[1, 0] = W[2, 2] = bad
+        with pytest.raises(SingularMatrixError) as info:
+            check_contraction(3, 0.5, A, W, x)
+        assert str(info.value) == "exact inverse has entries beyond the float64 range, first at (1, 0)"
+        assert kernels == {"svd": [], "inv": []}
+
+    def test_first_entry_is_in_row_major_order(self):
+        A, W, x = triangular_case(3, 0.5)
+        W = W.astype(complex)
+        W[2, 0] = complex(0.0, np.inf)
+        W[1, 2] = complex(np.nan, 0.0)
+        with pytest.raises(SingularMatrixError, match=r"first at \(1, 2\)$"):
+            check_contraction(3, 0.5, A, W, x)
+
+    def test_closed_form_miss_raises(self):
+        # the right W at a radius whose r^2 is 1e-11 off
+        with pytest.raises(TwoPathMismatchError, match="closed form"):
+            check_contraction(2, 0.5 * math.sqrt(1 + 1e-11), np.diag([1.0, 0.25]), np.diag([1.0, 4.0]), E1)
+
+    @pytest.mark.parametrize("n", [3, 12])
+    def test_right_norm_wrong_matrix_raises(self, n):
+        # W^T and W with two rows swapped have the singular values of the
+        # exact inverse W, so a comparison of norms alone lets them through.
+        # W^T misses the extremal vector; a row permutation keeps ||W x||,
+        # and only X refuses it
+        r = 0.5
+        A, W, x = triangular_case(n, r)
+        assert check_contraction(n, r, A, W, x).inv_norm == pytest.approx(spectral_norm(W), rel=1e-15)
+        for wrong, message in ((W.T, "enclosure"), (W[[1, 0, *range(2, n)]], "paths disagree")):
+            assert np.allclose(np.linalg.svd(wrong, compute_uv=False), np.linalg.svd(W, compute_uv=False))
+            with pytest.raises(TwoPathMismatchError, match=message):
+                check_contraction(n, r, A, wrong, x)
+
+    @pytest.mark.parametrize("n, r", [(64, 0.05), (40, 0.3)])
+    def test_transposed_exact_inverse_beyond_the_solve_range_raises(self, n, r):
+        # the value lies beyond 1/PIVOT_TOL, so no X checks W; W^T has its
+        # singular values and used to pass on them
+        A, W, x = triangular_case(n, r)
+        assert check_contraction(n, r, A, W, x).inv_norm > 1.0 / PIVOT_TOL
+        with pytest.raises(TwoPathMismatchError, match="enclosure"):
+            check_contraction(n, r, A, W.T, x)
+
+    @pytest.mark.parametrize("n, r", [(12, 0.5), (64, 0.05)])
+    @pytest.mark.parametrize(
+        "wrong",
+        [lambda x: x[::-1], lambda x: x * np.where(np.arange(x.size) == 1, -1.0, 1.0)],
+        ids=["reversed", "flipped_sign"],
+    )
+    def test_wrong_certificate_raises(self, n, r, wrong):
+        A, W, x = triangular_case(n, r)
+        with pytest.raises(TwoPathMismatchError, match="enclosure"):
+            check_contraction(n, r, A, W, wrong(x))
+
+    @pytest.mark.parametrize(
+        "A, W, x, message",
+        [
+            # beyond the solve range this returned 2^50 from a 3 x 3 W
+            (np.diag([1.0, 2.0**-50]), np.diag([1.0, 2.0**50, 5.0]), E1,
+             r"exact inverse has shape \(3, 3\), A has shape \(2, 2\)"),
+            (np.diag([1.0, 0.25]), np.eye(3), E1, r"exact inverse has shape \(3, 3\), A has shape \(2, 2\)"),
+            (np.diag([1.0, 0.25]), np.diag([1.0, 4.0]), np.ones(3), r"certificate has shape \(3,\), A has shape \(2, 2\)"),
+            (np.diag([1.0, 0.25]), np.diag([1.0, 4.0]), np.zeros(2), "certificate must be nonzero and finite"),
+            (np.diag([1.0, 0.25]), np.diag([1.0, 4.0]), np.array([np.nan, 1.0]), "certificate must be nonzero and finite"),
+            (np.array([[1.0, 1e-300], [0.0, 0.25]]), np.diag([1.0, 4.0]), E1, "expected a lower-triangular matrix"),
+            # numpy's SVD would meet the NaN first, with a LinAlgError
+            (np.array([[1.0, 0.0], [np.nan, 1.0]]), np.eye(2), np.array([1.0, 0.0]), "expected a finite matrix"),
+            (np.eye(3), np.eye(3), np.ones(3), r"expected an n x n matrix at n = 2, got shape \(3, 3\)"),
+        ],
+        ids=["W_beyond_solve_range", "W_inside_solve_range", "x_shape", "x_zero", "x_nan", "upper_entry",
+             "nan_entry", "A_shape"],
+    )
+    def test_bad_arguments_are_refused_before_any_kernel(self, A, W, x, message, kernels):
+        with pytest.raises(ValueError, match=message):
+            check_contraction(2, 0.5, A, W, x)
+        assert kernels == {"svd": [], "inv": []}
+
+    def test_entries_up_to_the_float64_limit_do_not_overflow(self):
+        # ||W x|| = 1e300 at (2, 1e-150): numpy's vector norm squares it
+        A, W, x = triangular_case(2, 1e-150)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert check_contraction(2, 1e-150, A, W, x).inv_norm == pytest.approx(1e300, rel=1e-15)
+
+
+class TestOneSvdPerPoint:
+    def test_grid_sweep_values_and_svd_count(self, kernels, monkeypatch):
+        # each point takes one SVD, of T_r for ||T_r||, and none for its
+        # inverse norm ||W x||/||x||; one LAPACK inverse checks W exactly
+        # where that value is at most 1/PIVOT_TOL
+        svds, inversions = kernels["svd"], kernels["inv"]
+        per_point = {}
+        real_check = bounds_mod.check_contraction
+
+        def counted(n, r, A, W, x):
+            first_svd, first_inv = len(svds), len(inversions)
+            try:
+                return real_check(n, r, A, W, x)
+            finally:
+                per_point[n, r] = (svds[first_svd:], len(inversions) - first_inv)
+
+        monkeypatch.setattr(bounds_mod, "check_contraction", counted)
+        grid = parse_r_grid(DEFAULT_R_GRID)
+        records = grid_sweep(64, grid)
+        assert len(records) == len(per_point) == 64 * len(grid)
+        assert sum(len(seen) for seen, _ in per_point.values()) == 1216
+        assert sum(inv for _, inv in per_point.values()) == 823
+        for r in grid:
+            T = build_T_r(64, r).matrix.real
+            W = apply_calculus(reciprocal_series(build_T_r(64, r).symbol), 64).matrix.real
+            for rec in (rec for rec in records if rec.r == r):
+                n = rec.n
+                seen, inv = per_point[n, r]
+                assert len(seen) == 1 and np.array_equal(seen[0], T[:n, :n])
+                assert inv == int(rec.inv_norm <= 1.0 / PIVOT_TOL)
+                assert rec.error is None
+                assert rec.inv_norm == pytest.approx(spectral_norm(W[:n, :n]), rel=1e-14)
+                assert abs(rec.scaled - 1.0) <= 1e-14
 
 
 class TestRealArithmetic:
@@ -348,7 +544,6 @@ class TestGridSweep:
             assert rec.error is None
 
     def test_failing_point_yields_nan_record(self, monkeypatch):
-        import toepcond.bounds as bounds_mod
         import toepcond.linalg as linalg_mod
 
         real = linalg_mod.spectral_norm

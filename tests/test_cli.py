@@ -340,6 +340,16 @@ class TestExtremal:
         assert captured.out == ""
         assert captured.err == "error: n must lie in 1..64\n"
 
+    @pytest.mark.parametrize("extra", [[], ["--model"]], ids=["triangular", "model"])
+    @pytest.mark.parametrize("r", ["1", "1.5", "nan"])
+    def test_r_outside_the_open_interval_is_usage_error(self, r, extra, capsys):
+        # the bound takes r = 1, T_r and the model operator do not, so the
+        # message names their domain, not the bound's (0, 1]
+        assert main(["extremal", "--n", "3", "--r", r, *extra]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: r must lie strictly between 0 and 1\n"
+
     def test_record_is_the_theorem_check_record(self, tmp_path, capsys):
         out = tmp_path / "point.json"
         assert main(["extremal", "--n", "5", "--r", "0.3", "--format", "json", "--output", str(out)]) == 0
@@ -490,6 +500,15 @@ class TestSearch:
         assert main(["search"]) == 2
         assert main(["search", "--n-list", "1,2"]) == 2
         capsys.readouterr()
+
+    @pytest.mark.parametrize("point", [["--n", "3", "--r", "0.5"], ["--n", "3"], ["--r", "0.5"]],
+                             ids=["both", "n", "r"])
+    def test_single_point_and_scan_options_do_not_mix(self, point, capsys):
+        # a scan would ignore --n/--r
+        assert main(["search", *point, "--n-list", "1", "--r-list", "0.5"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: --n/--r and --n-list/--r-list cannot be combined\n"
 
     @pytest.mark.parametrize("lists, message", [
         (["--n-list", "a", "--r-list", "0.5"], "--n-list must be comma-separated integers, got 'a'"),

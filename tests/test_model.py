@@ -20,7 +20,7 @@ from toepcond import (
     spectral_norm,
     verify_extremality,
 )
-from toepcond.bounds import kronecker_bound
+from toepcond.bounds import check_contraction, kronecker_bound
 from toepcond.cli import DEFAULT_R_GRID, parse_r_grid
 from toepcond.model import model_inverse
 
@@ -226,6 +226,8 @@ class TestModelOperator:
             model_operator(())
         with pytest.raises(ValueError):
             model_operator((0.5, 1.0))
+        with pytest.raises(ValueError, match=r"^zeros must lie in the open unit disk, got \|z\| = 1.5$"):
+            model_operator((0.5, 1.5j, 2.0))
 
 
 class TestBuildersAgainstLoopOracles:
@@ -275,9 +277,9 @@ class TestModelInverse:
         # the builder returns them without a warning; the one rule refuses them
         W = model_inverse(zeros)
         assert not np.isfinite(W).all()
-        x = model_mod._extremal_vector(*model_mod._zeros_and_weights(zeros)[1:])
+        x = model_mod._extremal_vector(*model_mod._checked_zeros(zeros)[1:])
         with pytest.raises(SingularMatrixError) as info:
-            linalg_mod.two_path_inverse_norm(model_operator(zeros).matrix, W, x, 1.0, 1.0)
+            check_contraction(len(zeros), abs(zeros[-1]), model_operator(zeros).matrix, W, x)
         assert str(info.value) == f"exact inverse has entries beyond the float64 range, first at {first}"
 
 
@@ -293,11 +295,11 @@ class TestVerifyExtremality:
     def test_report_carries_the_record_of_its_check(self):
         # the record check_contraction made is the report's one source of
         # its norms and bracket, which extremal --model prints
-        from toepcond.bounds import bracket_record, check_contraction
+        from toepcond.bounds import bracket_record
 
         zeros = (0.5, -0.5, 0.5j)
         report = verify_extremality(0.5, zeros)
-        x = model_mod._extremal_vector(*model_mod._zeros_and_weights(zeros)[1:])
+        x = model_mod._extremal_vector(*model_mod._checked_zeros(zeros)[1:])
         rec = check_contraction(3, 0.5, model_operator(zeros).matrix, model_inverse(zeros), x)
         assert vars(report.record) == vars(rec)
         assert (report.norm, report.inv_norm) == (rec.norm_T, rec.inv_norm)
@@ -353,16 +355,16 @@ class TestVerifyExtremality:
     def test_closed_form_is_checked_to_1e_12(self, monkeypatch):
         # both paths read (1 - 1e-10) times the truth: they agree, and a
         # check at 1e-8 would pass, but r^n ||M^{-1}|| = 1 does not hold
-        real_inverse, real_model_inverse = linalg_mod._lapack_inverse, model_mod.model_inverse
+        real_inverse, real_model_inverse = linalg_mod._lapack_inverse, model_mod._inverse_matrix
         monkeypatch.setattr(linalg_mod, "_lapack_inverse", lambda M: (1 - 1e-10) * real_inverse(M))
-        monkeypatch.setattr(model_mod, "model_inverse", lambda zs: (1 - 1e-10) * real_model_inverse(zs))
+        monkeypatch.setattr(model_mod, "_inverse_matrix", lambda lam, s: (1 - 1e-10) * real_model_inverse(lam, s))
         with pytest.raises(TwoPathMismatchError, match="closed form"):
             verify_extremality(0.5, (0.5, -0.5, 0.5j))
 
     @staticmethod
     def _scale_model(monkeypatch, factor):
         # factor * M with its exact inverse: only ||M|| = 1 (r at n = 1) is off
-        real_operator, real_model_inverse = model_mod.model_operator, model_mod.model_inverse
+        real_operator, real_model_inverse = model_mod.model_operator, model_mod._inverse_matrix
 
         def scaled_operator(zs):
             op = real_operator(zs)
@@ -370,7 +372,7 @@ class TestVerifyExtremality:
             return op
 
         monkeypatch.setattr(model_mod, "model_operator", scaled_operator)
-        monkeypatch.setattr(model_mod, "model_inverse", lambda zs: real_model_inverse(zs) / factor)
+        monkeypatch.setattr(model_mod, "_inverse_matrix", lambda lam, s: real_model_inverse(lam, s) / factor)
 
     @pytest.mark.parametrize("zeros", [(0.5,), (0.5, -0.5, 0.5j)])
     def test_norm_closed_form_is_checked_to_1e_12(self, zeros, monkeypatch):
@@ -384,8 +386,8 @@ class TestVerifyExtremality:
         assert verify_extremality(0.5, zeros).norm == pytest.approx(1.0 if len(zeros) > 1 else 0.5, rel=1e-12)
 
     def test_disagreeing_paths_raise(self, monkeypatch):
-        real_model_inverse = model_mod.model_inverse
-        monkeypatch.setattr(model_mod, "model_inverse", lambda zs: 2.0 * real_model_inverse(zs))
+        real_model_inverse = model_mod._inverse_matrix
+        monkeypatch.setattr(model_mod, "_inverse_matrix", lambda lam, s: 2.0 * real_model_inverse(lam, s))
         with pytest.raises(TwoPathMismatchError, match="enclosure"):
             verify_extremality(0.5, (0.5, -0.5, 0.5j))
 
@@ -405,7 +407,7 @@ class TestVerifyExtremality:
             n = int(rng.integers(1, 33))
             r = float(rng.uniform(0.05, 0.999))
             zeros = tuple(r * np.exp(2j * np.pi * rng.uniform(size=n)))
-            x = model_mod._extremal_vector(*model_mod._zeros_and_weights(zeros)[1:])
+            x = model_mod._extremal_vector(*model_mod._checked_zeros(zeros)[1:])
             W = model_inverse(zeros)
             top = np.linalg.svd(W, compute_uv=False)[0]
             assert np.linalg.norm(W @ x) / np.linalg.norm(x) == pytest.approx(top, rel=1e-13)
@@ -435,6 +437,16 @@ class TestVerifyExtremality:
     def test_rejects_off_circle_zeros(self):
         with pytest.raises(ValueError):
             verify_extremality(0.5, (0.5, 0.4))
+        with pytest.raises(ValueError, match=r"^all zeros must have modulus r = 0.5, got \|z\| = 0.4$"):
+            verify_extremality(0.5, (0.5, 0.4j, 0.5j, 0.3))
+
+    def test_zeros_are_validated_once(self, monkeypatch):
+        # by model_operator; the inverse and the extremal vector reuse them
+        calls = []
+        real_checked_zeros = model_mod._checked_zeros
+        monkeypatch.setattr(model_mod, "_checked_zeros", lambda zeros: calls.append(zeros) or real_checked_zeros(zeros))
+        verify_extremality(0.5, (0.5, -0.5, 0.5j))
+        assert len(calls) == 1
 
     def test_rejects_bad_radius(self):
         with pytest.raises(ValueError):
