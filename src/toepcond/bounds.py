@@ -5,7 +5,9 @@ Jordan block, is a contraction with spectrum {r} whose scaled inverse norm
 r^n ||T_r^{-1}|| lies in [max(r^n, 1 - r^n), 1] and in fact equals 1.
 check_contraction, the one per-point check of T_r and of the model operator
 (one contraction in two bases), states and applies the rule that verifies
-it; estimate_t_a returns the extremal symbol, T_r's.
+it: two identities that such a contraction meets exactly, I - A A* = c c*
+and A W = I, in place of any SVD or elimination. grid_sweep forms them
+once per r for every n; estimate_t_a returns the extremal symbol, T_r's.
 """
 
 from __future__ import annotations
@@ -23,9 +25,13 @@ from .core import AnalyticPolynomial, AnalyticToeplitzMatrix, apply_calculus, re
 from .errors import ExtremalityError, SingularMatrixError, ToepcondError, TwoPathMismatchError
 
 PASS_TOL = 1e-8
-# relative tolerances: of two inverse-norm paths, of a value to its closed form
+# relative tolerances: of the value to its enclosure (and, in the tests, of
+# two inverse-norm paths), of a value to its closed form
 TWO_PATH_RTOL = 1e-8
 CLOSED_FORM_RTOL = 1e-12
+# |A W - I| <= RESIDUAL_GAMMA * n * eps * |A| |W| entrywise
+RESIDUAL_GAMMA = 4
+EPS = float(np.finfo(np.float64).eps)
 
 
 @dataclass(eq=False)
@@ -123,7 +129,7 @@ def bracket_record(n: int, r: float, norm_T: float, inv_norm: float) -> BoundsRe
 def _bracket_matrices(n: int, r: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """T_r, its reciprocal-series inverse and its extremal vector x_k = r^k
     at size n. The matrices are exactly real for real r, so their real parts
-    go to the real LAPACK routines."""
+    go through the check in real arithmetic."""
     T = build_T_r(n, r)
     G = apply_calculus(reciprocal_series(T.symbol), T.n)
     return T.matrix.real, G.matrix.real, float(r) ** np.arange(T.n)
@@ -141,28 +147,9 @@ def _vector_norm(v: np.ndarray) -> float:
     return math.hypot(*np.abs(v).tolist())
 
 
-def check_contraction(n: int, r: float, A, W, x) -> BoundsRecord:
-    """The record of a lower-triangular n x n contraction A with spectrum on
-    |z| = r, its exact inverse W (a series or a closed form) and a vector x
-    with ||A^{-1} x|| = ||A^{-1}|| ||x|| (the reproducing kernel of the model
-    space at 0), by the one rule for every reported norm:
-
-    - Before any kernel: ValueError for an A that is not n x n, finite and
-      lower triangular, a W or x of another shape, or a zero or non-finite
-      x; SingularMatrixError naming the first inf or NaN entry of W.
-    - ||A|| (one SVD) meets its closed form 1 (r at n = 1) to relative
-      CLOSED_FORM_RTOL, else ExtremalityError.
-    - The value ||W x||/||x||, a lower bound on ||W||, meets the enclosure
-      ||A^{-1}|| <= ||A||^(n-1)/|det A| to relative TWO_PATH_RTOL: the
-      singular values of A are at most ||A|| and multiply to prod |A_kk|,
-      of which a zero is a SingularMatrixError.
-    - Up to 1/linalg.PIVOT_TOL, beyond which elimination is not trusted, the
-      LAPACK inverse X agrees with W: n * max|X - W| <= TWO_PATH_RTOL * value
-      (SingularMatrixError where LAPACK finds A exactly singular).
-    - r^n * value = 1 to CLOSED_FORM_RTOL.
-
-    A miss in the last three raises TwoPathMismatchError.
-    """
+def _checked_arguments(n: int, A, W, x) -> tuple[np.ndarray, np.ndarray, np.ndarray, float, list]:
+    """A, W and x as arrays, ||x|| and the moduli |A_kk|, once the checks of
+    check_contraction that come before any kernel pass."""
     M = linalg._as_matrix(A)
     W, x = np.asarray(W), np.asarray(x)
     if M.shape != (n, n):
@@ -182,32 +169,121 @@ def check_contraction(n: int, r: float, A, W, x) -> BoundsRecord:
     if not finite.all():
         i, j = np.argwhere(~finite)[0]
         raise SingularMatrixError(f"exact inverse has entries beyond the float64 range, first at ({i}, {j})")
-    norm = linalg.spectral_norm(M)
-    target = 1.0 if n >= 2 else r
-    if abs(norm - target) > CLOSED_FORM_RTOL * target:
-        raise ExtremalityError(f"expected norm {target:.17g}, got {norm:.17g}")
-    value = _vector_norm(W @ x) / length
     diagonal = np.abs(np.diagonal(M)).tolist()
     if 0.0 in diagonal:
         raise SingularMatrixError("matrix is exactly singular")
-    # ||A||^(n-1)/|det A| as factors ||A||/|A_kk| >= 1 over 1/|A_00|, which
-    # do not underflow where |det A| would; a Python float overflows to inf
-    # without a warning
-    upper = math.prod([norm / d for d in diagonal[1:]]) / diagonal[0]
+    return M, W, x, length, diagonal
+
+
+def _defect_vector(x: np.ndarray, length: float, diagonal: list) -> np.ndarray:
+    """c = sqrt(1 - |det A|^2) x/||x||: the contraction A whose defect is
+    spanned by x has I - A A* = c c*, since det(A A*) = 1 - ||c||^2."""
+    # 1 - prod |A_kk|^2 without cancellation as |det A| -> 1, and 0 past 1
+    defect = -math.expm1(2.0 * min(0.0, math.fsum(map(math.log, diagonal))))
+    return math.sqrt(defect) / length * x
+
+
+def _leading_maxima(B: np.ndarray) -> np.ndarray:
+    """The maximum of the nonnegative m x m B over each leading n x n block,
+    n = 1..m: a running maximum over the shells max(i, j) = n - 1."""
+    return np.maximum.accumulate(np.tril(np.maximum(B, B.T)).max(axis=1))
+
+
+def _identity_maxima(A: np.ndarray, W: np.ndarray, c: np.ndarray, running: bool = False) -> tuple:
+    """The identities of check_contraction on the m x m lower-triangular A,
+    its exact inverse W and its defect vector c: n * max|I - A A* - c c*|,
+    and whether |A W - I| <= RESIDUAL_GAMMA * n * eps * |A| |W| entrywise
+    with |A| |W| finite.
+
+    Both for the whole block (n = m), from two plain maxima compared without
+    a division; or, when running, as lists over n = 1..m for the leading
+    n x n blocks. For lower-triangular A those blocks of A A*, A W and
+    |A| |W| are the products of the leading blocks of A and W, so one
+    product of each serves every n.
+    """
+    m = A.shape[0]
+    # an overflow fails the checks below instead of warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        gram = A @ A.conj().T + np.outer(c, c.conj())
+        residual = A @ W
+        scale = np.abs(A) @ np.abs(W)
+        gram.flat[:: m + 1] -= 1.0
+        residual.flat[:: m + 1] -= 1.0
+        gram, residual = np.abs(gram), np.abs(residual)
+        if not running:
+            ok = bool(np.all(residual <= RESIDUAL_GAMMA * m * EPS * scale) and scale.max() < math.inf)
+            return m * float(gram.max()), ok
+        # 0/0 (above the diagonal) reads 0; any other residual over a zero
+        # or infinite |A| |W| reads inf, and fails
+        ratio = np.divide(
+            residual, scale,
+            out=np.where((residual == 0.0) & (scale == 0.0), 0.0, math.inf),
+            where=(scale > 0.0) & (scale < math.inf),
+        )
+    sizes = np.arange(1, m + 1)
+    return (sizes * _leading_maxima(gram)).tolist(), (_leading_maxima(ratio) <= RESIDUAL_GAMMA * EPS * sizes).tolist()
+
+
+def _certify(n: int, r: float, W: np.ndarray, x: np.ndarray, length: float, diagonal: list,
+             gram: float, residual_ok: bool) -> BoundsRecord:
+    """The steps of check_contraction after its argument checks, given the
+    verdicts of its two identities."""
+    value = _vector_norm(W @ x) / length
+    # ||A||^(n-1)/|det A| with ||A|| <= sqrt(1 + n max|E|), as factors
+    # ||A||/|A_kk| >= 1 over 1/|A_00|, which do not underflow where |det A|
+    # would; a Python float overflows to inf without a warning
+    norm_bound = math.sqrt(1.0 + gram)
+    upper = math.prod([norm_bound / d for d in diagonal[1:]]) / diagonal[0]
     # a NaN, or an upper bound beyond float64, fails the negated test
     if not abs(value - upper) <= TWO_PATH_RTOL * upper < math.inf:
         raise TwoPathMismatchError(
-            f"inverse norm outside its enclosure: ||W x||/||x|| = {value:.17g}, ||A||^(n-1)/|det A| = {upper:.17g}"
+            f"inverse norm outside its enclosure: ||W x||/||x|| = {value:.17g}, ||A||^(n-1)/|det A| <= {upper:.17g}"
         )
-    if value <= 1.0 / linalg.PIVOT_TOL:
-        # a NaN in X makes the gap NaN, which the negated test refuses
-        gap = n * np.abs(linalg._lapack_inverse(M) - W).max()
-        if not gap <= TWO_PATH_RTOL * value:
-            raise TwoPathMismatchError(f"inverse-norm paths disagree: n * max|X - W| = {gap:.3g} at norm {value:.17g}")
+    if not gram <= CLOSED_FORM_RTOL:
+        raise ExtremalityError(f"expected norm {1.0 if n >= 2 else r:.17g}, got n * max|I - A A* - c c*| = {gram:.3g}")
+    norm = 1.0 if n >= 2 else diagonal[0]
+    if n == 1 and not abs(norm - r) <= CLOSED_FORM_RTOL * r:
+        raise ExtremalityError(f"expected norm {r:.17g}, got {norm:.17g}")
+    if not residual_ok:
+        raise TwoPathMismatchError(f"exact inverse misses A W = I: |A W - I| > {RESIDUAL_GAMMA} n eps |A| |W|")
     scale = r**n
     if not abs(scale * value - 1.0) <= CLOSED_FORM_RTOL:
         raise TwoPathMismatchError(f"inverse norm misses the closed form: {scale:.17g} * {value:.17g} != 1")
     return bracket_record(n, r, norm, value)
+
+
+def check_contraction(n: int, r: float, A, W, x) -> BoundsRecord:
+    """The record of a lower-triangular n x n contraction A with spectrum on
+    |z| = r, its exact inverse W (a series or a closed form) and a vector x
+    with ||A^{-1} x|| = ||A^{-1}|| ||x|| (the reproducing kernel of the model
+    space at 0), by the one rule for every reported norm.
+
+    Such an A has a one-dimensional defect spanned by x, so with
+    c = sqrt(1 - |det A|^2) x/||x|| two identities hold exactly:
+    I - A A* = c c* and A W = I. Let E = I - A A* - c c*. In order:
+
+    - Before any kernel: ValueError for an A that is not n x n, finite and
+      lower triangular, a W or x of another shape, or a zero or non-finite
+      x; SingularMatrixError naming the first inf or NaN entry of W, or for
+      a zero A_kk.
+    - The value ||W x||/||x||, a lower bound on ||W||, meets the enclosure
+      ||A^{-1}|| <= ||A||^(n-1)/|det A| to relative TWO_PATH_RTOL: the
+      singular values of A are at most ||A|| and multiply to prod |A_kk|.
+      By Weyl's inequality ||A||^2 <= 1 + n * max|E|, which the enclosure
+      takes for ||A||^2.
+    - n * max|E| <= CLOSED_FORM_RTOL, which puts ||A||^2 that close to its
+      closed form 1, else ExtremalityError. At n = 1, ||A|| = |A_00| meets
+      r to relative CLOSED_FORM_RTOL. The record's norm is that closed
+      form, 1, or |A_00| at n = 1.
+    - |A W - I| <= RESIDUAL_GAMMA * n * eps * |A| |W| entrywise, with
+      |A| |W| finite.
+    - r^n * value = 1 to CLOSED_FORM_RTOL.
+
+    A miss in the enclosure, the residual or the closed form raises
+    TwoPathMismatchError.
+    """
+    M, W, x, length, diagonal = _checked_arguments(n, A, W, x)
+    return _certify(n, r, W, x, length, diagonal, *_identity_maxima(M, W, _defect_vector(x, length, diagonal)))
 
 
 def theorem_check(n: int, r: float) -> BoundsRecord:
@@ -228,14 +304,31 @@ def _failed_record(n: int, r: float, exc: Exception) -> BoundsRecord:
     return rec
 
 
+def _sweep_identities(A: np.ndarray, W: np.ndarray, x: np.ndarray) -> tuple[list, list]:
+    """_identity_maxima over every leading block of T_r, its series W and
+    its extremal vector x, cut where W first leaves float64: beyond that
+    shell the argument checks refuse every n, and 0 * inf would spoil the
+    products of the finite blocks."""
+    finite = np.isfinite(W)
+    m = A.shape[0] if finite.all() else int(np.argwhere(~finite).max(axis=1).min())
+    if m == 0:
+        return [], []
+    A, W, x = A[:m, :m], W[:m, :m], x[:m]
+    c = _defect_vector(x, _vector_norm(x), np.abs(np.diagonal(A)).tolist())
+    return _identity_maxima(A, W, c, running=True)
+
+
 def grid_sweep(n_max: int, r_grid: Sequence[float]) -> list[BoundsRecord]:
     """theorem_check over every (n, r) with 1 <= n <= n_max, r in r_grid.
 
     T_r, its reciprocal series and its extremal vector are built once per
-    r, at size n_max: those at size n are exactly their leading blocks, so
-    each record is bitwise theorem_check(n, r). A point whose check raises
-    gets NaN norms, passed = False and its exception in `error`; the sweep
-    always completes. Records come back sorted by (n, r).
+    r, at size n_max: those at size n are exactly their leading blocks. The
+    identities of check_contraction are formed once per r too, at size
+    n_max, and read for each n from running maxima over the leading blocks;
+    every other step runs per point, so each record is bitwise
+    theorem_check(n, r). A point whose check raises gets NaN norms,
+    passed = False and its exception in `error`; the sweep always
+    completes. Records come back sorted by (n, r).
     """
     n_max = int(n_max)
     if not 1 <= n_max <= 64:
@@ -247,9 +340,11 @@ def grid_sweep(n_max: int, r_grid: Sequence[float]) -> list[BoundsRecord]:
     records = []
     for r in rs:
         A, G, x = _bracket_matrices(n_max, r)
+        grams, residuals_ok = _sweep_identities(A, G, x)
         for n in range(1, n_max + 1):
             try:
-                records.append(check_contraction(n, r, A[:n, :n], G[:n, :n], x[:n]))
+                _, W, v, length, diagonal = _checked_arguments(n, A[:n, :n], G[:n, :n], x[:n])
+                records.append(_certify(n, r, W, v, length, diagonal, grams[n - 1], residuals_ok[n - 1]))
             except ToepcondError as exc:
                 records.append(_failed_record(n, r, exc))
     records.sort(key=lambda rec: (rec.n, rec.r))

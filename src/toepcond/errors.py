@@ -8,9 +8,10 @@ class ToepcondError(Exception):
 
 
 class SingularMatrixError(ToepcondError):
-    """A matrix is singular to working precision: LAPACK finds it exactly
-    singular, linalg.inverse_norm finds its inverse beyond the singularity
-    threshold, or its exact inverse has entries beyond the float64 range."""
+    """A matrix is singular to working precision: a triangular one has a
+    zero diagonal entry or LAPACK finds it exactly singular,
+    linalg.inverse_norm finds its inverse beyond the singularity threshold,
+    or its exact inverse has entries beyond the float64 range."""
 
 
 class SingularSymbolError(ToepcondError):
@@ -26,6 +27,6 @@ class ExtremalityError(ToepcondError):
 
 
 class TwoPathMismatchError(ToepcondError):
-    """The inverse norm leaves its enclosure ||A||^(n-1)/|det A|, the two
-    independent inverse-norm computations disagree, or the inverse norm
-    misses its closed form (see bounds.check_contraction)."""
+    """The inverse norm leaves its enclosure ||A||^(n-1)/|det A|, the exact
+    inverse W misses A W = I, or the inverse norm misses its closed form
+    (see bounds.check_contraction)."""

@@ -1,11 +1,14 @@
-"""Dense linear-algebra kernels.
+"""Dense LAPACK kernels, kept as test oracles.
 
 Spectral norms, inverse norms and defect singular values on plain numpy
 arrays: complex input as complex128, anything else as float64, on which
 LAPACK takes about half the time at n = 64. Every norm is a singular value
 from numpy's LAPACK SVD: at n <= 64 a full SVD is cheap and gives every
 singular value to machine precision, clustered ones included.
-bounds.check_contraction decides the inverse norms the package reports.
+bounds.check_contraction decides the norms the package reports from two
+identities and no SVD; spectral_norm and inverse_norm are the independent
+routes the tests check it against. verify_extremality still counts its
+defect rank from defect_singular_values.
 """
 
 from __future__ import annotations
@@ -38,15 +41,6 @@ def spectral_norm(A) -> float:
     return float(np.linalg.svd(_as_matrix(A), compute_uv=False)[0])
 
 
-def _lapack_inverse(M: np.ndarray) -> np.ndarray:
-    """LAPACK's inverse of the square matrix M, or SingularMatrixError when
-    LAPACK finds M exactly singular."""
-    try:
-        return np.linalg.inv(M)
-    except np.linalg.LinAlgError:
-        raise SingularMatrixError("matrix is exactly singular") from None
-
-
 def inverse_norm(A) -> float:
     """Largest singular value of A^{-1}, i.e. 1/sigma_min(A): the LAPACK
     route alone, a test oracle for bounds.check_contraction.
@@ -59,7 +53,10 @@ def inverse_norm(A) -> float:
     """
     M = _as_matrix(A)
     _require_square(M)
-    X = _lapack_inverse(M)
+    try:
+        X = np.linalg.inv(M)
+    except np.linalg.LinAlgError:
+        raise SingularMatrixError("matrix is exactly singular") from None
     # |X_ij| <= ||X||, so an entry refuses X without its SVD; the negated
     # test refuses a NaN too, which numpy's SVD does not accept
     peak = np.abs(X).max()

@@ -117,14 +117,9 @@ def model_operator(zeros) -> ModelOperatorMatrix:
     return ModelOperatorMatrix(n=n, zeros=zs, matrix=M)
 
 
-def model_inverse(zeros) -> np.ndarray:
+def _inverse_matrix(lam: np.ndarray, s: np.ndarray) -> np.ndarray:
     """Inverse of the compressed-shift matrix from its closed form, O(n^2)
     and no solve. Entries beyond float64 are inf or NaN, without a warning."""
-    _, lam, s = _checked_zeros(zeros)
-    return _inverse_matrix(lam, s)
-
-
-def _inverse_matrix(lam: np.ndarray, s: np.ndarray) -> np.ndarray:
     n = lam.size
     rows, cols = np.indices((n, n))
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):

@@ -25,7 +25,7 @@ from toepcond import (
     taylor,
     theorem_check,
 )
-from toepcond.bounds import PASS_TOL, bracket_record, check_contraction
+from toepcond.bounds import PASS_TOL, TWO_PATH_RTOL, bracket_record, check_contraction
 from toepcond.cli import DEFAULT_R_GRID, parse_r_grid
 from toepcond.core import apply_calculus, reciprocal_series
 from toepcond.linalg import PIVOT_TOL
@@ -195,8 +195,8 @@ class TestTheoremCheck:
 
     def test_pivot_guard_fallback_beyond_solve_range(self):
         # at (12, 0.05) the pivot falls below the elimination threshold, so
-        # the solve path reports singularity and the series path must carry
-        # the record on its own
+        # the LAPACK oracle reports singularity, while the series and the
+        # identities carry the record
         with pytest.raises(SingularMatrixError):
             inverse_norm(build_T_r(12, 0.05).matrix)
         rec = theorem_check(12, 0.05)
@@ -245,7 +245,7 @@ class TestTheoremCheck:
 
     def test_norm_closed_form_is_checked_to_1e_12(self, monkeypatch):
         self._scale_T_r(monkeypatch, 1 + 1e-11)
-        with pytest.raises(ExtremalityError, match="expected norm 1, got 1.00000000001"):
+        with pytest.raises(ExtremalityError, match=r"^expected norm 1, got n \* max\|I - A A\* - c c\*\| = 5.71e-11$"):
             theorem_check(3, 0.5)
         records = grid_sweep(3, (0.5,))
         assert [rec.n for rec in records] == [1, 2, 3]
@@ -295,6 +295,17 @@ def triangular_case(n, r):
     return bounds_mod._bracket_matrices(n, r)
 
 
+def _swapped_rows(W):
+    return W[[1, 0, *range(2, len(W))]]
+
+
+def _one_entry_off(W):
+    # entry (40, 3), or (n - 1, 3) below n = 41, 1e-10 relative off
+    W = W.copy()
+    W[min(40, len(W) - 1), 3] *= 1 + 1e-10
+    return W
+
+
 @pytest.fixture
 def kernels(monkeypatch):
     """Record every matrix handed to np.linalg.svd and np.linalg.inv."""
@@ -306,12 +317,14 @@ def kernels(monkeypatch):
 
 
 class TestCheckContraction:
-    def test_exact_inverse_value_when_paths_agree(self):
-        # diag(1, r^2) with its corner 1e-9 off: X = A^{-1} and ||A||/|det A|
-        # check W to 1e-8, and the value is ||W e_1||, not ||X||
-        A = np.diag([1.0, 0.25 * (1 + 1e-9)])
+    def test_exact_inverse_value_and_its_residual(self):
+        # the value is ||W e_1||; a corner of A 1e-9 off meets the enclosure
+        # ||A||/|det A| to 1e-8, but not A W = I to 4 n eps
+        A = np.diag([1.0, 0.25])
         W = np.diag([1.0, 4.0])
-        assert check_contraction(2, 0.5, A, W, E1).inv_norm == spectral_norm(W) != inverse_norm(A)
+        assert check_contraction(2, 0.5, A, W, E1).inv_norm == spectral_norm(W) == 4.0
+        with pytest.raises(TwoPathMismatchError, match="misses A W = I"):
+            check_contraction(2, 0.5, np.diag([1.0, 0.25 * (1 + 1e-9)]), W, E1)
 
     def test_exact_inverse_alone_beyond_the_solve_range(self, kernels):
         # r^2 = 2^-50 puts 1/r^2 past 1/PIVOT_TOL: W decides, and no LAPACK
@@ -322,9 +335,9 @@ class TestCheckContraction:
         assert kernels["inv"] == []
 
     def test_exact_inverse_beyond_the_threshold_still_meets_its_closed_form(self):
-        # 1e20 * W puts the value beyond 1/PIVOT_TOL, where X does not check
-        # it: the determinant bound of A refuses it. The right W at a radius
-        # whose r^n is 1e-11 off misses only the closed form.
+        # 1e20 * W puts the value beyond 1/PIVOT_TOL: the determinant bound
+        # of A refuses it first. The right W at a radius whose r^n is 1e-11
+        # off misses only the closed form.
         A, W, x = triangular_case(3, 0.5)
         with pytest.raises(TwoPathMismatchError, match="enclosure"):
             check_contraction(3, 0.5, A, 1e20 * W, x)
@@ -335,8 +348,7 @@ class TestCheckContraction:
 
     def test_threshold_is_read_on_the_exact_inverse(self, monkeypatch):
         # at (14, 0.1) ||W|| lies just past 1/PIVOT_TOL and ||X|| just inside
-        # it: the value ||W x||/||x|| decides alone, and no LAPACK inverse is
-        # formed
+        # it: the value is ||W x||/||x||, and no LAPACK inverse is formed
         A, W, _ = triangular_case(14, 0.1)
         assert spectral_norm(np.linalg.inv(A)) <= 1.0 / PIVOT_TOL < spectral_norm(W)
         inversions = []
@@ -391,23 +403,42 @@ class TestCheckContraction:
         # W^T and W with two rows swapped have the singular values of the
         # exact inverse W, so a comparison of norms alone lets them through.
         # W^T misses the extremal vector; a row permutation keeps ||W x||,
-        # and only X refuses it
+        # and only the residual of A W = I refuses it
         r = 0.5
         A, W, x = triangular_case(n, r)
         assert check_contraction(n, r, A, W, x).inv_norm == pytest.approx(spectral_norm(W), rel=1e-15)
-        for wrong, message in ((W.T, "enclosure"), (W[[1, 0, *range(2, n)]], "paths disagree")):
+        for wrong, message in ((W.T, "enclosure"), (_swapped_rows(W), "misses A W = I")):
             assert np.allclose(np.linalg.svd(wrong, compute_uv=False), np.linalg.svd(W, compute_uv=False))
             with pytest.raises(TwoPathMismatchError, match=message):
                 check_contraction(n, r, A, wrong, x)
 
     @pytest.mark.parametrize("n, r", [(64, 0.05), (40, 0.3)])
     def test_transposed_exact_inverse_beyond_the_solve_range_raises(self, n, r):
-        # the value lies beyond 1/PIVOT_TOL, so no X checks W; W^T has its
-        # singular values and used to pass on them
+        # the value lies beyond 1/PIVOT_TOL, where LAPACK's inverse is not
+        # trusted; W^T has the singular values of W and used to pass on them
         A, W, x = triangular_case(n, r)
         assert check_contraction(n, r, A, W, x).inv_norm > 1.0 / PIVOT_TOL
         with pytest.raises(TwoPathMismatchError, match="enclosure"):
             check_contraction(n, r, A, W.T, x)
+
+    @pytest.mark.parametrize("n, r", [(64, 0.05), (40, 0.3)])
+    @pytest.mark.parametrize("wrong", [_swapped_rows, _one_entry_off], ids=["swapped_rows", "one_entry"])
+    def test_wrong_exact_inverse_with_the_right_value_raises(self, n, r, wrong, monkeypatch):
+        # these keep ||W x|| within 1e-12, so the enclosure and the closed
+        # form pass them; only the residual of A W = I refuses them, at every
+        # point and in the sweep's leading blocks too: at (64, 0.05) swapped
+        # rows used to pass with scaled 1.0000000000000075, beyond
+        # 1/PIVOT_TOL, where LAPACK's inverse was not formed
+        A, W, x = triangular_case(n, r)
+        bad = wrong(W)
+        assert not np.array_equal(bad, W)
+        assert abs(bounds_mod._vector_norm(bad @ x) / bounds_mod._vector_norm(W @ x) - 1.0) <= 1e-12
+        assert check_contraction(n, r, A, W, x).inv_norm > 1.0 / PIVOT_TOL
+        with pytest.raises(TwoPathMismatchError, match="misses A W = I"):
+            check_contraction(n, r, A, bad, x)
+        monkeypatch.setattr(bounds_mod, "_bracket_matrices", lambda m, r: (A[:m, :m], bad[:m, :m], x[:m]))
+        (rec,) = [rec for rec in grid_sweep(n, (r,)) if rec.n == n]
+        assert rec.error.startswith("TwoPathMismatchError: exact inverse misses A W = I")
 
     @pytest.mark.parametrize("n, r", [(12, 0.5), (64, 0.05)])
     @pytest.mark.parametrize(
@@ -443,6 +474,22 @@ class TestCheckContraction:
             check_contraction(2, 0.5, A, W, x)
         assert kernels == {"svd": [], "inv": []}
 
+    def test_infinite_residual_bound_is_refused(self):
+        # A W = I exactly, but |A| |W| overflows at (1, 0): an infinite bound
+        # fails, on the whole block and on the leading blocks, where a ratio
+        # would read 0 and pass
+        a = 1.5e308
+        A = np.array([[1.0, 0.0], [a, 1.0]])
+        W = np.array([[1.0, 0.0], [-a, 1.0]])
+        c = np.array([0.0, 0.0])
+        assert np.array_equal(A @ W, np.eye(2))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert bounds_mod._identity_maxima(A, W, c)[1] is False
+            assert bounds_mod._identity_maxima(A, W, c, running=True)[1] == [True, False]
+            with pytest.raises(TwoPathMismatchError):
+                check_contraction(2, 0.5, A, W, E1)
+
     def test_entries_up_to_the_float64_limit_do_not_overflow(self):
         # ||W x|| = 1e300 at (2, 1e-150): numpy's vector norm squares it
         A, W, x = triangular_case(2, 1e-150)
@@ -451,39 +498,43 @@ class TestCheckContraction:
             assert check_contraction(2, 1e-150, A, W, x).inv_norm == pytest.approx(1e300, rel=1e-15)
 
 
-class TestOneSvdPerPoint:
-    def test_grid_sweep_values_and_svd_count(self, kernels, monkeypatch):
-        # each point takes one SVD, of T_r for ||T_r||, and none for its
-        # inverse norm ||W x||/||x||; one LAPACK inverse checks W exactly
-        # where that value is at most 1/PIVOT_TOL
-        svds, inversions = kernels["svd"], kernels["inv"]
-        per_point = {}
-        real_check = bounds_mod.check_contraction
+class TestKernelBudget:
+    def test_grid_sweep_forms_the_identities_once_per_r(self, kernels, monkeypatch):
+        # one set of n_max products per r serves every n, and no SVD or
+        # LAPACK inverse runs; the LAPACK paths remain the oracles, so two
+        # independent inverse-norm paths still meet at every point where
+        # elimination is trusted
+        products = []
+        real_maxima = bounds_mod._identity_maxima
 
-        def counted(n, r, A, W, x):
-            first_svd, first_inv = len(svds), len(inversions)
-            try:
-                return real_check(n, r, A, W, x)
-            finally:
-                per_point[n, r] = (svds[first_svd:], len(inversions) - first_inv)
+        def counted(A, W, c, running=False):
+            products.append((A.shape, running))
+            return real_maxima(A, W, c, running)
 
-        monkeypatch.setattr(bounds_mod, "check_contraction", counted)
+        monkeypatch.setattr(bounds_mod, "_identity_maxima", counted)
         grid = parse_r_grid(DEFAULT_R_GRID)
         records = grid_sweep(64, grid)
-        assert len(records) == len(per_point) == 64 * len(grid)
-        assert sum(len(seen) for seen, _ in per_point.values()) == 1216
-        assert sum(inv for _, inv in per_point.values()) == 823
+        assert kernels == {"svd": [], "inv": []}
+        assert products == [((64, 64), True)] * len(grid)
+        assert len(records) == 64 * len(grid)
+        solved = 0
         for r in grid:
             T = build_T_r(64, r).matrix.real
             W = apply_calculus(reciprocal_series(build_T_r(64, r).symbol), 64).matrix.real
             for rec in (rec for rec in records if rec.r == r):
                 n = rec.n
-                seen, inv = per_point[n, r]
-                assert len(seen) == 1 and np.array_equal(seen[0], T[:n, :n])
-                assert inv == int(rec.inv_norm <= 1.0 / PIVOT_TOL)
                 assert rec.error is None
-                assert rec.inv_norm == pytest.approx(spectral_norm(W[:n, :n]), rel=1e-14)
                 assert abs(rec.scaled - 1.0) <= 1e-14
+                assert rec.inv_norm == pytest.approx(spectral_norm(W[:n, :n]), rel=1e-14)
+                try:
+                    oracle = inverse_norm(T[:n, :n])
+                except SingularMatrixError:
+                    continue
+                solved += 1
+                assert rec.inv_norm == pytest.approx(oracle, rel=TWO_PATH_RTOL)
+        # the 823 points whose value is at most 1/PIVOT_TOL, and (14, 0.1),
+        # where ||X|| lies just inside it and the value just past
+        assert solved == 824
 
 
 class TestRealArithmetic:
@@ -544,16 +595,14 @@ class TestGridSweep:
             assert rec.error is None
 
     def test_failing_point_yields_nan_record(self, monkeypatch):
-        import toepcond.linalg as linalg_mod
+        real = bounds_mod._certify
 
-        real = linalg_mod.spectral_norm
-
-        def flaky(A):
-            if np.shape(A) == (2, 2):
+        def flaky(n, *args):
+            if n == 2:
                 raise ToepcondError("synthetic failure")
-            return real(A)
+            return real(n, *args)
 
-        monkeypatch.setattr(linalg_mod, "spectral_norm", flaky)
+        monkeypatch.setattr(bounds_mod, "_certify", flaky)
         records = bounds_mod.grid_sweep(2, (0.5,))
         assert len(records) == 2
         ok, bad = records[0], records[1]

@@ -5,7 +5,6 @@ import math
 import numpy as np
 import pytest
 
-import toepcond.linalg as linalg_mod
 import toepcond.model as model_mod
 from toepcond import (
     BlaschkeFactor,
@@ -22,7 +21,6 @@ from toepcond import (
 )
 from toepcond.bounds import check_contraction, kronecker_bound
 from toepcond.cli import DEFAULT_R_GRID, parse_r_grid
-from toepcond.model import model_inverse
 
 # Independent oracle: the compressed shift by trapezoidal quadrature of
 # <z e_k, e_l> over the circle, doubling the sample count until the Gram
@@ -91,6 +89,12 @@ def loop_model_operator(zeros):
         between = np.cumprod(-np.conj(lam[k + 1 : n - 1]))
         M[k + 1 :, k] = s[k] * s[k + 1 :] * np.concatenate(([1.0], between))
     return M
+
+
+def model_inverse(zeros):
+    """The closed-form inverse verify_extremality passes as W, from the zeros."""
+    _, lam, s = model_mod._checked_zeros(zeros)
+    return model_mod._inverse_matrix(lam, s)
 
 
 def loop_model_inverse(zeros):
@@ -352,14 +356,14 @@ class TestVerifyExtremality:
         zeros = tuple(r * np.exp(2j * np.pi * k / n) for k in range(n))
         assert verify_extremality(r, zeros).defect_rank == 1
 
-    def test_closed_form_is_checked_to_1e_12(self, monkeypatch):
-        # both paths read (1 - 1e-10) times the truth: they agree, and a
-        # check at 1e-8 would pass, but r^n ||M^{-1}|| = 1 does not hold
-        real_inverse, real_model_inverse = linalg_mod._lapack_inverse, model_mod._inverse_matrix
-        monkeypatch.setattr(linalg_mod, "_lapack_inverse", lambda M: (1 - 1e-10) * real_inverse(M))
-        monkeypatch.setattr(model_mod, "_inverse_matrix", lambda lam, s: (1 - 1e-10) * real_model_inverse(lam, s))
+    def test_closed_form_is_checked_to_1e_12(self):
+        # zeros 3e-14 inside |z| = r = 0.001 pass the modulus check, and M,
+        # its inverse and its extremal vector agree on ||M^{-1}||: a check at
+        # 1e-8 would pass, but r^n ||M^{-1}|| = 1 misses by 1e-10
+        r = 0.001
+        inner = r * (1 - 1e-10) ** (1 / 3)
         with pytest.raises(TwoPathMismatchError, match="closed form"):
-            verify_extremality(0.5, (0.5, -0.5, 0.5j))
+            verify_extremality(r, (inner, -inner, inner * 1j))
 
     @staticmethod
     def _scale_model(monkeypatch, factor):

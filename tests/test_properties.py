@@ -1,5 +1,6 @@
 """Property tests: the row-wise matrix printer against its per-entry
-oracle, and every subcommand of the CLI over its valid domain."""
+oracle, every subcommand of the CLI over its valid domain, and the grid
+sweep against the single-point check."""
 
 import contextlib
 import io
@@ -13,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
+from toepcond import SingularMatrixError, grid_sweep, theorem_check
 from toepcond.cli import _matrix_lines, main
 
 SPECIAL = [0.0, -0.0, np.nan, -np.nan, np.inf, -np.inf, 5e-324, -5e-324,
@@ -130,3 +132,21 @@ def test_bound_cli(n, r):
     assert_bound(kron, n, r)
     # max(r^n, 1 - r^n) lies in [1/2, 1]
     assert upper == 1.0 and 0.5 <= lower <= 1.0
+
+
+# The sweep forms the identities once per r and reads each n from running
+# maxima over the leading blocks; theorem_check forms them at n alone. Both
+# run under the suite's error::RuntimeWarning filter.
+@settings(derandomize=True, max_examples=40, deadline=None, database=None)
+@given(st.integers(1, 64), RADII.filter(lambda r: r < 1.0))
+def test_grid_sweep_agrees_with_theorem_check(n_max, r):
+    for rec in grid_sweep(n_max, (r,)):
+        try:
+            ref = theorem_check(rec.n, r)
+        except SingularMatrixError as exc:
+            assert OVERFLOW.fullmatch(str(exc))
+            assert rec.error == f"SingularMatrixError: {exc}"
+            continue
+        assert ref.passed and abs(ref.scaled - 1.0) <= 1e-12
+        assert rec.error is None
+        assert (rec.norm_T, rec.inv_norm, rec.scaled) == (ref.norm_T, ref.inv_norm, ref.scaled)
