@@ -6,8 +6,9 @@ r^n ||T_r^{-1}|| lies in [max(r^n, 1 - r^n), 1] and in fact equals 1.
 check_contraction, the one per-point check of T_r and of the model operator
 (one contraction in two bases), states and applies the rule that verifies
 it: two identities that such a contraction meets exactly, I - A A* = c c*
-and A W = I, in place of any SVD or elimination. grid_sweep forms them
-once per r for every n; estimate_t_a returns the extremal symbol, T_r's.
+and A W = I, in place of any SVD or elimination. grid_sweep forms them,
+and runs the argument checks, once per r for every n; estimate_t_a
+returns the extremal symbol, T_r's.
 """
 
 from __future__ import annotations
@@ -304,18 +305,19 @@ def _failed_record(n: int, r: float, exc: Exception) -> BoundsRecord:
     return rec
 
 
-def _sweep_identities(A: np.ndarray, W: np.ndarray, x: np.ndarray) -> tuple[list, list]:
+def _sweep_identities(A: np.ndarray, W: np.ndarray, x: np.ndarray, diagonal: list) -> tuple[list, list]:
     """_identity_maxima over every leading block of T_r, its series W and
-    its extremal vector x, cut where W first leaves float64: beyond that
-    shell the argument checks refuse every n, and 0 * inf would spoil the
-    products of the finite blocks."""
-    finite = np.isfinite(W)
-    m = A.shape[0] if finite.all() else int(np.argwhere(~finite).max(axis=1).min())
+    its extremal vector x, cut at the first shell where an argument check
+    of check_contraction fails: a nonzero above the diagonal, an inf or NaN
+    in A or W, or a zero A_kk. Every n past the cut fails that check, and
+    the fault would spoil the products (0 * inf) or c (log 0) of the
+    blocks before it."""
+    bad = ~(np.isfinite(A) & np.isfinite(W)) | (_strictly_upper(len(A)) & (A != 0.0)) | np.diag(np.diagonal(A) == 0.0)
+    m = int(np.count_nonzero(~_leading_maxima(bad)))
     if m == 0:
         return [], []
     A, W, x = A[:m, :m], W[:m, :m], x[:m]
-    c = _defect_vector(x, _vector_norm(x), np.abs(np.diagonal(A)).tolist())
-    return _identity_maxima(A, W, c, running=True)
+    return _identity_maxima(A, W, _defect_vector(x, _vector_norm(x), diagonal[:m]), running=True)
 
 
 def grid_sweep(n_max: int, r_grid: Sequence[float]) -> list[BoundsRecord]:
@@ -324,8 +326,11 @@ def grid_sweep(n_max: int, r_grid: Sequence[float]) -> list[BoundsRecord]:
     T_r, its reciprocal series and its extremal vector are built once per
     r, at size n_max: those at size n are exactly their leading blocks. The
     identities of check_contraction are formed once per r too, at size
-    n_max, and read for each n from running maxima over the leading blocks;
-    every other step runs per point, so each record is bitwise
+    n_max, and read for each n from running maxima over the leading blocks.
+    Its argument checks also run once per r, on the n_max matrices, and per
+    point only from the first failing size on, so that each failing n
+    names its own first offending entry. The value, the enclosure and the
+    closed form run per point, so each record is bitwise
     theorem_check(n, r). A point whose check raises gets NaN norms,
     passed = False and its exception in `error`; the sweep always
     completes. Records come back sorted by (n, r).
@@ -340,12 +345,17 @@ def grid_sweep(n_max: int, r_grid: Sequence[float]) -> list[BoundsRecord]:
     records = []
     for r in rs:
         A, G, x = _bracket_matrices(n_max, r)
-        grams, residuals_ok = _sweep_identities(A, G, x)
+        diagonal = np.abs(np.diagonal(A)).tolist()
+        grams, residuals_ok = _sweep_identities(A, G, x, diagonal)
         for n in range(1, n_max + 1):
             try:
-                _, W, v, length, diagonal = _checked_arguments(n, A[:n, :n], G[:n, :n], x[:n])
-                records.append(_certify(n, r, W, v, length, diagonal, grams[n - 1], residuals_ok[n - 1]))
-            except ToepcondError as exc:
+                length = _vector_norm(x[:n])
+                if n <= len(grams) and 0.0 < length < math.inf:
+                    args = G[:n, :n], x[:n], length, diagonal[:n]
+                else:
+                    args = _checked_arguments(n, A[:n, :n], G[:n, :n], x[:n])[1:]
+                records.append(_certify(n, r, *args, grams[n - 1], residuals_ok[n - 1]))
+            except (ToepcondError, ValueError) as exc:
                 records.append(_failed_record(n, r, exc))
     records.sort(key=lambda rec: (rec.n, rec.r))
     return records

@@ -1,5 +1,6 @@
 """Bracket verification and the extremal-constant search."""
 
+import dataclasses
 import math
 import warnings
 
@@ -536,6 +537,25 @@ class TestKernelBudget:
         # where ||X|| lies just inside it and the value just past
         assert solved == 824
 
+    def test_grid_sweep_checks_the_arguments_once_per_r(self, monkeypatch):
+        # the n_max matrices decide the argument checks of every size before
+        # the first failing one; only the sizes from there on check their
+        # own blocks
+        calls = []
+        real_checks = bounds_mod._checked_arguments
+
+        def counted(n, *args):
+            calls.append(n)
+            return real_checks(n, *args)
+
+        monkeypatch.setattr(bounds_mod, "_checked_arguments", counted)
+        grid_sweep(64, parse_r_grid(DEFAULT_R_GRID))
+        assert calls == []
+        # the series of b_r first leaves float64 at index 51 for r = 1e-6
+        records = grid_sweep(64, (1e-6,))
+        assert calls == list(range(52, 65))
+        assert [rec.n for rec in records if rec.error] == calls
+
 
 class TestRealArithmetic:
     R_GRID = parse_r_grid(DEFAULT_R_GRID)
@@ -612,6 +632,54 @@ class TestGridSweep:
         assert bad.lower == pytest.approx(0.75, rel=1e-15)
         assert bad.error == "ToepcondError: synthetic failure"
         assert ok.error is None
+
+    def test_each_size_keeps_its_own_argument_failure(self, monkeypatch):
+        # faults at five shells of one T_r(64, 0.5) triple, each in a check
+        # that runs after those of the faults further out, so every fault
+        # shows: each size fails as check_contraction fails on its leading
+        # blocks, with its own first offending entry, and each size before
+        # the first fault is bitwise theorem_check's
+        expected = [dataclasses.astuple(theorem_check(n, 0.5)) for n in range(1, 10)]
+        A, W, x = (M.copy() for M in bounds_mod._bracket_matrices(64, 0.5))
+        A[9, 9] = 0.0
+        W[12, 4] = math.inf
+        W[11, 20] = math.inf  # first in row-major order from n = 21 on
+        A[40, 7] = math.nan
+        A[3, 50] = 1e-3
+        monkeypatch.setattr(bounds_mod, "_bracket_matrices", lambda n, r: (A, W, x))
+        records = grid_sweep(64, (0.5,))
+        assert [dataclasses.astuple(rec) for rec in records[:9]] == expected
+        errors = []
+        for rec in records[9:]:
+            n = rec.n
+            with pytest.raises((ToepcondError, ValueError)) as exc:
+                check_contraction(n, 0.5, A[:n, :n], W[:n, :n], x[:n])
+            assert rec.error == f"{type(exc.value).__name__}: {exc.value}"
+            assert not rec.passed and math.isnan(rec.scaled)
+            errors.append(rec.error)
+        beyond = "SingularMatrixError: exact inverse has entries beyond the float64 range, first at"
+        assert errors == (
+            ["SingularMatrixError: matrix is exactly singular"] * 3
+            + [f"{beyond} (12, 4)"] * 8
+            + [f"{beyond} (11, 20)"] * 20
+            + ["ValueError: expected a finite matrix"] * 10
+            + ["ValueError: expected a lower-triangular matrix"] * 14
+        )
+
+    @pytest.mark.parametrize("matrix, index, value", [
+        (0, (3, 30), 1e-3), (0, (30, 7), math.nan), (0, (30, 30), 0.0), (1, (30, 4), math.inf),
+    ])
+    def test_a_fault_cuts_the_identities_at_its_shell(self, monkeypatch, matrix, index, value):
+        # each fault would spoil the products of the blocks before its shell
+        # (A[3, 30] enters (A A*)[3, 3], and W[30, 4] = inf turns column 4 of
+        # A W into NaN) or their defect vector (log 0), so it cuts them there
+        expected = [dataclasses.astuple(theorem_check(n, 0.5)) for n in range(1, 31)]
+        A, W, x = (M.copy() for M in bounds_mod._bracket_matrices(64, 0.5))
+        (A, W)[matrix][index] = value
+        monkeypatch.setattr(bounds_mod, "_bracket_matrices", lambda n, r: (A, W, x))
+        records = grid_sweep(64, (0.5,))
+        assert [dataclasses.astuple(rec) for rec in records[:30]] == expected
+        assert all(rec.error and not rec.passed for rec in records[30:])
 
     def test_overflowed_series_fails_with_its_cause(self):
         # the reciprocal coefficients of b_r grow like r^-k and first leave

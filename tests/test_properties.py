@@ -3,6 +3,7 @@ oracle, every subcommand of the CLI over its valid domain, and the grid
 sweep against the single-point check."""
 
 import contextlib
+import dataclasses
 import io
 import math
 import re
@@ -14,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
-from toepcond import SingularMatrixError, grid_sweep, theorem_check
+from toepcond import SingularMatrixError, bracket_endpoints, grid_sweep, theorem_check
 from toepcond.cli import _matrix_lines, main
 
 SPECIAL = [0.0, -0.0, np.nan, -np.nan, np.inf, -np.inf, 5e-324, -5e-324,
@@ -134,9 +135,10 @@ def test_bound_cli(n, r):
     assert upper == 1.0 and 0.5 <= lower <= 1.0
 
 
-# The sweep forms the identities once per r and reads each n from running
-# maxima over the leading blocks; theorem_check forms them at n alone. Both
-# run under the suite's error::RuntimeWarning filter.
+# The sweep runs the argument checks and forms the identities once per r,
+# and reads each n from running maxima over the leading blocks;
+# theorem_check does both at n alone. Both run under the suite's
+# error::RuntimeWarning filter.
 @settings(derandomize=True, max_examples=40, deadline=None, database=None)
 @given(st.integers(1, 64), RADII.filter(lambda r: r < 1.0))
 def test_grid_sweep_agrees_with_theorem_check(n_max, r):
@@ -146,7 +148,8 @@ def test_grid_sweep_agrees_with_theorem_check(n_max, r):
         except SingularMatrixError as exc:
             assert OVERFLOW.fullmatch(str(exc))
             assert rec.error == f"SingularMatrixError: {exc}"
+            assert not rec.passed and all(map(math.isnan, (rec.norm_T, rec.inv_norm, rec.scaled)))
+            assert (rec.lower, rec.upper) == bracket_endpoints(rec.n, r)
             continue
         assert ref.passed and abs(ref.scaled - 1.0) <= 1e-12
-        assert rec.error is None
-        assert (rec.norm_T, rec.inv_norm, rec.scaled) == (ref.norm_T, ref.inv_norm, ref.scaled)
+        assert dataclasses.astuple(rec) == dataclasses.astuple(ref)
