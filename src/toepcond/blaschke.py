@@ -24,7 +24,7 @@ class BlaschkeFactor:
 
     def __post_init__(self):
         z = complex(self.zero)
-        if abs(z) >= 1.0:
+        if not abs(z) < 1.0:
             raise ValueError(f"zero must lie in the open unit disk, got |z| = {abs(z):.6g}")
         object.__setattr__(self, "zero", z)
 

@@ -6,9 +6,10 @@ r^n ||T_r^{-1}|| lies in [max(r^n, 1 - r^n), 1] and in fact equals 1.
 check_contraction, the one per-point check of T_r and of the model operator
 (one contraction in two bases), states and applies the rule that verifies
 it: two identities that such a contraction meets exactly, I - A A* = c c*
-and A W = I, in place of any SVD or elimination. grid_sweep forms them,
-and runs the argument checks, once per r for every n; estimate_t_a
-returns the extremal symbol, T_r's.
+and A W = I, in place of any SVD or elimination. _identity_terms forms
+their products; check_contraction reduces them over the whole block,
+grid_sweep once per r over every leading block, where it also runs the
+argument checks once; estimate_t_a returns the extremal symbol, T_r's.
 """
 
 from __future__ import annotations
@@ -190,39 +191,21 @@ def _leading_maxima(B: np.ndarray) -> np.ndarray:
     return np.maximum.accumulate(np.tril(np.maximum(B, B.T)).max(axis=1))
 
 
-def _identity_maxima(A: np.ndarray, W: np.ndarray, c: np.ndarray, running: bool = False) -> tuple:
-    """The identities of check_contraction on the m x m lower-triangular A,
-    its exact inverse W and its defect vector c: n * max|I - A A* - c c*|,
-    and whether |A W - I| <= RESIDUAL_GAMMA * n * eps * |A| |W| entrywise
-    with |A| |W| finite.
-
-    Both for the whole block (n = m), from two plain maxima compared without
-    a division; or, when running, as lists over n = 1..m for the leading
-    n x n blocks. For lower-triangular A those blocks of A A*, A W and
-    |A| |W| are the products of the leading blocks of A and W, so one
-    product of each serves every n.
-    """
+def _identity_terms(A: np.ndarray, W: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The terms of the identities of check_contraction on the m x m
+    lower-triangular A, its exact inverse W and its defect vector c:
+    |I - A A* - c c*|, |A W - I| and |A| |W|. For lower-triangular A the
+    leading n x n blocks of these products are the products of the leading
+    blocks of A and W, so one product of each serves every n."""
     m = A.shape[0]
-    # an overflow fails the checks below instead of warning
+    # an overflow fails the checks of the callers instead of warning
     with np.errstate(over="ignore", invalid="ignore"):
         gram = A @ A.conj().T + np.outer(c, c.conj())
         residual = A @ W
         scale = np.abs(A) @ np.abs(W)
         gram.flat[:: m + 1] -= 1.0
         residual.flat[:: m + 1] -= 1.0
-        gram, residual = np.abs(gram), np.abs(residual)
-        if not running:
-            ok = bool(np.all(residual <= RESIDUAL_GAMMA * m * EPS * scale) and scale.max() < math.inf)
-            return m * float(gram.max()), ok
-        # 0/0 (above the diagonal) reads 0; any other residual over a zero
-        # or infinite |A| |W| reads inf, and fails
-        ratio = np.divide(
-            residual, scale,
-            out=np.where((residual == 0.0) & (scale == 0.0), 0.0, math.inf),
-            where=(scale > 0.0) & (scale < math.inf),
-        )
-    sizes = np.arange(1, m + 1)
-    return (sizes * _leading_maxima(gram)).tolist(), (_leading_maxima(ratio) <= RESIDUAL_GAMMA * EPS * sizes).tolist()
+        return np.abs(gram), np.abs(residual), scale
 
 
 def _certify(n: int, r: float, W: np.ndarray, x: np.ndarray, length: float, diagonal: list,
@@ -284,7 +267,9 @@ def check_contraction(n: int, r: float, A, W, x) -> BoundsRecord:
     TwoPathMismatchError.
     """
     M, W, x, length, diagonal = _checked_arguments(n, A, W, x)
-    return _certify(n, r, W, x, length, diagonal, *_identity_maxima(M, W, _defect_vector(x, length, diagonal)))
+    gram, residual, scale = _identity_terms(M, W, _defect_vector(x, length, diagonal))
+    residual_ok = bool(np.all(residual <= RESIDUAL_GAMMA * n * EPS * scale) and scale.max() < math.inf)
+    return _certify(n, r, W, x, length, diagonal, n * float(gram.max()), residual_ok)
 
 
 def theorem_check(n: int, r: float) -> BoundsRecord:
@@ -305,21 +290,6 @@ def _failed_record(n: int, r: float, exc: Exception) -> BoundsRecord:
     return rec
 
 
-def _sweep_identities(A: np.ndarray, W: np.ndarray, x: np.ndarray, diagonal: list) -> tuple[list, list]:
-    """_identity_maxima over every leading block of T_r, its series W and
-    its extremal vector x, cut at the first shell where an argument check
-    of check_contraction fails: a nonzero above the diagonal, an inf or NaN
-    in A or W, or a zero A_kk. Every n past the cut fails that check, and
-    the fault would spoil the products (0 * inf) or c (log 0) of the
-    blocks before it."""
-    bad = ~(np.isfinite(A) & np.isfinite(W)) | (_strictly_upper(len(A)) & (A != 0.0)) | np.diag(np.diagonal(A) == 0.0)
-    m = int(np.count_nonzero(~_leading_maxima(bad)))
-    if m == 0:
-        return [], []
-    A, W, x = A[:m, :m], W[:m, :m], x[:m]
-    return _identity_maxima(A, W, _defect_vector(x, _vector_norm(x), diagonal[:m]), running=True)
-
-
 def grid_sweep(n_max: int, r_grid: Sequence[float]) -> list[BoundsRecord]:
     """theorem_check over every (n, r) with 1 <= n <= n_max, r in r_grid.
 
@@ -327,8 +297,9 @@ def grid_sweep(n_max: int, r_grid: Sequence[float]) -> list[BoundsRecord]:
     r, at size n_max: those at size n are exactly their leading blocks. The
     identities of check_contraction are formed once per r too, at size
     n_max, and read for each n from running maxima over the leading blocks.
-    Its argument checks also run once per r, on the n_max matrices, and per
-    point only from the first failing size on, so that each failing n
+    Its argument checks also run once per r, on the n_max matrices: the
+    first shell where one fails cuts the products, and from that size on
+    they run per point, where they always raise, so that each failing n
     names its own first offending entry. The value, the enclosure and the
     closed form run per point, so each record is bitwise
     theorem_check(n, r). A point whose check raises gets NaN norms,
@@ -346,15 +317,32 @@ def grid_sweep(n_max: int, r_grid: Sequence[float]) -> list[BoundsRecord]:
     for r in rs:
         A, G, x = _bracket_matrices(n_max, r)
         diagonal = np.abs(np.diagonal(A)).tolist()
-        grams, residuals_ok = _sweep_identities(A, G, x, diagonal)
+        # the cut m: the first shell where an argument check fails (a
+        # nonzero above the diagonal, an inf or NaN in A or W, or a zero
+        # A_kk), which would spoil the products (0 * inf) or c (log 0) of
+        # the blocks before it
+        bad = ~(np.isfinite(A) & np.isfinite(G)) | np.diag(np.diagonal(A) == 0.0)
+        bad |= _strictly_upper(n_max) & (A != 0.0)
+        m = int(np.count_nonzero(~_leading_maxima(bad)))
+        grams, residuals_ok = [], []
+        if m > 0:
+            c = _defect_vector(x[:m], _vector_norm(x[:m]), diagonal[:m])
+            gram, residual, scale = _identity_terms(A[:m, :m], G[:m, :m], c)
+            # 0/0 (above the diagonal) reads 0; any other residual over a zero
+            # or infinite |A| |W| reads inf, and fails
+            with np.errstate(over="ignore"):
+                ratio = np.divide(residual, scale, out=np.where((residual == 0.0) & (scale == 0.0), 0.0, math.inf),
+                                  where=(scale > 0.0) & (scale < math.inf))
+            sizes = np.arange(1, m + 1)
+            grams = (sizes * _leading_maxima(gram)).tolist()
+            residuals_ok = (_leading_maxima(ratio) <= RESIDUAL_GAMMA * EPS * sizes).tolist()
         for n in range(1, n_max + 1):
             try:
-                length = _vector_norm(x[:n])
-                if n <= len(grams) and 0.0 < length < math.inf:
-                    args = G[:n, :n], x[:n], length, diagonal[:n]
-                else:
-                    args = _checked_arguments(n, A[:n, :n], G[:n, :n], x[:n])[1:]
-                records.append(_certify(n, r, *args, grams[n - 1], residuals_ok[n - 1]))
+                # past the cut the checks raise, with this n's own first offending entry
+                if n > m:
+                    _checked_arguments(n, A[:n, :n], G[:n, :n], x[:n])
+                records.append(_certify(n, r, G[:n, :n], x[:n], _vector_norm(x[:n]), diagonal[:n],
+                                        grams[n - 1], residuals_ok[n - 1]))
             except (ToepcondError, ValueError) as exc:
                 records.append(_failed_record(n, r, exc))
     records.sort(key=lambda rec: (rec.n, rec.r))

@@ -213,6 +213,9 @@ def cmd_extremal(args: argparse.Namespace) -> int:
     n, r = args.n, args.r
     if not 1 <= n <= 64:
         raise ValueError("n must lie in 1..64")
+    # before the zeros r * (roots of unity), which an infinite r makes NaN
+    if not 0.0 < r < 1.0:
+        raise ValueError("r must lie strictly between 0 and 1")
     if args.model:
         zeros = tuple(r * np.exp(2j * np.pi * k / n) for k in range(n))
         report = verify_extremality(r, zeros)

@@ -152,7 +152,8 @@ def bezout_remainder(f: AnalyticPolynomial, g: AnalyticPolynomial) -> np.ndarray
     head = full[:n].copy()
     head[0] -= 1.0
     dev = float(np.max(np.abs(head)))
-    if dev > 1e-10:
+    # a NaN deviation fails the negated test
+    if not dev <= 1e-10:
         raise BezoutPairError(f"f*g differs from 1 mod z^n by {dev:.3e}")
     return -full[n:].copy()
 

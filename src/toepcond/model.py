@@ -92,7 +92,7 @@ def _checked_zeros(zeros) -> tuple[tuple, np.ndarray, np.ndarray]:
     lam = np.array(zs, dtype=np.complex128)
     # |z| bit for bit as Python's abs(complex) gives it; np.abs may differ
     moduli = np.hypot(lam.real, lam.imag)
-    outside = moduli >= 1.0
+    outside = ~(moduli < 1.0)
     if outside.any():
         raise ValueError(f"zeros must lie in the open unit disk, got |z| = {moduli[outside.argmax()]:.6g}")
     return zs, lam, _weights(lam)

@@ -1,5 +1,7 @@
 """Blaschke factors: Taylor coefficients, circle sampling, sup norms."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -23,6 +25,11 @@ class TestDomains:
         for bad in (1.0, -1.0, 1.0 + 0.0j, 2.0j):
             with pytest.raises(ValueError):
                 BlaschkeFactor(bad)
+
+    @pytest.mark.parametrize("bad", [math.nan, complex(0.5, math.nan)])
+    def test_nan_zero_is_refused(self, bad):
+        with pytest.raises(ValueError, match="^zero must lie in the open unit disk"):
+            BlaschkeFactor(bad)
 
     def test_taylor_requires_positive_order(self):
         with pytest.raises(ValueError):

@@ -475,21 +475,31 @@ class TestCheckContraction:
             check_contraction(2, 0.5, A, W, x)
         assert kernels == {"svd": [], "inv": []}
 
-    def test_infinite_residual_bound_is_refused(self):
+    def test_infinite_residual_bound_is_refused(self, monkeypatch):
         # A W = I exactly, but |A| |W| overflows at (1, 0): an infinite bound
-        # fails, on the whole block and on the leading blocks, where a ratio
-        # would read 0 and pass
+        # fails, on the whole block and on every leading block that holds
+        # it, where a ratio would read 0 and pass; the 1 x 1 block passes
         a = 1.5e308
         A = np.array([[1.0, 0.0], [a, 1.0]])
         W = np.array([[1.0, 0.0], [-a, 1.0]])
-        c = np.array([0.0, 0.0])
         assert np.array_equal(A @ W, np.eye(2))
+        verdicts = []
+        real_certify = bounds_mod._certify
+
+        def spied(n, r, W, x, length, diagonal, gram, residual_ok):
+            verdicts.append(residual_ok)
+            return real_certify(n, r, W, x, length, diagonal, gram, residual_ok)
+
+        monkeypatch.setattr(bounds_mod, "_certify", spied)
+        monkeypatch.setattr(bounds_mod, "_bracket_matrices", lambda n, r: (A, W, np.array([1.0, 0.0])))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert bounds_mod._identity_maxima(A, W, c)[1] is False
-            assert bounds_mod._identity_maxima(A, W, c, running=True)[1] == [True, False]
             with pytest.raises(TwoPathMismatchError):
                 check_contraction(2, 0.5, A, W, E1)
+            assert verdicts == [False]
+            verdicts.clear()
+            grid_sweep(2, [0.5])
+            assert verdicts == [True, False]
 
     def test_entries_up_to_the_float64_limit_do_not_overflow(self):
         # ||W x|| = 1e300 at (2, 1e-150): numpy's vector norm squares it
@@ -506,17 +516,17 @@ class TestKernelBudget:
         # independent inverse-norm paths still meet at every point where
         # elimination is trusted
         products = []
-        real_maxima = bounds_mod._identity_maxima
+        real_terms = bounds_mod._identity_terms
 
-        def counted(A, W, c, running=False):
-            products.append((A.shape, running))
-            return real_maxima(A, W, c, running)
+        def counted(A, W, c):
+            products.append(A.shape)
+            return real_terms(A, W, c)
 
-        monkeypatch.setattr(bounds_mod, "_identity_maxima", counted)
+        monkeypatch.setattr(bounds_mod, "_identity_terms", counted)
         grid = parse_r_grid(DEFAULT_R_GRID)
         records = grid_sweep(64, grid)
         assert kernels == {"svd": [], "inv": []}
-        assert products == [((64, 64), True)] * len(grid)
+        assert products == [(64, 64)] * len(grid)
         assert len(records) == 64 * len(grid)
         solved = 0
         for r in grid:

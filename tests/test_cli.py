@@ -341,11 +341,12 @@ class TestExtremal:
         assert captured.err == "error: n must lie in 1..64\n"
 
     @pytest.mark.parametrize("extra", [[], ["--model"]], ids=["triangular", "model"])
-    @pytest.mark.parametrize("r", ["1", "1.5", "nan"])
+    @pytest.mark.parametrize("r", ["1", "1.5", "nan", "inf", "-inf"])
     def test_r_outside_the_open_interval_is_usage_error(self, r, extra, capsys):
         # the bound takes r = 1, T_r and the model operator do not, so the
-        # message names their domain, not the bound's (0, 1]
-        assert main(["extremal", "--n", "3", "--r", r, *extra]) == 2
+        # message names their domain, not the bound's (0, 1]; an infinite r
+        # is refused before it reaches the zeros r * (roots of unity)
+        assert main(["extremal", "--n", "3", f"--r={r}", *extra]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "error: r must lie strictly between 0 and 1\n"

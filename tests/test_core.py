@@ -1,5 +1,7 @@
 """Triangular Toeplitz algebra: calculus, commutant, reciprocals, remainders."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -164,6 +166,12 @@ class TestBezoutRemainder:
     def test_non_reciprocal_pair_raises(self):
         with pytest.raises(BezoutPairError):
             bezout_remainder(P((1.0, 0.0)), P((1.0, 1.0)))
+
+    @pytest.mark.parametrize("f", [(math.nan, 1.0), (1.0, math.inf)], ids=["nan", "inf"])
+    def test_non_finite_product_raises(self, f):
+        # a NaN deviation from 1 mod z^n is no pass
+        with pytest.raises(BezoutPairError, match="by nan$"):
+            bezout_remainder(P(f), P((1.0, 0.0)))
 
     def test_order_mismatch_raises(self):
         with pytest.raises(ValueError):

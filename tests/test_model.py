@@ -233,6 +233,14 @@ class TestModelOperator:
         with pytest.raises(ValueError, match=r"^zeros must lie in the open unit disk, got \|z\| = 1.5$"):
             model_operator((0.5, 1.5j, 2.0))
 
+    @pytest.mark.parametrize("bad", [math.nan, complex(0.5, math.nan)])
+    def test_nan_zero_is_refused(self, bad):
+        # a NaN modulus fails the open-disk check, before any matrix or kernel
+        with pytest.raises(ValueError, match=r"^zeros must lie in the open unit disk, got \|z\| = nan$"):
+            model_operator((0.5, bad))
+        with pytest.raises(ValueError, match=r"^zeros must lie in the open unit disk"):
+            verify_extremality(0.5, (bad,))
+
 
 class TestBuildersAgainstLoopOracles:
     @pytest.mark.parametrize("zeros", oracle_zero_sets())

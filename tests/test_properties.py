@@ -1,6 +1,6 @@
 """Property tests: the row-wise matrix printer against its per-entry
-oracle, every subcommand of the CLI over its valid domain, and the grid
-sweep against the single-point check."""
+oracle, every subcommand of the CLI over its valid domain and outside it,
+and the grid sweep against the single-point check."""
 
 import contextlib
 import dataclasses
@@ -133,6 +133,33 @@ def test_bound_cli(n, r):
     assert_bound(kron, n, r)
     # max(r^n, 1 - r^n) lies in [1/2, 1]
     assert upper == 1.0 and 0.5 <= lower <= 1.0
+
+
+# Outside its domain every subcommand refuses r with exit 2 and its own
+# message, before r reaches any arithmetic, so no traceback or RuntimeWarning
+# escapes: nan, +-inf, zero, negatives and values past 1 (`bound` takes r = 1).
+OUTSIDE = st.one_of(
+    st.sampled_from([math.nan, math.inf, -math.inf, 0.0, -0.0, -5e-324, -0.5, 1.0, 1.0 + 2.0**-52, 1.5, 1e308]),
+    st.floats(max_value=0.0),
+    st.floats(min_value=1.0),
+)
+OPEN_INTERVAL = "r must lie strictly between 0 and 1"
+
+
+@settings(derandomize=True, max_examples=60, deadline=None, database=None)
+@given(st.integers(1, 16), OUTSIDE)
+def test_r_outside_the_domain_is_usage_error(n, r):
+    runs = [
+        (["verify", "--n-max", str(n), f"--r-grid={r!r}:{r!r}:0.1"], "grid endpoints must lie strictly between 0 and 1"),
+        (["extremal", "--n", str(n), f"--r={r!r}"], OPEN_INTERVAL),
+        (["extremal", "--n", str(n), f"--r={r!r}", "--model"], OPEN_INTERVAL),
+        (["search", "--n", str(n), f"--r={r!r}"], OPEN_INTERVAL),
+        (["search", "--n-list", str(n), f"--r-list={r!r}"], OPEN_INTERVAL),
+    ]
+    if r != 1.0:
+        runs.append((["bound", "--n", str(n), f"--r={r!r}"], "r must lie in (0, 1]"))
+    for argv, message in runs:
+        assert run(argv) == (2, "", f"error: {message}\n")
 
 
 # The sweep runs the argument checks and forms the identities once per r,
