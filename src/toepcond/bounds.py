@@ -7,9 +7,9 @@ check_contraction, the one per-point check of T_r and of the model operator
 (one contraction in two bases), states and applies the rule that verifies
 it: two identities that such a contraction meets exactly, I - A A* = c c*
 and A W = I, in place of any SVD or elimination. _identity_terms forms
-their products; check_contraction reduces them over the whole block,
-grid_sweep once per r over every leading block, where it also runs the
-argument checks once; estimate_t_a returns the extremal symbol, T_r's.
+their products and _row_sums W x; check_contraction reduces them over the
+whole block, grid_sweep once per r over every leading block, where it also
+runs the argument checks once; estimate_t_a returns T_r's extremal symbol.
 """
 
 from __future__ import annotations
@@ -208,16 +208,21 @@ def _identity_terms(A: np.ndarray, W: np.ndarray, c: np.ndarray) -> tuple[np.nda
         return np.abs(gram), np.abs(residual), scale
 
 
-def _certify(n: int, r: float, W: np.ndarray, x: np.ndarray, length: float, diagonal: list,
+def _row_sums(W: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """W x with each row summed in sequence. For lower-triangular W the sum
+    of row i then comes out bitwise the same in every leading block that
+    holds that row, where a matvec's blocked sums change with the size, so
+    one product of the m x m W serves every n."""
+    # an overflow fails the enclosure instead of warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        return np.add.accumulate(W * x, axis=1)[:, -1]
+
+
+def _certify(n: int, r: float, value: float, upper: float, corner: float,
              gram: float, residual_ok: bool) -> BoundsRecord:
-    """The steps of check_contraction after its argument checks, given the
-    verdicts of its two identities."""
-    value = _vector_norm(W @ x) / length
-    # ||A||^(n-1)/|det A| with ||A|| <= sqrt(1 + n max|E|), as factors
-    # ||A||/|A_kk| >= 1 over 1/|A_00|, which do not underflow where |det A|
-    # would; a Python float overflows to inf without a warning
-    norm_bound = math.sqrt(1.0 + gram)
-    upper = math.prod([norm_bound / d for d in diagonal[1:]]) / diagonal[0]
+    """The verdicts of check_contraction after its argument checks, given
+    the value ||W x||/||x||, its enclosure, |A_00| and the verdicts of the
+    two identities."""
     # a NaN, or an upper bound beyond float64, fails the negated test
     if not abs(value - upper) <= TWO_PATH_RTOL * upper < math.inf:
         raise TwoPathMismatchError(
@@ -225,7 +230,7 @@ def _certify(n: int, r: float, W: np.ndarray, x: np.ndarray, length: float, diag
         )
     if not gram <= CLOSED_FORM_RTOL:
         raise ExtremalityError(f"expected norm {1.0 if n >= 2 else r:.17g}, got n * max|I - A A* - c c*| = {gram:.3g}")
-    norm = 1.0 if n >= 2 else diagonal[0]
+    norm = 1.0 if n >= 2 else corner
     if n == 1 and not abs(norm - r) <= CLOSED_FORM_RTOL * r:
         raise ExtremalityError(f"expected norm {r:.17g}, got {norm:.17g}")
     if not residual_ok:
@@ -250,7 +255,8 @@ def check_contraction(n: int, r: float, A, W, x) -> BoundsRecord:
       lower triangular, a W or x of another shape, or a zero or non-finite
       x; SingularMatrixError naming the first inf or NaN entry of W, or for
       a zero A_kk.
-    - The value ||W x||/||x||, a lower bound on ||W||, meets the enclosure
+    - The value ||W x||/||x||, a lower bound on ||W||, with each row of
+      W x summed in sequence (_row_sums), meets the enclosure
       ||A^{-1}|| <= ||A||^(n-1)/|det A| to relative TWO_PATH_RTOL: the
       singular values of A are at most ||A|| and multiply to prod |A_kk|.
       By Weyl's inequality ||A||^2 <= 1 + n * max|E|, which the enclosure
@@ -267,9 +273,16 @@ def check_contraction(n: int, r: float, A, W, x) -> BoundsRecord:
     TwoPathMismatchError.
     """
     M, W, x, length, diagonal = _checked_arguments(n, A, W, x)
-    gram, residual, scale = _identity_terms(M, W, _defect_vector(x, length, diagonal))
+    E, residual, scale = _identity_terms(M, W, _defect_vector(x, length, diagonal))
     residual_ok = bool(np.all(residual <= RESIDUAL_GAMMA * n * EPS * scale) and scale.max() < math.inf)
-    return _certify(n, r, W, x, length, diagonal, n * float(gram.max()), residual_ok)
+    gram = n * float(E.max())
+    # ||A||^(n-1)/|det A| with ||A|| <= sqrt(1 + n max|E|), as factors
+    # ||A||/|A_kk| >= 1 over 1/|A_00|, which do not underflow where |det A|
+    # would; a Python float overflows to inf without a warning
+    norm_bound = math.sqrt(1.0 + gram)
+    upper = math.prod([norm_bound / d for d in diagonal[1:]]) / diagonal[0]
+    value = _vector_norm(_row_sums(W, x)) / length
+    return _certify(n, r, value, upper, diagonal[0], gram, residual_ok)
 
 
 def theorem_check(n: int, r: float) -> BoundsRecord:
@@ -295,13 +308,15 @@ def grid_sweep(n_max: int, r_grid: Sequence[float]) -> list[BoundsRecord]:
 
     T_r, its reciprocal series and its extremal vector are built once per
     r, at size n_max: those at size n are exactly their leading blocks. The
-    identities of check_contraction are formed once per r too, at size
-    n_max, and read for each n from running maxima over the leading blocks.
-    Its argument checks also run once per r, on the n_max matrices: the
-    first shell where one fails cuts the products, and from that size on
-    they run per point, where they always raise, so that each failing n
-    names its own first offending entry. The value, the enclosure and the
-    closed form run per point, so each record is bitwise
+    arithmetic of check_contraction runs once per r too, at size n_max, and
+    is read for each n: the identities from running maxima over the leading
+    blocks, the value from the first n row sums of the lower-triangular
+    series times x, the enclosure from one sequential product per size in
+    math.prod's order. Its argument checks also run once per r, on the
+    n_max matrices: the first shell where one fails cuts the products, and
+    from that size on they run per point, where they always raise, so that
+    each failing n names its own first offending entry. Per point only the
+    lengths of the value and _certify run, so each record is bitwise
     theorem_check(n, r). A point whose check raises gets NaN norms,
     passed = False and its exception in `error`; the sweep always
     completes. Records come back sorted by (n, r).
@@ -324,25 +339,34 @@ def grid_sweep(n_max: int, r_grid: Sequence[float]) -> list[BoundsRecord]:
         bad = ~(np.isfinite(A) & np.isfinite(G)) | np.diag(np.diagonal(A) == 0.0)
         bad |= _strictly_upper(n_max) & (A != 0.0)
         m = int(np.count_nonzero(~_leading_maxima(bad)))
-        grams, residuals_ok = [], []
+        grams = residuals_ok = uppers = sums = xs = []
         if m > 0:
             c = _defect_vector(x[:m], _vector_norm(x[:m]), diagonal[:m])
-            gram, residual, scale = _identity_terms(A[:m, :m], G[:m, :m], c)
-            # 0/0 (above the diagonal) reads 0; any other residual over a zero
-            # or infinite |A| |W| reads inf, and fails
-            with np.errstate(over="ignore"):
+            E, residual, scale = _identity_terms(A[:m, :m], G[:m, :m], c)
+            sizes = np.arange(1, m + 1)
+            gram = sizes * _leading_maxima(E)
+            with np.errstate(over="ignore", invalid="ignore"):
+                # 0/0 (above the diagonal) reads 0; any other residual over a
+                # zero or infinite |A| |W| reads inf, and fails
                 ratio = np.divide(residual, scale, out=np.where((residual == 0.0) & (scale == 0.0), 0.0, math.inf),
                                   where=(scale > 0.0) & (scale < math.inf))
-            sizes = np.arange(1, m + 1)
-            grams = (sizes * _leading_maxima(gram)).tolist()
+                # row n - 1 holds the enclosure factors ||A||/|A_kk| of size
+                # n, k = 1..m-1, multiplied in sequence as math.prod does
+                products = np.multiply.accumulate(np.sqrt(1.0 + gram)[:, None] / diagonal[1:m], axis=1)
+                uppers = [1.0 / diagonal[0], *(np.diagonal(products, -1) / diagonal[0]).tolist()]
+            grams = gram.tolist()
             residuals_ok = (_leading_maxima(ratio) <= RESIDUAL_GAMMA * EPS * sizes).tolist()
+            # G is lower triangular, so size n takes the first n row sums;
+            # math.hypot drops their signs as _vector_norm does
+            sums = _row_sums(G[:m, :m], x[:m]).tolist()
+            xs = x[:m].tolist()
         for n in range(1, n_max + 1):
             try:
                 # past the cut the checks raise, with this n's own first offending entry
                 if n > m:
                     _checked_arguments(n, A[:n, :n], G[:n, :n], x[:n])
-                records.append(_certify(n, r, G[:n, :n], x[:n], _vector_norm(x[:n]), diagonal[:n],
-                                        grams[n - 1], residuals_ok[n - 1]))
+                value = math.hypot(*sums[:n]) / math.hypot(*xs[:n])
+                records.append(_certify(n, r, value, uppers[n - 1], diagonal[0], grams[n - 1], residuals_ok[n - 1]))
             except (ToepcondError, ValueError) as exc:
                 records.append(_failed_record(n, r, exc))
     records.sort(key=lambda rec: (rec.n, rec.r))

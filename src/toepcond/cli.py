@@ -47,6 +47,8 @@ from .errors import ToepcondError
 from .model import verify_extremality
 
 CSV_HEADER = "n,r,norm_T,inv_norm,scaled,lower,upper,pass"
+# a CSV_HEADER row in one format: the cells _cell gives n, six floats and pass
+_BOUNDS_LINE = "%d," + "%.17g," * 6 + "%s"
 SEARCH_HEADER = "n,r,best_value,scaled_value,kronecker_gap,restarts_used,seed,best_coeffs"
 
 DEFAULT_N_MAX = 12
@@ -156,7 +158,11 @@ def _report(fmt: str, header: str, rows: Iterable[tuple], config: Optional[dict]
     strict JSON cannot hold, is null in JSON and nan or inf in CSV.
     """
     if fmt == "csv":
-        return "\n".join([header, *(",".join(map(_cell, row)) for row in rows)]) + "\n"
+        if header == CSV_HEADER:
+            lines = [_BOUNDS_LINE % (*row[:-1], "true" if row[-1] else "false") for row in rows]
+        else:
+            lines = [",".join(map(_cell, row)) for row in rows]
+        return "\n".join([header, *lines]) + "\n"
     fields = header.split(",")
     objects = [{f: None if isinstance(v, float) and not np.isfinite(v) else v for f, v in zip(fields, row)}
                for row in rows]
@@ -190,7 +196,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     if passed:
         # the closed form r^n ||T_r^{-1}|| = 1 makes every deviation roundoff
         worst = max(passed, key=lambda rec: abs(rec.scaled - 1.0))
-        summary += f"; worst |scaled - 1| = {abs(worst.scaled - 1.0):.3g} at n={worst.n} r={worst.r:g}"
+        summary += f"; worst |scaled - 1| = {abs(worst.scaled - 1.0):.3g} at n={worst.n} r={_fmt(worst.r)}"
     print(summary, file=sys.stderr)
     for rec in failures:
         print(

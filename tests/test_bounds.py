@@ -486,9 +486,9 @@ class TestCheckContraction:
         verdicts = []
         real_certify = bounds_mod._certify
 
-        def spied(n, r, W, x, length, diagonal, gram, residual_ok):
+        def spied(n, r, value, upper, corner, gram, residual_ok):
             verdicts.append(residual_ok)
-            return real_certify(n, r, W, x, length, diagonal, gram, residual_ok)
+            return real_certify(n, r, value, upper, corner, gram, residual_ok)
 
         monkeypatch.setattr(bounds_mod, "_certify", spied)
         monkeypatch.setattr(bounds_mod, "_bracket_matrices", lambda n, r: (A, W, np.array([1.0, 0.0])))
@@ -511,22 +511,28 @@ class TestCheckContraction:
 
 class TestKernelBudget:
     def test_grid_sweep_forms_the_identities_once_per_r(self, kernels, monkeypatch):
-        # one set of n_max products per r serves every n, and no SVD or
-        # LAPACK inverse runs; the LAPACK paths remain the oracles, so two
-        # independent inverse-norm paths still meet at every point where
-        # elimination is trusted
-        products = []
-        real_terms = bounds_mod._identity_terms
+        # one set of n_max products per r, the row sums of W x among them,
+        # serves every n, and no SVD or LAPACK inverse runs; the LAPACK paths
+        # remain the oracles, so two independent inverse-norm paths still
+        # meet at every point where elimination is trusted
+        products, row_sums = [], []
+        real_terms, real_sums = bounds_mod._identity_terms, bounds_mod._row_sums
 
         def counted(A, W, c):
             products.append(A.shape)
             return real_terms(A, W, c)
 
+        def counted_sums(W, x):
+            row_sums.append(W.shape)
+            return real_sums(W, x)
+
         monkeypatch.setattr(bounds_mod, "_identity_terms", counted)
+        monkeypatch.setattr(bounds_mod, "_row_sums", counted_sums)
         grid = parse_r_grid(DEFAULT_R_GRID)
         records = grid_sweep(64, grid)
         assert kernels == {"svd": [], "inv": []}
         assert products == [(64, 64)] * len(grid)
+        assert row_sums == [(64, 64)] * len(grid)
         assert len(records) == 64 * len(grid)
         solved = 0
         for r in grid:

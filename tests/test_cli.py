@@ -209,9 +209,16 @@ class TestVerify:
         worst = max(grid_sweep(3, parse_r_grid("0.2:0.8:0.3")), key=lambda rec: abs(rec.scaled - 1.0))
         assert summary == (
             f"verify: 9 points, 0 failures; worst |scaled - 1| = "
-            f"{abs(worst.scaled - 1.0):.3g} at n={worst.n} r={worst.r:g}"
+            f"{abs(worst.scaled - 1.0):.3g} at n={worst.n} r={cli._fmt(worst.r)}"
         )
         assert abs(worst.scaled - 1.0) <= 1e-14
+
+    def test_summary_radius_keeps_every_digit(self, capsys):
+        # "%g" would round this radius to r=1, outside (0, 1); the summary
+        # prints it as the FAIL lines do
+        assert main(["verify", "--n-max", "3", "--r-grid", "0.999999999999:0.999999999999:0.1"]) == 0
+        summary = capsys.readouterr().err.splitlines()[0]
+        assert summary.endswith(" at n=1 r=0.99999999999900002")
 
     def test_overflowed_points_fail_with_their_cause(self, capsys):
         # the grid is the single point r = 1e-6, whose reciprocal series

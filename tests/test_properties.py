@@ -1,6 +1,8 @@
-"""Property tests: the row-wise matrix printer against its per-entry
-oracle, every subcommand of the CLI over its valid domain and outside it,
-and the grid sweep against the single-point check."""
+"""Property tests: the row-wise matrix printer and the row-wise CSV of
+bounds records against their per-entry oracles, every subcommand of the CLI
+over its valid domain and outside it, the sequential row sums of a
+triangular matrix over its leading blocks, and the grid sweep against the
+single-point check."""
 
 import contextlib
 import dataclasses
@@ -15,8 +17,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
-from toepcond import SingularMatrixError, bracket_endpoints, grid_sweep, theorem_check
-from toepcond.cli import _matrix_lines, main
+from toepcond import BoundsRecord, SingularMatrixError, ToepcondError, bracket_endpoints, grid_sweep, theorem_check
+from toepcond.bounds import _failed_record, _row_sums
+from toepcond.cli import CSV_HEADER, _bounds_row, _cell, _matrix_lines, _report, main
 
 SPECIAL = [0.0, -0.0, np.nan, -np.nan, np.inf, -np.inf, 5e-324, -5e-324,
            2.2250738585072014e-308, 1e300, -1e300, 1.7976931348623157e308, 0.5e-6, -0.5e-6]
@@ -37,6 +40,52 @@ def per_entry_lines(M):
 @given(MATRICES)
 def test_row_wise_lines_match_per_entry_formatting(M):
     assert _matrix_lines(M) == per_entry_lines(M)
+
+
+RECORDS = st.one_of(
+    st.builds(BoundsRecord, n=st.integers(1, 10**6), r=REALS, norm_T=REALS, inv_norm=REALS, scaled=REALS,
+              lower=REALS, upper=REALS, passed=st.booleans()),
+    # a failed point: NaN norms, passed = False and its error, which reports omit
+    st.builds(lambda n, r: _failed_record(n, r, ToepcondError("synthetic failure")),
+              st.integers(1, 64), st.floats(min_value=5e-324, max_value=1.0, exclude_max=True)),
+)
+
+
+def per_cell_csv(rows):
+    return "\n".join([CSV_HEADER, *(",".join(map(_cell, row)) for row in rows)]) + "\n"
+
+
+@settings(derandomize=True, max_examples=100, deadline=None, database=None)
+@given(st.lists(RECORDS, max_size=5))
+def test_row_wise_csv_matches_per_cell_formatting(records):
+    rows = [_bounds_row(rec) for rec in records]
+    assert _report("csv", CSV_HEADER, rows) == per_cell_csv(rows)
+
+
+FINITE = st.one_of(st.sampled_from([v for v in SPECIAL if math.isfinite(v)]),
+                   st.floats(allow_nan=False, allow_infinity=False))
+
+
+@st.composite
+def triangular_systems(draw):
+    """A lower-triangular m x m W and an m-vector x, real or complex, with
+    finite entries whose products and sums may still overflow."""
+    m = draw(st.integers(1, 12))
+    dtype, elements = draw(st.sampled_from([(np.float64, FINITE),
+                                            (np.complex128, st.builds(complex, FINITE, FINITE))]))
+    return np.tril(draw(arrays(dtype, (m, m), elements=elements))), draw(arrays(dtype, m, elements=elements))
+
+
+# The sweep reads the row sums of every leading block from those of the
+# n_max block. Equality as floats, NaN included, is bitwise up to the
+# payload of a NaN and the sign of a zero, which the norm of the sums drops.
+@settings(derandomize=True, max_examples=100, deadline=None, database=None)
+@given(triangular_systems())
+def test_row_sums_of_leading_blocks_are_those_of_the_full_matrix(system):
+    W, x = system
+    full = _row_sums(W, x)
+    for n in range(1, len(x) + 1):
+        assert np.array_equal(_row_sums(W[:n, :n], x[:n]), full[:n], equal_nan=True)
 
 
 # The CLI over the README's domain: every run ends in a checked result
@@ -162,9 +211,10 @@ def test_r_outside_the_domain_is_usage_error(n, r):
         assert run(argv) == (2, "", f"error: {message}\n")
 
 
-# The sweep runs the argument checks and forms the identities once per r,
-# and reads each n from running maxima over the leading blocks;
-# theorem_check does both at n alone. Both run under the suite's
+# The sweep runs the argument checks and forms the identities, the row sums
+# and the enclosures once per r, and reads each n from running maxima, sums
+# and products over the leading blocks; theorem_check does all of it at n
+# alone. Both run under the suite's
 # error::RuntimeWarning filter.
 @settings(derandomize=True, max_examples=40, deadline=None, database=None)
 @given(st.integers(1, 64), RADII.filter(lambda r: r < 1.0))
