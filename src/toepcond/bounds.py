@@ -7,9 +7,10 @@ check_contraction, the one per-point check of T_r and of the model operator
 (one contraction in two bases), states and applies the rule that verifies
 it: two identities that such a contraction meets exactly, I - A A* = c c*
 and A W = I, in place of any SVD or elimination. _identity_terms forms
-their products and _row_sums W x; check_contraction reduces them over the
-whole block, grid_sweep once per r over every leading block, where it also
-runs the argument checks once; estimate_t_a returns T_r's extremal symbol.
+|I - A A* - c c*| and, by one rule per row, where A W = I holds, and
+_row_sums W x; check_contraction reduces them over the whole block,
+grid_sweep once per r over every leading block, where it also runs the
+argument checks once; estimate_t_a returns T_r's extremal symbol.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ PASS_TOL = 1e-8
 # two inverse-norm paths), of a value to its closed form
 TWO_PATH_RTOL = 1e-8
 CLOSED_FORM_RTOL = 1e-12
-# |A W - I| <= RESIDUAL_GAMMA * n * eps * |A| |W| entrywise
+# |A W - I| <= RESIDUAL_GAMMA * (i + 1) * eps * |A| |W| in each row i
 RESIDUAL_GAMMA = 4
 EPS = float(np.finfo(np.float64).eps)
 
@@ -191,12 +192,13 @@ def _leading_maxima(B: np.ndarray) -> np.ndarray:
     return np.maximum.accumulate(np.tril(np.maximum(B, B.T)).max(axis=1))
 
 
-def _identity_terms(A: np.ndarray, W: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The terms of the identities of check_contraction on the m x m
-    lower-triangular A, its exact inverse W and its defect vector c:
-    |I - A A* - c c*|, |A W - I| and |A| |W|. For lower-triangular A the
-    leading n x n blocks of these products are the products of the leading
-    blocks of A and W, so one product of each serves every n."""
+def _identity_terms(A: np.ndarray, W: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """|I - A A* - c c*| and where A W = I holds, for the m x m lower-triangular
+    A of check_contraction, its exact inverse W and its defect vector c: entry
+    (i, j) holds when |A W - I|_ij <= RESIDUAL_GAMMA (i + 1) eps (|A| |W|)_ij <
+    inf, as row i of a triangular product sums at most i + 1 terms. The leading
+    n x n blocks of these products are the products of the leading blocks of A
+    and W, and the rule does not depend on n, so one product serves every n."""
     m = A.shape[0]
     # an overflow fails the checks of the callers instead of warning
     with np.errstate(over="ignore", invalid="ignore"):
@@ -205,7 +207,8 @@ def _identity_terms(A: np.ndarray, W: np.ndarray, c: np.ndarray) -> tuple[np.nda
         scale = np.abs(A) @ np.abs(W)
         gram.flat[:: m + 1] -= 1.0
         residual.flat[:: m + 1] -= 1.0
-        return np.abs(gram), np.abs(residual), scale
+        terms = np.arange(1, m + 1)[:, None]
+        return np.abs(gram), (np.abs(residual) <= RESIDUAL_GAMMA * terms * EPS * scale) & (scale < math.inf)
 
 
 def _row_sums(W: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -234,7 +237,8 @@ def _certify(n: int, r: float, value: float, upper: float, corner: float,
     if n == 1 and not abs(norm - r) <= CLOSED_FORM_RTOL * r:
         raise ExtremalityError(f"expected norm {r:.17g}, got {norm:.17g}")
     if not residual_ok:
-        raise TwoPathMismatchError(f"exact inverse misses A W = I: |A W - I| > {RESIDUAL_GAMMA} n eps |A| |W|")
+        raise TwoPathMismatchError(f"exact inverse misses A W = I: |A W - I| > {RESIDUAL_GAMMA} (i + 1) eps |A| |W| "
+                                   "in some row i")
     scale = r**n
     if not abs(scale * value - 1.0) <= CLOSED_FORM_RTOL:
         raise TwoPathMismatchError(f"inverse norm misses the closed form: {scale:.17g} * {value:.17g} != 1")
@@ -265,16 +269,15 @@ def check_contraction(n: int, r: float, A, W, x) -> BoundsRecord:
       closed form 1, else ExtremalityError. At n = 1, ||A|| = |A_00| meets
       r to relative CLOSED_FORM_RTOL. The record's norm is that closed
       form, 1, or |A_00| at n = 1.
-    - |A W - I| <= RESIDUAL_GAMMA * n * eps * |A| |W| entrywise, with
-      |A| |W| finite.
+    - |A W - I| <= RESIDUAL_GAMMA * (i + 1) * eps * |A| |W| in each row i,
+      with |A| |W| finite (_identity_terms).
     - r^n * value = 1 to CLOSED_FORM_RTOL.
 
     A miss in the enclosure, the residual or the closed form raises
     TwoPathMismatchError.
     """
     M, W, x, length, diagonal = _checked_arguments(n, A, W, x)
-    E, residual, scale = _identity_terms(M, W, _defect_vector(x, length, diagonal))
-    residual_ok = bool(np.all(residual <= RESIDUAL_GAMMA * n * EPS * scale) and scale.max() < math.inf)
+    E, holds = _identity_terms(M, W, _defect_vector(x, length, diagonal))
     gram = n * float(E.max())
     # ||A||^(n-1)/|det A| with ||A|| <= sqrt(1 + n max|E|), as factors
     # ||A||/|A_kk| >= 1 over 1/|A_00|, which do not underflow where |det A|
@@ -282,7 +285,7 @@ def check_contraction(n: int, r: float, A, W, x) -> BoundsRecord:
     norm_bound = math.sqrt(1.0 + gram)
     upper = math.prod([norm_bound / d for d in diagonal[1:]]) / diagonal[0]
     value = _vector_norm(_row_sums(W, x)) / length
-    return _certify(n, r, value, upper, diagonal[0], gram, residual_ok)
+    return _certify(n, r, value, upper, diagonal[0], gram, bool(holds.all()))
 
 
 def theorem_check(n: int, r: float) -> BoundsRecord:
@@ -309,10 +312,11 @@ def grid_sweep(n_max: int, r_grid: Sequence[float]) -> list[BoundsRecord]:
     T_r, its reciprocal series and its extremal vector are built once per
     r, at size n_max: those at size n are exactly their leading blocks. The
     arithmetic of check_contraction runs once per r too, at size n_max, and
-    is read for each n: the identities from running maxima over the leading
-    blocks, the value from the first n row sums of the lower-triangular
-    series times x, the enclosure from one sequential product per size in
-    math.prod's order. Its argument checks also run once per r, on the
+    is read for each n: n max|E| from running maxima over the leading
+    blocks, A W = I from a running "no miss yet" over them (its rule is per
+    row, so the same in every block), the value from the first n row sums
+    of the lower-triangular series times x, the enclosure from one
+    sequential product per size in math.prod's order. Its argument checks also run once per r, on the
     n_max matrices: the first shell where one fails cuts the products, and
     from that size on they run per point, where they always raise, so that
     each failing n names its own first offending entry. Per point only the
@@ -342,20 +346,15 @@ def grid_sweep(n_max: int, r_grid: Sequence[float]) -> list[BoundsRecord]:
         grams = residuals_ok = uppers = sums = xs = []
         if m > 0:
             c = _defect_vector(x[:m], _vector_norm(x[:m]), diagonal[:m])
-            E, residual, scale = _identity_terms(A[:m, :m], G[:m, :m], c)
-            sizes = np.arange(1, m + 1)
-            gram = sizes * _leading_maxima(E)
+            E, holds = _identity_terms(A[:m, :m], G[:m, :m], c)
+            gram = np.arange(1, m + 1) * _leading_maxima(E)
+            residuals_ok = (~_leading_maxima(~holds)).tolist()
             with np.errstate(over="ignore", invalid="ignore"):
-                # 0/0 (above the diagonal) reads 0; any other residual over a
-                # zero or infinite |A| |W| reads inf, and fails
-                ratio = np.divide(residual, scale, out=np.where((residual == 0.0) & (scale == 0.0), 0.0, math.inf),
-                                  where=(scale > 0.0) & (scale < math.inf))
                 # row n - 1 holds the enclosure factors ||A||/|A_kk| of size
                 # n, k = 1..m-1, multiplied in sequence as math.prod does
                 products = np.multiply.accumulate(np.sqrt(1.0 + gram)[:, None] / diagonal[1:m], axis=1)
                 uppers = [1.0 / diagonal[0], *(np.diagonal(products, -1) / diagonal[0]).tolist()]
             grams = gram.tolist()
-            residuals_ok = (_leading_maxima(ratio) <= RESIDUAL_GAMMA * EPS * sizes).tolist()
             # G is lower triangular, so size n takes the first n row sums;
             # math.hypot drops their signs as _vector_norm does
             sums = _row_sums(G[:m, :m], x[:m]).tolist()

@@ -11,11 +11,12 @@ Exit codes: 0 success / all pass, 1 verification or computation failure
 (a verify point or search scan pair fails on a FAIL line and the rest go on),
 2 usage or domain error. r lies in (0, 1] for bound, as 1/r^n is defined at
 r = 1, and in (0, 1) for the rest, as b_r degenerates there. --output and
-every (n, r) of a search scan are checked before any work; --output is
-written atomically, and repeated runs with identical flags give
-byte-identical files. The search options --seed, --restarts and --iters are
-still accepted and echoed in the report but have no effect: search returns
-the proven optimum, not the result of a search.
+every (n, r) of a search scan are checked before any work; --output
+writes a regular file atomically and any other target, such as a FIFO, in
+place, and repeated runs with identical flags give byte-identical files.
+The search options --seed, --restarts and --iters are still accepted and
+echoed in the report but have no effect: search returns the proven
+optimum, not the result of a search.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ import errno
 import functools
 import json
 import os
+import stat
 import sys
 import tempfile
 from typing import Iterable, Optional, Sequence
@@ -80,7 +82,8 @@ def parse_r_grid(spec: str) -> list[float]:
         raise ValueError("grid stop must not precede start")
     values = []
     k = 0
-    while (v := start + k * step) <= stop + 1e-12:
+    # the slack keeps a stop that k * step misses by roundoff, but not past 1
+    while (v := start + k * step) <= stop + 1e-12 and v < 1.0:
         if k == MAX_GRID_POINTS:
             raise ValueError(f"grid spec {spec!r} has more than {MAX_GRID_POINTS} points")
         values.append(v)
@@ -100,10 +103,21 @@ def _output_error(path: str, exc: OSError) -> ValueError:
     return ValueError(f"cannot write --output {path}: {exc.strerror or exc}")
 
 
+def _output_target(path: str) -> tuple[str, Optional[os.stat_result]]:
+    """The file --output names, its symlinks resolved, and its status, or
+    None where it does not exist yet."""
+    target = os.path.realpath(path)
+    try:
+        return target, os.stat(target)
+    except FileNotFoundError:
+        return target, None
+
+
 def _check_output(path: Optional[str]) -> None:
     """Refuse an unwritable --output before any work, with the error the
-    write would meet: the target names a file that is no directory, and its
-    directory takes an unnamed file, which leaves none behind."""
+    write would meet: the target names a file that is no directory, and
+    either it exists and is not a regular file, and takes a write in place,
+    or its directory takes an unnamed file, which leaves none behind."""
     if path is None:
         return
     try:
@@ -112,22 +126,41 @@ def _check_output(path: Optional[str]) -> None:
         if not os.path.basename(path):  # "" or a trailing separator
             code = errno.ENOTDIR if path else errno.ENOENT
             raise OSError(code, os.strerror(code))
-        tempfile.TemporaryFile(dir=os.path.dirname(os.path.abspath(path))).close()
+        target, status = _output_target(path)
+        if status is None or stat.S_ISREG(status.st_mode):
+            tempfile.TemporaryFile(dir=os.path.dirname(target)).close()
+        elif not os.access(target, os.W_OK):
+            raise PermissionError(errno.EACCES, os.strerror(errno.EACCES))
     except OSError as exc:
         raise _output_error(path, exc) from None
 
 
 def _write_output(text: str, path: Optional[str]) -> None:
+    """Write a report to stdout, or to --output: a regular file, new or not,
+    atomically by a rename over it, with the mode open(path, "w") gives a new
+    file or the mode the file had; any other target, such as a FIFO, in
+    place. Symlinks are resolved first, so their targets are written."""
     if path is None:
         sys.stdout.write(text)
         return
-    directory = os.path.dirname(os.path.abspath(path))
     try:
-        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".toepcond-", text=True)
+        target, status = _output_target(path)
+        if status is not None and not stat.S_ISREG(status.st_mode):
+            with open(target, "w", encoding="utf-8") as fh:
+                fh.write(text)
+            return
+        if status is None:
+            umask = os.umask(0)
+            os.umask(umask)
+            mode = 0o666 & ~umask
+        else:
+            mode = stat.S_IMODE(status.st_mode)
+        fd, tmp = tempfile.mkstemp(dir=os.path.dirname(target), prefix=".toepcond-", text=True)
         try:
             with os.fdopen(fd, "w", encoding="utf-8") as fh:
+                os.fchmod(fh.fileno(), mode)
                 fh.write(text)
-            os.replace(tmp, path)
+            os.replace(tmp, target)
         except BaseException:
             if os.path.exists(tmp):
                 os.unlink(tmp)

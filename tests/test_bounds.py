@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import toepcond.bounds as bounds_mod
+import toepcond.model as model_mod
 from toepcond import (
     AnalyticPolynomial,
     BlaschkeFactor,
@@ -307,6 +308,26 @@ def _one_entry_off(W):
     return W
 
 
+def _row_one_off(W):
+    # entry (1, 0) 32 eps relative off: with A = W^{-1}, (A W - I)[1, 0] =
+    # 32 eps A_11 W_10 is 16 eps of (|A| |W|)[1, 0] = 2 |A_11 W_10|: past the
+    # bound 4 * 2 eps of row 1, though within a block bound 4 n eps for n >= 5
+    W = W.copy()
+    W[1, 0] *= 1 + 32 * np.finfo(np.float64).eps
+    return W
+
+
+def _worst_row_residual(A, W):
+    """max |A W - I|_ij / ((i + 1) eps (|A| |W|)_ij), the residual in units
+    of the per-row rounding bound; 0/0 reads 0."""
+    n = len(A)
+    scale = np.abs(A) @ np.abs(W)
+    residual = np.abs(A @ W - np.eye(n))
+    assert np.all(residual[scale == 0.0] == 0.0)
+    rows = np.arange(1, n + 1)[:, None] * np.finfo(np.float64).eps
+    return float(np.max(residual[scale > 0.0] / (rows * scale)[scale > 0.0]))
+
+
 @pytest.fixture
 def kernels(monkeypatch):
     """Record every matrix handed to np.linalg.svd and np.linalg.inv."""
@@ -423,7 +444,8 @@ class TestCheckContraction:
             check_contraction(n, r, A, W.T, x)
 
     @pytest.mark.parametrize("n, r", [(64, 0.05), (40, 0.3)])
-    @pytest.mark.parametrize("wrong", [_swapped_rows, _one_entry_off], ids=["swapped_rows", "one_entry"])
+    @pytest.mark.parametrize("wrong", [_swapped_rows, _one_entry_off, _row_one_off],
+                             ids=["swapped_rows", "one_entry", "row_one"])
     def test_wrong_exact_inverse_with_the_right_value_raises(self, n, r, wrong, monkeypatch):
         # these keep ||W x|| within 1e-12, so the enclosure and the closed
         # form pass them; only the residual of A W = I refuses them, at every
@@ -440,6 +462,20 @@ class TestCheckContraction:
         monkeypatch.setattr(bounds_mod, "_bracket_matrices", lambda m, r: (A[:m, :m], bad[:m, :m], x[:m]))
         (rec,) = [rec for rec in grid_sweep(n, (r,)) if rec.n == n]
         assert rec.error.startswith("TwoPathMismatchError: exact inverse misses A W = I")
+
+    def test_residual_rule_has_a_margin(self):
+        # the right W meets the per-row bound with at least a factor 2 to
+        # spare: for T_r at n = 64 on the default grid, and for model
+        # operators on seeded zero sets, equal and random moduli alike
+        worst = max(_worst_row_residual(*triangular_case(64, r)[:2]) for r in parse_r_grid(DEFAULT_R_GRID))
+        rng = np.random.default_rng(2011)
+        for k in range(120):
+            n = int(rng.integers(1, 65))
+            moduli = rng.uniform(0.02, 0.9999, 1 if k % 2 else n)
+            lam = moduli * np.exp(2j * np.pi * rng.uniform(size=n))
+            W = model_mod._inverse_matrix(lam, model_mod._weights(lam))
+            worst = max(worst, _worst_row_residual(model_mod.model_operator(lam).matrix, W))
+        assert 0.0 < worst <= bounds_mod.RESIDUAL_GAMMA / 2
 
     @pytest.mark.parametrize("n, r", [(12, 0.5), (64, 0.05)])
     @pytest.mark.parametrize(

@@ -3,6 +3,8 @@
 import errno
 import json
 import os
+import stat
+import threading
 import time
 import warnings
 
@@ -104,6 +106,10 @@ class TestParseRGrid:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "error: grid step must be finite and positive\n"
+
+    def test_slack_at_the_stop_does_not_reach_one(self):
+        # start + 1 * step lies within the 1e-12 slack of stop, but at 1 + 5e-13
+        assert parse_r_grid("0.9999999999995:0.9999999999995:1e-12") == [0.9999999999995]
 
     def test_rejects_malformed_specs(self):
         for bad in ("0:1:0.1", "0.1:0.9", "0.2:0.8:-0.1", "a:b:c", "0.8:0.2:0.1", "0.1:1.0:0.1"):
@@ -220,6 +226,13 @@ class TestVerify:
         summary = capsys.readouterr().err.splitlines()[0]
         assert summary.endswith(" at n=1 r=0.99999999999900002")
 
+    def test_grid_next_to_one_checks_only_its_own_point(self, capsys):
+        assert main(["verify", "--n-max", "1", "--r-grid", "0.9999999999995:0.9999999999995:1e-12"]) == 0
+        captured = capsys.readouterr()
+        (row,) = captured.out.splitlines()[1:]
+        assert row.startswith("1,0.99999999999949996,") and row.endswith(",true")
+        assert captured.err.startswith("verify: 1 points, 0 failures")
+
     def test_overflowed_points_fail_with_their_cause(self, capsys):
         # the grid is the single point r = 1e-6, whose reciprocal series
         # leaves the float64 range at n = 52: n = 52..64 fail, the rest pass
@@ -274,6 +287,54 @@ class TestUnwritableOutput:
         assert time.perf_counter() - start < 0.2
         assert sweeps == []
         assert capsys.readouterr().err.startswith("error: cannot write --output ")
+
+
+class TestOutputTargets:
+    ARGV = ["extremal", "--n", "1", "--r", "0.5", "--output"]
+
+    def test_fifo_is_written_in_place(self, tmp_path, capsys):
+        # a rename would put a regular file where the reader waits
+        fifo = tmp_path / "pipe"
+        os.mkfifo(fifo)
+        read = []
+        reader = threading.Thread(target=lambda: read.append(fifo.read_text()), daemon=True)
+        reader.start()
+        assert main(self.ARGV + [str(fifo)]) == 0
+        reader.join(timeout=10)
+        capsys.readouterr()
+        assert not reader.is_alive()
+        assert read == [_EXTREMAL_CSV]
+        assert stat.S_ISFIFO(os.lstat(fifo).st_mode)
+
+    @pytest.mark.parametrize("exists", [True, False], ids=["existing", "dangling"])
+    def test_symlink_target_is_written(self, exists, tmp_path, capsys):
+        target, link = tmp_path / "report.csv", tmp_path / "link"
+        if exists:
+            target.write_text("old\n")
+        link.symlink_to(target)
+        assert main(self.ARGV + [str(link)]) == 0
+        capsys.readouterr()
+        assert link.is_symlink()
+        assert target.read_text() == _EXTREMAL_CSV
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["link", "report.csv"]
+
+    def test_new_file_gets_the_mode_open_gives(self, tmp_path, capsys):
+        umask = os.umask(0o027)
+        try:
+            assert main(self.ARGV + [str(tmp_path / "new.csv")]) == 0
+        finally:
+            os.umask(umask)
+        capsys.readouterr()
+        assert stat.S_IMODE(os.stat(tmp_path / "new.csv").st_mode) == 0o640
+
+    def test_existing_file_keeps_its_mode(self, tmp_path, capsys):
+        out = tmp_path / "old.csv"
+        out.write_text("old\n")
+        out.chmod(0o604)
+        assert main(self.ARGV + [str(out)]) == 0
+        capsys.readouterr()
+        assert out.read_text() == _EXTREMAL_CSV
+        assert stat.S_IMODE(os.stat(out).st_mode) == 0o604
 
 
 class TestExtremal:
