@@ -34,11 +34,16 @@ class BlaschkeFactor:
         return (lam - z) / (1.0 - np.conj(lam) * z)
 
 
+def _one_minus_square(a):
+    """1 - a^2 within 7/6 ulp for 0 <= a <= 1: from a = 1/2 on with 1 - a exact (Sterbenz)."""
+    return np.where(a < 0.5, 1.0 - a * a, (1.0 - a) * (1.0 + a))
+
+
 def taylor(factor: BlaschkeFactor, n: int) -> AnalyticPolynomial:
     """First n Taylor coefficients of b_lambda at 0.
 
     Closed form: a_0 = lambda, a_k = -(1 - |lambda|^2) conj(lambda)^{k-1}
-    for k >= 1. For lambda = 0 this is the polynomial -z.
+    for k >= 1, 1 - |lambda|^2 by _one_minus_square; -z for lambda = 0.
     """
     if n < 1:
         raise ValueError("n must be at least 1")
@@ -46,17 +51,17 @@ def taylor(factor: BlaschkeFactor, n: int) -> AnalyticPolynomial:
     c = np.zeros(n, dtype=np.complex128)
     c[0] = lam
     if n > 1:
-        c[1:] = -(1.0 - abs(lam) ** 2) * np.conj(lam) ** np.arange(n - 1)
+        c[1:] = -_one_minus_square(abs(lam)) * np.conj(lam) ** np.arange(n - 1)
     return AnalyticPolynomial(n, c)
 
 
 def reciprocal_taylor(factor: BlaschkeFactor, n: int) -> AnalyticPolynomial:
     """First n Taylor coefficients of 1/b_lambda at 0.
 
-    Closed form: c_0 = 1/lambda, c_k = (1 - |lambda|^2)/lambda^{k+1}. Equals
-    reciprocal_series(taylor(factor, n)) up to roundoff, with its contract:
-    coefficients beyond float64 come back as inf or NaN without a warning.
-    Undefined for lambda = 0, where the factor itself vanishes at the origin.
+    Closed form: c_0 = 1/lambda, c_k = (1 - |lambda|^2)/lambda^{k+1}, weight
+    as in taylor. Equals reciprocal_series(taylor(factor, n)) up to roundoff,
+    with its contract: coefficients beyond float64 come back as inf or NaN
+    without a warning. Undefined for lambda = 0, where the factor vanishes at 0.
     """
     if n < 1:
         raise ValueError("n must be at least 1")
@@ -67,7 +72,7 @@ def reciprocal_taylor(factor: BlaschkeFactor, n: int) -> AnalyticPolynomial:
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         c[0] = 1.0 / lam
         if n > 1:
-            c[1:] = (1.0 - abs(lam) ** 2) / lam ** np.arange(2, n + 1)
+            c[1:] = _one_minus_square(abs(lam)) / lam ** np.arange(2, n + 1)
     return AnalyticPolynomial(n, c)
 
 
@@ -89,10 +94,7 @@ def eval_on_circle(g: BlaschkeFactor | AnalyticPolynomial, m: int) -> np.ndarray
     if isinstance(g, BlaschkeFactor):
         z = np.exp(2j * np.pi * np.arange(m) / m)
         return np.abs(g.eval(z))
-    if isinstance(g, AnalyticPolynomial):
-        coeffs = g.coeffs
-    else:
-        coeffs = np.asarray(g, dtype=np.complex128).reshape(-1)
+    coeffs = g.coeffs
     if coeffs.shape[0] > m:
         raise ValueError("sample count must be at least the coefficient count")
     padded = np.zeros(m, dtype=np.complex128)

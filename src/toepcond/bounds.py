@@ -279,11 +279,9 @@ def check_contraction(n: int, r: float, A, W, x) -> BoundsRecord:
     M, W, x, length, diagonal = _checked_arguments(n, A, W, x)
     E, holds = _identity_terms(M, W, _defect_vector(x, length, diagonal))
     gram = n * float(E.max())
-    # ||A||^(n-1)/|det A| with ||A|| <= sqrt(1 + n max|E|), as factors
-    # ||A||/|A_kk| >= 1 over 1/|A_00|, which do not underflow where |det A|
-    # would; a Python float overflows to inf without a warning
-    norm_bound = math.sqrt(1.0 + gram)
-    upper = math.prod([norm_bound / d for d in diagonal[1:]]) / diagonal[0]
+    # 1/|det A| as the 1/|A_kk| in sequence, which do not underflow where |det A| would
+    with np.errstate(over="ignore"):  # a numpy power overflows to inf; a float's raises
+        upper = float(np.sqrt(1.0 + gram) ** (n - 1) * math.prod([1.0 / d for d in diagonal]))
     value = _vector_norm(_row_sums(W, x)) / length
     return _certify(n, r, value, upper, diagonal[0], gram, bool(holds.all()))
 
@@ -315,8 +313,8 @@ def grid_sweep(n_max: int, r_grid: Sequence[float]) -> list[BoundsRecord]:
     is read for each n: n max|E| from running maxima over the leading
     blocks, A W = I from a running "no miss yet" over them (its rule is per
     row, so the same in every block), the value from the first n row sums
-    of the lower-triangular series times x, the enclosure from one
-    sequential product per size in math.prod's order. Its argument checks also run once per r, on the
+    of the lower-triangular series times x, the enclosure from one cumprod
+    of the 1/|A_kk| in math.prod's order and a power per size. Its argument checks also run once per r, on the
     n_max matrices: the first shell where one fails cuts the products, and
     from that size on they run per point, where they always raise, so that
     each failing n names its own first offending entry. Per point only the
@@ -349,11 +347,10 @@ def grid_sweep(n_max: int, r_grid: Sequence[float]) -> list[BoundsRecord]:
             E, holds = _identity_terms(A[:m, :m], G[:m, :m], c)
             gram = np.arange(1, m + 1) * _leading_maxima(E)
             residuals_ok = (~_leading_maxima(~holds)).tolist()
-            with np.errstate(over="ignore", invalid="ignore"):
-                # row n - 1 holds the enclosure factors ||A||/|A_kk| of size
-                # n, k = 1..m-1, multiplied in sequence as math.prod does
-                products = np.multiply.accumulate(np.sqrt(1.0 + gram)[:, None] / diagonal[1:m], axis=1)
-                uppers = [1.0 / diagonal[0], *(np.diagonal(products, -1) / diagonal[0]).tolist()]
+            with np.errstate(over="ignore"):
+                # every size's 1/|det A| from one product in sequence, as math.prod forms it
+                inverse_dets = np.cumprod(1.0 / np.array(diagonal[:m]))
+                uppers = [float(b ** k * d) for k, (b, d) in enumerate(zip(np.sqrt(1.0 + gram), inverse_dets))]
             grams = gram.tolist()
             # G is lower triangular, so size n takes the first n row sums;
             # math.hypot drops their signs as _vector_norm does

@@ -39,6 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
+from .blaschke import _one_minus_square
 from .bounds import BoundsRecord, check_contraction, kronecker_bound
 
 
@@ -99,9 +100,8 @@ def _checked_zeros(zeros) -> tuple[tuple, np.ndarray, np.ndarray]:
 
 
 def _weights(lam: np.ndarray) -> np.ndarray:
-    # s_k = sqrt((1 - |lambda_k|)(1 + |lambda_k|)), accurate as |lambda_k| -> 1
-    a = np.abs(lam)
-    return np.sqrt((1.0 - a) * (1.0 + a))
+    # s_k = sqrt(1 - |lambda_k|^2); np.abs, not hypot, as near |z| = 1 s_k is ill-conditioned in |lambda_k|
+    return np.sqrt(_one_minus_square(np.abs(lam)))
 
 
 def model_operator(zeros) -> ModelOperatorMatrix:
