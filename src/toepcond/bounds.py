@@ -276,14 +276,20 @@ def check_contraction(n: int, r: float, A, W, x) -> BoundsRecord:
     A miss in the enclosure, the residual or the closed form raises
     TwoPathMismatchError.
     """
+    return _contraction_terms(n, r, A, W, x)[0]
+
+
+def _contraction_terms(n: int, r: float, A, W, x) -> tuple[BoundsRecord, np.ndarray, np.ndarray]:
+    """The record of check_contraction, with the |E| and c it was read from."""
     M, W, x, length, diagonal = _checked_arguments(n, A, W, x)
-    E, holds = _identity_terms(M, W, _defect_vector(x, length, diagonal))
+    c = _defect_vector(x, length, diagonal)
+    E, holds = _identity_terms(M, W, c)
     gram = n * float(E.max())
     # 1/|det A| as the 1/|A_kk| in sequence, which do not underflow where |det A| would
     with np.errstate(over="ignore"):  # a numpy power overflows to inf; a float's raises
         upper = float(np.sqrt(1.0 + gram) ** (n - 1) * math.prod([1.0 / d for d in diagonal]))
     value = _vector_norm(_row_sums(W, x)) / length
-    return _certify(n, r, value, upper, diagonal[0], gram, bool(holds.all()))
+    return _certify(n, r, value, upper, diagonal[0], gram, bool(holds.all())), E, c
 
 
 def theorem_check(n: int, r: float) -> BoundsRecord:

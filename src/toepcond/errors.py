@@ -23,7 +23,7 @@ class BezoutPairError(ToepcondError):
 
 
 class ExtremalityError(ToepcondError):
-    """A contraction missed the closed form of its norm."""
+    """A contraction missed the closed form of its norm, or its defect rank is undecided."""
 
 
 class TwoPathMismatchError(ToepcondError):

@@ -7,8 +7,7 @@ from numpy's LAPACK SVD: at n <= 64 a full SVD is cheap and gives every
 singular value to machine precision, clustered ones included.
 bounds.check_contraction decides the norms the package reports from two
 identities and no SVD; spectral_norm and inverse_norm are the independent
-routes the tests check it against. verify_extremality still counts its
-defect rank from defect_singular_values.
+routes the tests check it against.
 """
 
 from __future__ import annotations

@@ -38,9 +38,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import linalg
 from .blaschke import _one_minus_square
-from .bounds import BoundsRecord, check_contraction, kronecker_bound
+from .bounds import BoundsRecord, _contraction_terms, kronecker_bound
+from .errors import ExtremalityError
 
 
 @dataclass(eq=False)
@@ -62,7 +62,8 @@ class ExtremalityReport:
     """Norm equalities of a model operator with all zeros on |z| = r.
 
     `record` is the bracket record of bounds.check_contraction; `norm` and
-    `inv_norm` read from it.
+    `inv_norm` read from it. `defect_rank` is 1, by verify_extremality's
+    rule; where the rule cannot decide it, no report is made.
     """
 
     n: int
@@ -141,9 +142,13 @@ def verify_extremality(r: float, zeros) -> ExtremalityReport:
     """Check the equality case ||M^{-1}|| = 1/r^n for zeros on |z| = r.
 
     M (its zeros validated once, by model_operator), its closed-form
-    inverse and its extremal vector go through bounds.check_contraction.
-    The defect rank (it must be 1 here) counts singular values of I - M*M
-    above half of 1 - r^(2n).
+    inverse and its extremal vector go through bounds.check_contraction,
+    whose Gram identity decides the defect rank with no SVD: I - M*M has
+    the spectrum of I - M M* = c c* + E, and ||E|| <= max_i sum_j |E_ij|
+    for Hermitian E. Below ||c||^2/2 that sum leaves one singular value
+    above ||c||^2/2 and n - 1 below it: rank 1; else ExtremalityError, the
+    rank undecided. It reads the computed E, as the Gram check does, so
+    within about 1e-14 of the circle the count is at roundoff level.
     """
     r = float(r)
     if not 0.0 < r < 1.0:
@@ -156,11 +161,11 @@ def verify_extremality(r: float, zeros) -> ExtremalityReport:
         raise ValueError(f"all zeros must have modulus r = {r}, got |z| = {moduli[off.argmax()]:.12g}")
     s = _weights(lam)
     n = op.n
-    rec = check_contraction(n, r, op.matrix, _inverse_matrix(lam, s), _extremal_vector(lam, s))
+    rec, E, c = _contraction_terms(n, r, op.matrix, _inverse_matrix(lam, s), _extremal_vector(lam, s))
     kron = kronecker_bound(n, r)
-    rel_gap = abs(rec.inv_norm - kron) / kron
-    defect = -np.expm1(2 * n * np.log(r))  # 1 - r^(2n) without cancellation
-    rank = int(np.count_nonzero(linalg.defect_singular_values(op.matrix) > 0.5 * defect))
+    half, spread = 0.5 * float(np.vdot(c, c).real), float(E.sum(axis=1).max())
+    if not spread < half:
+        raise ExtremalityError(f"defect rank undecided: a row sum of |E| is {spread:.3g} >= ||c||^2/2 = {half:.3g}")
     return ExtremalityReport(
         n=n,
         r=r,
@@ -168,6 +173,6 @@ def verify_extremality(r: float, zeros) -> ExtremalityReport:
         matrix=op.matrix,
         record=rec,
         kronecker=kron,
-        rel_gap=rel_gap,
-        defect_rank=rank,
+        rel_gap=abs(rec.inv_norm - kron) / kron,
+        defect_rank=1,
     )

@@ -26,9 +26,10 @@ from toepcond import (
     spectral_norm,
     taylor,
     theorem_check,
+    verify_extremality,
 )
 from toepcond.bounds import PASS_TOL, TWO_PATH_RTOL, bracket_record, check_contraction
-from toepcond.cli import DEFAULT_R_GRID, parse_r_grid
+from toepcond.cli import DEFAULT_R_GRID, main, parse_r_grid
 from toepcond.core import apply_calculus, reciprocal_series
 from toepcond.linalg import PIVOT_TOL
 
@@ -588,6 +589,17 @@ class TestKernelBudget:
         # the 823 points whose value is at most 1/PIVOT_TOL, and (14, 0.1),
         # where ||X|| lies just inside it and the value just past
         assert solved == 824
+
+    @pytest.mark.parametrize("n", (2, 8, 32))
+    def test_model_operator_runs_no_svd_or_inverse(self, n, kernels, capsys):
+        # the (n, r) points of the benchmark's model sweep: the defect rank
+        # comes from the Gram identity check_contraction already passes
+        for r in (0.5, 0.9, 0.99, 0.999, 0.9999):
+            zeros = tuple(r * np.exp(2j * np.pi * k / n) for k in range(n))
+            assert verify_extremality(r, zeros).defect_rank == 1
+            assert main(["extremal", "--model", "--n", str(n), "--r", repr(r)]) == 0
+            assert "\ndefect rank = 1\n" in capsys.readouterr().out
+        assert kernels == {"svd": [], "inv": []}
 
     def test_grid_sweep_checks_the_arguments_once_per_r(self, monkeypatch):
         # the n_max matrices decide the argument checks of every size before

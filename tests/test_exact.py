@@ -128,3 +128,145 @@ class TestEqualityCaseInZr:
             if not _equal(coeff, one if k == 0 else np.zeros(1, dtype=np.int64)):
                 mismatches.append(k)
         assert mismatches == []
+
+
+class Gaussian:
+    """re + im i with Fraction parts: exact arithmetic in Q(i)."""
+
+    __slots__ = ("re", "im")
+
+    def __init__(self, re, im=0):
+        self.re, self.im = Fraction(re), Fraction(im)
+
+    @staticmethod
+    def _of(z):
+        return z if isinstance(z, Gaussian) else Gaussian(z)
+
+    def __add__(self, other):
+        other = self._of(other)
+        return Gaussian(self.re + other.re, self.im + other.im)
+
+    def __neg__(self):
+        return Gaussian(-self.re, -self.im)
+
+    def __sub__(self, other):
+        return self + -self._of(other)
+
+    def __mul__(self, other):
+        other = self._of(other)
+        return Gaussian(self.re * other.re - self.im * other.im, self.re * other.im + self.im * other.re)
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, other):
+        other = self._of(other)
+        norm = other.re**2 + other.im**2
+        return self * Gaussian(other.re / norm, -other.im / norm)
+
+    def conj(self):
+        return Gaussian(self.re, -self.im)
+
+    def __eq__(self, other):
+        other = self._of(other)
+        return self.re == other.re and self.im == other.im
+
+
+def _prod(factors) -> Gaussian:
+    out = Gaussian(1)
+    for f in factors:
+        out = out * f
+    return out
+
+
+# moduli rho with rational s = sqrt(1 - rho^2): 1 - (12/35)^2 is not a square
+PYTHAGOREAN = {
+    Fraction(3, 5): Fraction(4, 5), Fraction(5, 13): Fraction(12, 13), Fraction(8, 17): Fraction(15, 17),
+    Fraction(7, 25): Fraction(24, 25), Fraction(20, 29): Fraction(21, 29), Fraction(12, 37): Fraction(35, 37),
+}
+
+
+def _model_zero_sets() -> list:
+    """Twelve seeded (zeros, weights) pairs, n <= 6: lambda = rho omega with
+    rho Pythagorean and omega = ((a^2 - b^2) + 2ab i)/(a^2 + b^2) a rational
+    point on the circle; the first four have equal moduli."""
+    rng = np.random.default_rng(2026)
+    moduli = sorted(PYTHAGOREAN)
+    sets = []
+    for k in range(12):
+        n = int(rng.integers(1, 7))
+        rhos = [moduli[k % 6]] * n if k < 4 else [moduli[i] for i in rng.integers(0, 6, n)]
+        zeros = []
+        for rho in rhos:
+            a, b = (int(v) for v in rng.integers(-9, 10, 2))
+            a = a or 1
+            zeros.append(Gaussian(rho * (a * a - b * b), rho * 2 * a * b) / (a * a + b * b))
+        sets.append((zeros, [PYTHAGOREAN[rho] for rho in rhos]))
+    return sets
+
+
+def _model_matrices(zeros, s) -> tuple:
+    """M, W = M^{-1}, x and d from the closed forms of the model module."""
+    n = len(zeros)
+    M = [[Gaussian(0)] * n for _ in range(n)]
+    W = [[Gaussian(0)] * n for _ in range(n)]
+    for k in range(n):
+        M[k][k], W[k][k] = zeros[k], Gaussian(1) / zeros[k]
+        for l in range(k + 1, n):
+            M[l][k] = s[k] * s[l] * _prod(-zeros[j].conj() for j in range(k + 1, l))
+        for l in range(k):
+            W[k][l] = Gaussian(-s[k] * s[l]) / _prod(-zeros[j] for j in range(l, k + 1))
+    x = [s[k] * _prod(-zeros[j].conj() for j in range(k)) for k in range(n)]
+    d = [s[k] * _prod(-zeros[j] for j in range(k + 1, n)) for k in range(n)]
+    return M, W, x, d
+
+
+def _matmul(A, B) -> list:
+    n = len(A)
+    return [[sum((A[i][k] * B[k][j] for k in range(n)), Gaussian(0)) for j in range(n)] for i in range(n)]
+
+
+def _adjoint(A) -> list:
+    return [[a.conj() for a in col] for col in zip(*A)]
+
+
+def _differing(left, right) -> list:
+    """The entries (i, j) where the n x n left and right differ."""
+    n = len(left)
+    return [(i, j) for i in range(n) for j in range(n) if left[i][j] != right[i][j]]
+
+
+def _eye(n: int) -> list:
+    return [[Gaussian(int(i == j)) for j in range(n)] for i in range(n)]
+
+
+def _identity_minus(A) -> list:
+    return [[e - a for e, a in zip(row_e, row_a)] for row_e, row_a in zip(_eye(len(A)), A)]
+
+
+def _outer(u) -> list:
+    return [[a * b.conj() for b in u] for a in u]
+
+
+MODEL_ZERO_SETS = _model_zero_sets()
+
+
+class TestModelOperatorInQi:
+    """The three identities of the model operator, exact over Q(i) for
+    zeros rho omega as above: I - M M* = x x* is the Gram identity of
+    bounds.check_contraction, whose spectrum verify_extremality reads as
+    that of I - M* M = d d*, and M W = I is its residual identity."""
+
+    @pytest.mark.parametrize("zeros, s", MODEL_ZERO_SETS)
+    def test_gram_identity(self, zeros, s):
+        M, _, x, _ = _model_matrices(zeros, s)
+        assert _differing(_identity_minus(_matmul(M, _adjoint(M))), _outer(x)) == []
+
+    @pytest.mark.parametrize("zeros, s", MODEL_ZERO_SETS)
+    def test_exact_inverse(self, zeros, s):
+        M, W, _, _ = _model_matrices(zeros, s)
+        assert _differing(_matmul(M, W), _eye(len(zeros))) == []
+
+    @pytest.mark.parametrize("zeros, s", MODEL_ZERO_SETS)
+    def test_defect_identity(self, zeros, s):
+        M, _, _, d = _model_matrices(zeros, s)
+        assert _differing(_identity_minus(_matmul(_adjoint(M), M)), _outer(d)) == []

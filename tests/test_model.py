@@ -19,7 +19,7 @@ from toepcond import (
     spectral_norm,
     verify_extremality,
 )
-from toepcond.bounds import check_contraction, kronecker_bound
+from toepcond.bounds import _contraction_terms, check_contraction, kronecker_bound
 from toepcond.cli import DEFAULT_R_GRID, parse_r_grid
 
 # Independent oracle: the compressed shift by trapezoidal quadrature of
@@ -360,9 +360,27 @@ class TestVerifyExtremality:
     )
     def test_defect_rank_is_one_up_to_the_circle(self, n, r):
         # the one defect singular value 1 - r^(2n) falls below any fixed
-        # tolerance as r -> 1 (2e-12 at n = 1, r = 1 - 1e-12)
+        # tolerance as r -> 1 (2e-12 at n = 1, r = 1 - 1e-12). The SVD
+        # oracle counts as many singular values of I - M*M above ||c||^2/2
+        # as the report gives, and the row sums of |E| the rule reads stay
+        # 1e-4 of ||c||^2/2 or less (1.4e-5 at worst, at (8, 1 - 1e-12))
         zeros = tuple(r * np.exp(2j * np.pi * k / n) for k in range(n))
-        assert verify_extremality(r, zeros).defect_rank == 1
+        report = verify_extremality(r, zeros)
+        _, lam, s = model_mod._checked_zeros(zeros)
+        _, E, c = _contraction_terms(n, r, report.matrix, model_mod._inverse_matrix(lam, s),
+                                     model_mod._extremal_vector(lam, s))
+        half = 0.5 * np.vdot(c, c).real
+        assert np.count_nonzero(defect_singular_values(report.matrix) > half) == report.defect_rank == 1
+        assert E.sum(axis=1).max() <= 1e-4 * half
+
+    @pytest.mark.parametrize("degrees", [77, 119, 210, 273])
+    def test_defect_rank_at_roundoff_is_undecided(self, degrees):
+        # one ulp inside the circle the row sums of |E| reach ||c||^2/2:
+        # refused, where the SVD count against 1/2 (1 - r^4) gave rank 2
+        r = 1.0 - 2.0**-53
+        zeros = (r, r * np.exp(1j * np.radians(degrees)))
+        with pytest.raises(ExtremalityError, match=r"^defect rank undecided: a row sum of \|E\| is \S+ >= \|\|c"):
+            verify_extremality(r, zeros)
 
     def test_closed_form_is_checked_to_1e_12(self):
         # zeros 3e-14 inside |z| = r = 0.001 pass the modulus check, and M,
