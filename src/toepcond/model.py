@@ -148,7 +148,9 @@ def verify_extremality(r: float, zeros) -> ExtremalityReport:
     for Hermitian E. Below ||c||^2/2 that sum leaves one singular value
     above ||c||^2/2 and n - 1 below it: rank 1; else ExtremalityError, the
     rank undecided. It reads the computed E, as the Gram check does, so
-    within about 1e-14 of the circle the count is at roundoff level.
+    within about 1e-14 of the circle the count is at roundoff level. At
+    n = 1 the defect 1 - |lambda|^2 is one positive number, rank 1 for
+    every zero in the open disk, and no row sum is read.
     """
     r = float(r)
     if not 0.0 < r < 1.0:
@@ -164,7 +166,8 @@ def verify_extremality(r: float, zeros) -> ExtremalityReport:
     rec, E, c = _contraction_terms(n, r, op.matrix, _inverse_matrix(lam, s), _extremal_vector(lam, s))
     kron = kronecker_bound(n, r)
     half, spread = 0.5 * float(np.vdot(c, c).real), float(E.sum(axis=1).max())
-    if not spread < half:
+    # at n = 1 the defect 1 - |lambda|^2 is a positive scalar: rank 1
+    if n >= 2 and not spread < half:
         raise ExtremalityError(f"defect rank undecided: a row sum of |E| is {spread:.3g} >= ||c||^2/2 = {half:.3g}")
     return ExtremalityReport(
         n=n,

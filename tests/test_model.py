@@ -382,6 +382,20 @@ class TestVerifyExtremality:
         with pytest.raises(ExtremalityError, match=r"^defect rank undecided: a row sum of \|E\| is \S+ >= \|\|c"):
             verify_extremality(r, zeros)
 
+    def test_single_zero_at_roundoff_has_rank_one(self):
+        # one ulp inside the circle the row sum of |E| can reach ||c||^2/2
+        # (|lambda|^2 and 1 - |lambda|^2 each round by about 1e-16), but at
+        # n = 1 the defect is the one number 1 - |lambda|^2 > 0: rank 1 at
+        # every angle whose zero passes the argument checks
+        r = 1.0 - 2.0**-53
+        ranks = []
+        for t in np.linspace(0.0, 2.0 * np.pi, 1000, endpoint=False):
+            try:
+                ranks.append(verify_extremality(r, (r * np.exp(1j * t),)).defect_rank)
+            except ValueError as exc:
+                assert str(exc) == "certificate must be nonzero and finite"
+        assert ranks == [1] * 845
+
     def test_closed_form_is_checked_to_1e_12(self):
         # zeros 3e-14 inside |z| = r = 0.001 pass the modulus check, and M,
         # its inverse and its extremal vector agree on ||M^{-1}||: a check at
