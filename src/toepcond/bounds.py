@@ -18,7 +18,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -116,26 +116,35 @@ def bracket_endpoints(n: int, r: float) -> tuple[float, float]:
     return max(rn, 1.0 - rn), 1.0
 
 
+def _bracket(rn, inv_norm):
+    """The scaled inverse norm r^n * inv_norm, the lower end max(r^n, 1 - r^n)
+    of the bracket [lower, 1] and whether the scaled value lies in it within
+    PASS_TOL, for rn = r^n: of one size, or elementwise over arrays of sizes."""
+    scaled = rn * inv_norm
+    lower = np.maximum(rn, 1.0 - rn)
+    return scaled, lower, (lower - PASS_TOL <= scaled) & (scaled <= 1.0 + PASS_TOL)
+
+
 def bracket_record(n: int, r: float, norm_T: float, inv_norm: float) -> BoundsRecord:
     """The record of one point: the scaled inverse norm r^n * inv_norm
     against the bracket [max(r^n, 1 - r^n), 1], passed within PASS_TOL."""
     n = int(n)
     r = float(r)
-    scaled = r**n * inv_norm
-    lower, upper = bracket_endpoints(n, r)
+    scaled, lower, passed = _bracket(r**n, inv_norm)
     return BoundsRecord(
         n=n, r=r, norm_T=norm_T, inv_norm=inv_norm, scaled=scaled,
-        lower=lower, upper=upper, passed=lower - PASS_TOL <= scaled <= upper + PASS_TOL,
+        lower=float(lower), upper=1.0, passed=bool(passed),
     )
 
 
-def _bracket_matrices(n: int, r: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """T_r, its reciprocal-series inverse and its extremal vector x_k = r^k
-    at size n. The matrices are exactly real for real r, so their real parts
-    go through the check in real arithmetic."""
-    T = build_T_r(n, r)
-    G = apply_calculus(reciprocal_series(T.symbol), T.n)
-    return T.matrix.real, G.matrix.real, float(r) ** np.arange(T.n)
+def _bracket_matrices(n: int, rs: Sequence[float]) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """For each r of rs in turn: T_r, its reciprocal-series inverse and its
+    extremal vector x_k = r^k at size n. The matrices are exactly real for
+    real r, so their real parts go through the check in real arithmetic."""
+    for r in rs:
+        T = build_T_r(n, r)
+        G = apply_calculus(reciprocal_series(T.symbol), T.n)
+        yield T.matrix.real, G.matrix.real, float(r) ** np.arange(T.n)
 
 
 @functools.cache
@@ -221,27 +230,43 @@ def _row_sums(W: np.ndarray, x: np.ndarray) -> np.ndarray:
         return np.add.accumulate(W * x, axis=1)[:, -1]
 
 
+def _verdicts(n, r, rn, value, upper, corner, gram, residual_ok) -> tuple:
+    """The checks of check_contraction after its argument checks, in its
+    order, for one size n or elementwise over arrays of sizes: the value
+    ||W x||/||x|| within its enclosure `upper`, n * max|E| `gram` within
+    CLOSED_FORM_RTOL, |A_00| = `corner` at r for n = 1, A W = I by the rule of
+    _identity_terms, and the closed form rn * value = 1, with rn = r^n."""
+    # a NaN, or an upper bound beyond float64, fails each comparison
+    return (
+        (abs(value - upper) <= TWO_PATH_RTOL * upper) & (TWO_PATH_RTOL * upper < math.inf),
+        gram <= CLOSED_FORM_RTOL,
+        (n >= 2) | (abs(corner - r) <= CLOSED_FORM_RTOL * r),
+        residual_ok,
+        abs(rn * value - 1.0) <= CLOSED_FORM_RTOL,
+    )
+
+
 def _certify(n: int, r: float, value: float, upper: float, corner: float,
              gram: float, residual_ok: bool) -> BoundsRecord:
-    """The verdicts of check_contraction after its argument checks, given
-    the value ||W x||/||x||, its enclosure, |A_00| and the verdicts of the
-    two identities."""
-    # a NaN, or an upper bound beyond float64, fails the negated test
-    if not abs(value - upper) <= TWO_PATH_RTOL * upper < math.inf:
+    """The record of one size whose arguments passed, from the value, its
+    enclosure, |A_00| and the verdicts of the two identities: the error of
+    the first of the _verdicts that fails, typed and with its numbers."""
+    rn = r**n
+    enclosed, normed, cornered, inverted, closed = _verdicts(n, r, rn, value, upper, corner, gram, residual_ok)
+    if not enclosed:
         raise TwoPathMismatchError(
             f"inverse norm outside its enclosure: ||W x||/||x|| = {value:.17g}, ||A||^(n-1)/|det A| <= {upper:.17g}"
         )
-    if not gram <= CLOSED_FORM_RTOL:
+    if not normed:
         raise ExtremalityError(f"expected norm {1.0 if n >= 2 else r:.17g}, got n * max|I - A A* - c c*| = {gram:.3g}")
     norm = 1.0 if n >= 2 else corner
-    if n == 1 and not abs(norm - r) <= CLOSED_FORM_RTOL * r:
+    if not cornered:
         raise ExtremalityError(f"expected norm {r:.17g}, got {norm:.17g}")
-    if not residual_ok:
+    if not inverted:
         raise TwoPathMismatchError(f"exact inverse misses A W = I: |A W - I| > {RESIDUAL_GAMMA} (i + 1) eps |A| |W| "
                                    "in some row i")
-    scale = r**n
-    if not abs(scale * value - 1.0) <= CLOSED_FORM_RTOL:
-        raise TwoPathMismatchError(f"inverse norm misses the closed form: {scale:.17g} * {value:.17g} != 1")
+    if not closed:
+        raise TwoPathMismatchError(f"inverse norm misses the closed form: {rn:.17g} * {value:.17g} != 1")
     return bracket_record(n, r, norm, value)
 
 
@@ -300,7 +325,7 @@ def theorem_check(n: int, r: float) -> BoundsRecord:
     is a series beyond float64, refused at its first such coefficient k,
     entry (k, 0): first at n = 2 for r = 1e-200.
     """
-    return check_contraction(n, r, *_bracket_matrices(n, r))
+    return check_contraction(n, r, *next(_bracket_matrices(n, (r,))))
 
 
 def _failed_record(n: int, r: float, exc: Exception) -> BoundsRecord:
@@ -308,6 +333,54 @@ def _failed_record(n: int, r: float, exc: Exception) -> BoundsRecord:
     rec = bracket_record(n, r, math.nan, math.nan)
     rec.error = f"{type(exc).__name__}: {exc}"
     return rec
+
+
+def _recorded(n: int, r: float, check, *args) -> BoundsRecord:
+    """check(n, r, *args), the record of one point, or if it raises the
+    failed record of its exception."""
+    try:
+        return check(n, r, *args)
+    except (ToepcondError, ValueError) as exc:
+        return _failed_record(n, r, exc)
+
+
+def _sweep_records(n_max: int, r: float, A: np.ndarray, G: np.ndarray, x: np.ndarray) -> list[BoundsRecord]:
+    """The records of grid_sweep at one r, sizes 1..n_max, from T_r, its
+    series and its extremal vector at size n_max."""
+    diagonal = np.abs(np.diagonal(A)).tolist()
+    # the cut m: the first shell where an argument check fails (a nonzero
+    # above the diagonal, an inf or NaN in A or W, or a zero A_kk), which
+    # would spoil the products (0 * inf) or c (log 0) of the blocks before it
+    bad = ~(np.isfinite(A) & np.isfinite(G)) | np.diag(np.diagonal(A) == 0.0)
+    bad |= _strictly_upper(n_max) & (A != 0.0)
+    m = int(np.count_nonzero(~_leading_maxima(bad)))
+    corner, records = diagonal[0], []
+    if m > 0:
+        c = _defect_vector(x[:m], _vector_norm(x[:m]), diagonal[:m])
+        E, holds = _identity_terms(A[:m, :m], G[:m, :m], c)
+        gram = np.arange(1, m + 1) * _leading_maxima(E)
+        residual_ok = ~_leading_maxima(~holds)
+        # G is lower triangular, so size n takes the first n row sums;
+        # math.hypot drops their signs as _vector_norm does
+        sums, xs = _row_sums(G[:m, :m], x[:m]).tolist(), x[:m].tolist()
+        values = np.array([math.hypot(*sums[:n]) / math.hypot(*xs[:n]) for n in range(1, m + 1)])
+        rn = np.array([r**n for n in range(1, m + 1)])
+        # an overflow, or inf - inf, fails the verdicts instead of warning
+        with np.errstate(over="ignore", invalid="ignore"):
+            # every size's 1/|det A| from one product in sequence, as math.prod forms it
+            inverse_dets = np.cumprod(1.0 / np.array(diagonal[:m]))
+            uppers = np.array([float(b ** k * d) for k, (b, d) in enumerate(zip(np.sqrt(1.0 + gram), inverse_dets))])
+            verdicts = _verdicts(np.arange(1, m + 1), r, rn, values, uppers, corner, gram, residual_ok)
+            columns = (np.logical_and.reduce(verdicts), values, *_bracket(rn, values), uppers, gram, residual_ok)
+        rows = enumerate(zip(*(column.tolist() for column in columns)), 1)
+        records = [
+            BoundsRecord(n, r, 1.0 if n >= 2 else corner, value, scaled, lower, 1.0, passed) if ok
+            else _recorded(n, r, _certify, value, upper, corner, g, inverted)
+            for n, (ok, value, scaled, lower, passed, upper, g, inverted) in rows
+        ]
+    # past the cut the argument checks raise, with each size's own first
+    # offending entry
+    return records + [_recorded(n, r, check_contraction, A[:n, :n], G[:n, :n], x[:n]) for n in range(m + 1, n_max + 1)]
 
 
 def grid_sweep(n_max: int, r_grid: Sequence[float]) -> list[BoundsRecord]:
@@ -320,59 +393,27 @@ def grid_sweep(n_max: int, r_grid: Sequence[float]) -> list[BoundsRecord]:
     blocks, A W = I from a running "no miss yet" over them (its rule is per
     row, so the same in every block), the value from the first n row sums
     of the lower-triangular series times x, the enclosure from one cumprod
-    of the 1/|A_kk| in math.prod's order and a power per size. Its argument checks also run once per r, on the
-    n_max matrices: the first shell where one fails cuts the products, and
-    from that size on they run per point, where they always raise, so that
-    each failing n names its own first offending entry. Per point only the
-    lengths of the value and _certify run, so each record is bitwise
-    theorem_check(n, r). A point whose check raises gets NaN norms,
-    passed = False and its exception in `error`; the sweep always
-    completes. Records come back sorted by (n, r).
+    of the 1/|A_kk| in math.prod's order and a power per size. Its argument
+    checks also run once per r, on the n_max matrices: the first shell
+    where one fails cuts the products, and from that size on
+    check_contraction runs per point, where its argument checks raise, so
+    that each failing n names its own first offending entry. The verdicts
+    of every size before the cut are _verdicts' arrays; per point only the
+    two math.hypot lengths of the value and the record remain, and
+    _certify runs only at a size that fails, to raise its typed error. So
+    each record is bitwise theorem_check(n, r). A point whose check raises
+    gets NaN norms, passed = False and its exception in `error`; the sweep
+    always completes. Records come in (n, r) order.
     """
     n_max = int(n_max)
     if not 1 <= n_max <= 64:
         raise ValueError("n_max must lie in 1..64")
-    rs = [float(r) for r in r_grid]
+    rs = sorted(float(r) for r in r_grid)
     for r in rs:
         if not 0.0 < r < 1.0:
             raise ValueError("grid values must lie strictly between 0 and 1")
-    records = []
-    for r in rs:
-        A, G, x = _bracket_matrices(n_max, r)
-        diagonal = np.abs(np.diagonal(A)).tolist()
-        # the cut m: the first shell where an argument check fails (a
-        # nonzero above the diagonal, an inf or NaN in A or W, or a zero
-        # A_kk), which would spoil the products (0 * inf) or c (log 0) of
-        # the blocks before it
-        bad = ~(np.isfinite(A) & np.isfinite(G)) | np.diag(np.diagonal(A) == 0.0)
-        bad |= _strictly_upper(n_max) & (A != 0.0)
-        m = int(np.count_nonzero(~_leading_maxima(bad)))
-        grams = residuals_ok = uppers = sums = xs = []
-        if m > 0:
-            c = _defect_vector(x[:m], _vector_norm(x[:m]), diagonal[:m])
-            E, holds = _identity_terms(A[:m, :m], G[:m, :m], c)
-            gram = np.arange(1, m + 1) * _leading_maxima(E)
-            residuals_ok = (~_leading_maxima(~holds)).tolist()
-            with np.errstate(over="ignore"):
-                # every size's 1/|det A| from one product in sequence, as math.prod forms it
-                inverse_dets = np.cumprod(1.0 / np.array(diagonal[:m]))
-                uppers = [float(b ** k * d) for k, (b, d) in enumerate(zip(np.sqrt(1.0 + gram), inverse_dets))]
-            grams = gram.tolist()
-            # G is lower triangular, so size n takes the first n row sums;
-            # math.hypot drops their signs as _vector_norm does
-            sums = _row_sums(G[:m, :m], x[:m]).tolist()
-            xs = x[:m].tolist()
-        for n in range(1, n_max + 1):
-            try:
-                # past the cut the checks raise, with this n's own first offending entry
-                if n > m:
-                    _checked_arguments(n, A[:n, :n], G[:n, :n], x[:n])
-                value = math.hypot(*sums[:n]) / math.hypot(*xs[:n])
-                records.append(_certify(n, r, value, uppers[n - 1], diagonal[0], grams[n - 1], residuals_ok[n - 1]))
-            except (ToepcondError, ValueError) as exc:
-                records.append(_failed_record(n, r, exc))
-    records.sort(key=lambda rec: (rec.n, rec.r))
-    return records
+    per_r = [_sweep_records(n_max, r, *triple) for r, triple in zip(rs, _bracket_matrices(n_max, rs))]
+    return [rec for size in zip(*per_r) for rec in size]
 
 
 def check_search_point(n: int, r: float) -> tuple[int, float]:

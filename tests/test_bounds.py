@@ -213,7 +213,8 @@ class TestTheoremCheck:
         # T_r' with r'^-n = factor * r^-n, its exact inverse and its extremal
         # vector in place of T_r's: every path agrees on the wrong value
         real_matrices = bounds_mod._bracket_matrices
-        monkeypatch.setattr(bounds_mod, "_bracket_matrices", lambda n, r: real_matrices(n, r * factor ** (-1.0 / n)))
+        monkeypatch.setattr(bounds_mod, "_bracket_matrices",
+                            lambda n, rs: real_matrices(n, [r * factor ** (-1.0 / n) for r in rs]))
 
     def test_closed_form_catches_a_wrong_inverse_norm(self, monkeypatch):
         # every path reads 0.999 of the truth: they agree with each other and
@@ -240,9 +241,9 @@ class TestTheoremCheck:
         # factor * T_r with its exact inverse: only ||T_r|| = 1 (r at n = 1) is off
         real_matrices = bounds_mod._bracket_matrices
 
-        def scaled_matrices(n, r):
-            A, G, x = real_matrices(n, r)
-            return factor * A, G / factor, x
+        def scaled_matrices(n, rs):
+            for A, G, x in real_matrices(n, rs):
+                yield factor * A, G / factor, x
 
         monkeypatch.setattr(bounds_mod, "_bracket_matrices", scaled_matrices)
 
@@ -267,11 +268,11 @@ class TestTheoremCheck:
         # norm of that A is twice 1/r^n, which its determinant bound shows
         real_matrices = bounds_mod._bracket_matrices
 
-        def halved_corner(n, r):
-            A, G, x = real_matrices(n, r)
-            A = A.copy()
-            A[0, 0] = r / 2
-            return A, G, x
+        def halved_corner(n, rs):
+            for r, (A, G, x) in zip(rs, real_matrices(n, rs)):
+                A = A.copy()
+                A[0, 0] = r / 2
+                yield A, G, x
 
         monkeypatch.setattr(bounds_mod, "_bracket_matrices", halved_corner)
         with pytest.raises(TwoPathMismatchError, match="enclosure"):
@@ -295,7 +296,7 @@ E1 = np.array([0.0, 1.0])
 
 def triangular_case(n, r):
     """T_r, its exact inverse and its extremal vector r^k at (n, r)."""
-    return bounds_mod._bracket_matrices(n, r)
+    return next(bounds_mod._bracket_matrices(n, (r,)))
 
 
 def _swapped_rows(W):
@@ -460,7 +461,7 @@ class TestCheckContraction:
         assert check_contraction(n, r, A, W, x).inv_norm > 1.0 / PIVOT_TOL
         with pytest.raises(TwoPathMismatchError, match="misses A W = I"):
             check_contraction(n, r, A, bad, x)
-        monkeypatch.setattr(bounds_mod, "_bracket_matrices", lambda m, r: (A[:m, :m], bad[:m, :m], x[:m]))
+        monkeypatch.setattr(bounds_mod, "_bracket_matrices", lambda m, rs: ((A[:m, :m], bad[:m, :m], x[:m]) for r in rs))
         (rec,) = [rec for rec in grid_sweep(n, (r,)) if rec.n == n]
         assert rec.error.startswith("TwoPathMismatchError: exact inverse misses A W = I")
 
@@ -528,7 +529,7 @@ class TestCheckContraction:
             return real_certify(n, r, value, upper, corner, gram, residual_ok)
 
         monkeypatch.setattr(bounds_mod, "_certify", spied)
-        monkeypatch.setattr(bounds_mod, "_bracket_matrices", lambda n, r: (A, W, np.array([1.0, 0.0])))
+        monkeypatch.setattr(bounds_mod, "_bracket_matrices", lambda n, rs: ((A, W, np.array([1.0, 0.0])) for r in rs))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(TwoPathMismatchError):
@@ -621,6 +622,32 @@ class TestKernelBudget:
         assert [rec.n for rec in records if rec.error] == calls
 
 
+    def test_grid_sweep_certifies_only_failing_sizes(self, monkeypatch):
+        # the verdicts of every size come from per-r arrays; the scalar
+        # _certify runs only where one fails, to raise its typed error
+        calls = []
+        real_certify = bounds_mod._certify
+
+        def counted(n, *args):
+            calls.append(n)
+            return real_certify(n, *args)
+
+        monkeypatch.setattr(bounds_mod, "_certify", counted)
+        grid_sweep(64, parse_r_grid(DEFAULT_R_GRID))
+        assert calls == []
+        # the series of b_r first leaves float64 at index 51 for r = 1e-6
+        records = grid_sweep(64, (1e-6,))
+        assert set(calls) <= set(range(52, 65))
+        assert [rec.n for rec in records if rec.error] == list(range(52, 65))
+        # W[1, 0] 16 eps of its |A| |W| off fails A W = I from n = 2 on
+        A, W, x = triangular_case(64, 0.5)
+        monkeypatch.setattr(bounds_mod, "_bracket_matrices", lambda n, rs: ((A, _row_one_off(W), x) for r in rs))
+        calls.clear()
+        records = grid_sweep(64, (0.5,))
+        assert calls == list(range(2, 65))
+        assert [rec.n for rec in records if rec.error] == calls
+
+
 class TestRealArithmetic:
     R_GRID = parse_r_grid(DEFAULT_R_GRID)
 
@@ -679,14 +706,9 @@ class TestGridSweep:
             assert rec.error is None
 
     def test_failing_point_yields_nan_record(self, monkeypatch):
-        real = bounds_mod._certify
-
-        def flaky(n, *args):
-            if n == 2:
-                raise ToepcondError("synthetic failure")
-            return real(n, *args)
-
-        monkeypatch.setattr(bounds_mod, "_certify", flaky)
+        # W[1, 0] 16 eps of its |A| |W| off fails A W = I at n = 2 only
+        A, W, x = triangular_case(2, 0.5)
+        monkeypatch.setattr(bounds_mod, "_bracket_matrices", lambda n, rs: ((A, _row_one_off(W), x) for r in rs))
         records = bounds_mod.grid_sweep(2, (0.5,))
         assert len(records) == 2
         ok, bad = records[0], records[1]
@@ -694,7 +716,8 @@ class TestGridSweep:
         assert not bad.passed
         assert math.isnan(bad.scaled)
         assert bad.lower == pytest.approx(0.75, rel=1e-15)
-        assert bad.error == "ToepcondError: synthetic failure"
+        assert bad.error == ("TwoPathMismatchError: exact inverse misses A W = I: "
+                             "|A W - I| > 4 (i + 1) eps |A| |W| in some row i")
         assert ok.error is None
 
     def test_each_size_keeps_its_own_argument_failure(self, monkeypatch):
@@ -704,13 +727,13 @@ class TestGridSweep:
         # blocks, with its own first offending entry, and each size before
         # the first fault is bitwise theorem_check's
         expected = [dataclasses.astuple(theorem_check(n, 0.5)) for n in range(1, 10)]
-        A, W, x = (M.copy() for M in bounds_mod._bracket_matrices(64, 0.5))
+        A, W, x = (M.copy() for M in next(bounds_mod._bracket_matrices(64, (0.5,))))
         A[9, 9] = 0.0
         W[12, 4] = math.inf
         W[11, 20] = math.inf  # first in row-major order from n = 21 on
         A[40, 7] = math.nan
         A[3, 50] = 1e-3
-        monkeypatch.setattr(bounds_mod, "_bracket_matrices", lambda n, r: (A, W, x))
+        monkeypatch.setattr(bounds_mod, "_bracket_matrices", lambda n, rs: ((A, W, x) for r in rs))
         records = grid_sweep(64, (0.5,))
         assert [dataclasses.astuple(rec) for rec in records[:9]] == expected
         errors = []
@@ -738,9 +761,9 @@ class TestGridSweep:
         # (A[3, 30] enters (A A*)[3, 3], and W[30, 4] = inf turns column 4 of
         # A W into NaN) or their defect vector (log 0), so it cuts them there
         expected = [dataclasses.astuple(theorem_check(n, 0.5)) for n in range(1, 31)]
-        A, W, x = (M.copy() for M in bounds_mod._bracket_matrices(64, 0.5))
+        A, W, x = (M.copy() for M in next(bounds_mod._bracket_matrices(64, (0.5,))))
         (A, W)[matrix][index] = value
-        monkeypatch.setattr(bounds_mod, "_bracket_matrices", lambda n, r: (A, W, x))
+        monkeypatch.setattr(bounds_mod, "_bracket_matrices", lambda n, rs: ((A, W, x) for r in rs))
         records = grid_sweep(64, (0.5,))
         assert [dataclasses.astuple(rec) for rec in records[:30]] == expected
         assert all(rec.error and not rec.passed for rec in records[30:])
