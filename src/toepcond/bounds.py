@@ -24,7 +24,7 @@ import numpy as np
 
 from . import linalg
 from .blaschke import BlaschkeFactor, taylor
-from .core import AnalyticPolynomial, AnalyticToeplitzMatrix, apply_calculus, reciprocal_series
+from .core import AnalyticPolynomial, AnalyticToeplitzMatrix, _lower_toeplitz, _reciprocal_rows, apply_calculus
 from .errors import ExtremalityError, SingularMatrixError, ToepcondError, TwoPathMismatchError
 
 PASS_TOL = 1e-8
@@ -139,12 +139,13 @@ def bracket_record(n: int, r: float, norm_T: float, inv_norm: float) -> BoundsRe
 
 def _bracket_matrices(n: int, rs: Sequence[float]) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
     """For each r of rs in turn: T_r, its reciprocal-series inverse and its
-    extremal vector x_k = r^k at size n. The matrices are exactly real for
-    real r, so their real parts go through the check in real arithmetic."""
-    for r in rs:
-        T = build_T_r(n, r)
-        G = apply_calculus(reciprocal_series(T.symbol), T.n)
-        yield T.matrix.real, G.matrix.real, float(r) ** np.arange(T.n)
+    extremal vector x_k = r^k at size n. One recursion forms the series of
+    every r, each bitwise as reciprocal_series forms it alone; the matrices
+    are built one r at a time. They are exactly real for real r, so their
+    real parts go through the check in real arithmetic."""
+    coeffs = np.array([build_T_r(n, r).symbol.coeffs for r in rs]).reshape(len(rs), n)
+    for r, f, g in zip(rs, coeffs, _reciprocal_rows(coeffs)):
+        yield _lower_toeplitz(f).real, _lower_toeplitz(g).real, float(r) ** np.arange(n)
 
 
 @functools.cache

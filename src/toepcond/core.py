@@ -116,26 +116,36 @@ def commutes_with_shift(A) -> bool:
     return bool(np.max(np.abs(M @ S - S @ M)) <= COMMUTATOR_TOL)
 
 
-def reciprocal_series(f: AnalyticPolynomial) -> AnalyticPolynomial:
-    """g with f*g = 1 mod z^n, by the triangular recursion.
+def _reciprocal_rows(a: np.ndarray) -> np.ndarray:
+    """The reciprocal series of each row of the (R, n) coefficients a, by the
+    recursion g_0 = 1/a_0, g_k = -(sum_{j=1..k} a_j g_{k-j}) / a_0 over all
+    rows at once. Each sum runs in sequence, so a row's series is bitwise
+    the same alone and in any stack, and its first k coefficients the same
+    for every n >= k. Entries beyond float64 come back as inf or NaN,
+    without a warning."""
+    g = np.zeros(a.shape, dtype=np.complex128)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        g[:, 0] = 1.0 / a[:, 0]
+        for k in range(1, a.shape[1]):
+            terms = a[:, 1 : k + 1] * g[:, k - 1 :: -1]
+            g[:, k] = -np.add.accumulate(terms, axis=1)[:, -1] / a[:, 0]
+    return g
 
-    g_0 = 1/a_0 and g_k = -(sum_{j=1..k} a_j g_{k-j}) / a_0. The recursion
-    is exact up to roundoff and apply_calculus(g) is the inverse matrix of
-    apply_calculus(f). Only f(0) = 0, where f(M_n) is singular, is refused
-    with SingularSymbolError. Coefficients beyond the float64 range, 1/f(0)
+
+def reciprocal_series(f: AnalyticPolynomial) -> AnalyticPolynomial:
+    """g with f*g = 1 mod z^n, by the triangular recursion of _reciprocal_rows.
+
+    The recursion is exact up to roundoff and apply_calculus(g) is the
+    inverse matrix of apply_calculus(f). Its sums run in sequence, not in
+    BLAS, so g is bitwise the series the grid sweep forms for f among
+    others. Only f(0) = 0, where f(M_n) is singular, is refused with
+    SingularSymbolError. Coefficients beyond the float64 range, 1/f(0)
     included, come back as inf or NaN without a warning;
     bounds.check_contraction refuses them.
     """
-    a = f.coeffs
-    if a[0] == 0:
+    if f.coeffs[0] == 0:
         raise SingularSymbolError("constant term f(0) = 0: f(M_n) is singular")
-    n = f.n
-    g = np.zeros(n, dtype=np.complex128)
-    with np.errstate(over="ignore", invalid="ignore"):
-        g[0] = 1.0 / a[0]
-        for k in range(1, n):
-            g[k] = -np.dot(a[1 : k + 1], g[k - 1 :: -1]) / a[0]
-    return AnalyticPolynomial(n, g)
+    return AnalyticPolynomial(f.n, _reciprocal_rows(f.coeffs[None, :])[0])
 
 
 def bezout_remainder(f: AnalyticPolynomial, g: AnalyticPolynomial) -> np.ndarray:

@@ -622,6 +622,21 @@ class TestKernelBudget:
         assert [rec.n for rec in records if rec.error] == calls
 
 
+    def test_grid_sweep_forms_every_series_in_one_recursion(self, monkeypatch):
+        # one recursion over the coefficient rows of every r in the grid,
+        # where a loop per r ran one before
+        shapes = []
+        real_rows = bounds_mod._reciprocal_rows
+
+        def counted(a):
+            shapes.append(a.shape)
+            return real_rows(a)
+
+        monkeypatch.setattr(bounds_mod, "_reciprocal_rows", counted)
+        grid = parse_r_grid(DEFAULT_R_GRID)
+        grid_sweep(64, grid)
+        assert shapes == [(19, 64)] == [(len(grid), 64)]
+
     def test_grid_sweep_certifies_only_failing_sizes(self, monkeypatch):
         # the verdicts of every size come from per-r arrays; the scalar
         # _certify runs only where one fails, to raise its typed error

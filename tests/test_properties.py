@@ -1,7 +1,8 @@
 """Property tests: the row-wise matrix printer and the row-wise CSV of
 bounds records against their per-entry oracles, every subcommand of the CLI
 over its valid domain and outside it, the sequential row sums of a
-triangular matrix over its leading blocks, and the grid sweep against the
+triangular matrix over its leading blocks, the reciprocal series of a
+stack of symbols against each symbol alone, and the grid sweep against the
 single-point check."""
 
 import contextlib
@@ -20,6 +21,7 @@ from hypothesis.extra.numpy import array_shapes, arrays
 from toepcond import BoundsRecord, SingularMatrixError, ToepcondError, bracket_endpoints, grid_sweep, theorem_check
 from toepcond.bounds import _failed_record, _row_sums
 from toepcond.cli import CSV_HEADER, _bounds_row, _cell, _matrix_lines, _report, main
+from toepcond.core import _reciprocal_rows
 
 SPECIAL = [0.0, -0.0, np.nan, -np.nan, np.inf, -np.inf, 5e-324, -5e-324,
            2.2250738585072014e-308, 1e300, -1e300, 1.7976931348623157e308, 0.5e-6, -0.5e-6]
@@ -86,6 +88,33 @@ def test_row_sums_of_leading_blocks_are_those_of_the_full_matrix(system):
     full = _row_sums(W, x)
     for n in range(1, len(x) + 1):
         assert np.array_equal(_row_sums(W[:n, :n], x[:n]), full[:n], equal_nan=True)
+
+
+@st.composite
+def coefficient_stacks(draw):
+    """An R x n stack of symbol coefficients, real or complex, finite, whose
+    reciprocal series may overflow to inf or NaN, and one row index."""
+    rows, n = draw(st.integers(1, 6)), draw(st.integers(1, 12))
+    elements = draw(st.sampled_from([st.builds(complex, FINITE), st.builds(complex, FINITE, FINITE)]))
+    return draw(arrays(np.complex128, (rows, n), elements=elements)), draw(st.integers(0, rows - 1))
+
+
+def _same_floats(a, b):
+    a, b = a.view(np.float64), b.view(np.float64)
+    return np.array_equal(a, b, equal_nan=True) and np.array_equal(np.signbit(a), np.signbit(b))
+
+
+# The sweep forms the series of every r in one recursion and theorem_check
+# that of one r at its own size, so each row's series must not depend on
+# the other rows, nor its first k coefficients on the length of the row.
+@settings(derandomize=True, max_examples=100, deadline=None, database=None)
+@given(coefficient_stacks())
+def test_reciprocal_rows_are_those_of_each_row_alone(stack):
+    a, i = stack
+    full = _reciprocal_rows(a)
+    assert _same_floats(_reciprocal_rows(a[i : i + 1])[0], full[i])
+    for k in range(1, a.shape[1] + 1):
+        assert _same_floats(_reciprocal_rows(a[:, :k]), full[:, :k])
 
 
 # The CLI over the README's domain: every run ends in a checked result
