@@ -199,7 +199,9 @@ def _defect_vector(x: np.ndarray, length: float, diagonal: list) -> np.ndarray:
 def _leading_maxima(B: np.ndarray) -> np.ndarray:
     """The maximum of the nonnegative m x m B over each leading n x n block,
     n = 1..m: a running maximum over the shells max(i, j) = n - 1."""
-    return np.maximum.accumulate(np.tril(np.maximum(B, B.T)).max(axis=1))
+    shells = np.maximum(B, B.T)
+    shells[_strictly_upper(len(B))] = 0
+    return np.maximum.accumulate(shells.max(axis=1))
 
 
 def _identity_terms(A: np.ndarray, W: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

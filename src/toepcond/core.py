@@ -10,7 +10,7 @@ the classical triangular power-series reciprocal recursion.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -47,12 +47,19 @@ class AnalyticPolynomial:
         return AnalyticPolynomial(n, c)
 
 
-def _lower_toeplitz(column: np.ndarray) -> np.ndarray:
-    n = column.shape[0]
+@cache
+def _toeplitz_index(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Mask of the entries on and below the diagonal of an n x n matrix, and
+    the index i - j of the coefficient each of them holds."""
     idx = np.subtract.outer(np.arange(n), np.arange(n))
-    out = np.zeros((n, n), dtype=np.complex128)
     mask = idx >= 0
-    out[mask] = column[idx[mask]]
+    return mask, idx[mask]
+
+
+def _lower_toeplitz(column: np.ndarray) -> np.ndarray:
+    mask, idx = _toeplitz_index(column.shape[0])
+    out = np.zeros(mask.shape, dtype=np.complex128)
+    out[mask] = column[idx]
     return out
 
 
