@@ -10,7 +10,9 @@ and A W = I, in place of any SVD or elimination. _identity_terms forms
 |I - A A* - c c*| and, by one rule per row, where A W = I holds, and
 _row_sums W x; check_contraction reduces them over the whole block,
 grid_sweep once per r over every leading block, where it also runs the
-argument checks once; estimate_t_a returns T_r's extremal symbol.
+argument checks once and takes every size's verdicts as arrays from
+_verdicts, the checks _certify raises on; estimate_t_a returns T_r's
+extremal symbol.
 """
 
 from __future__ import annotations
@@ -361,7 +363,8 @@ def _sweep_records(n_max: int, r: float, A: np.ndarray, G: np.ndarray, x: np.nda
     if m > 0:
         c = _defect_vector(x[:m], _vector_norm(x[:m]), diagonal[:m])
         E, holds = _identity_terms(A[:m, :m], G[:m, :m], c)
-        gram = np.arange(1, m + 1) * _leading_maxima(E)
+        sizes = np.arange(1, m + 1)
+        gram = sizes * _leading_maxima(E)
         residual_ok = ~_leading_maxima(~holds)
         # G is lower triangular, so size n takes the first n row sums;
         # math.hypot drops their signs as _vector_norm does
@@ -373,7 +376,7 @@ def _sweep_records(n_max: int, r: float, A: np.ndarray, G: np.ndarray, x: np.nda
             # every size's 1/|det A| from one product in sequence, as math.prod forms it
             inverse_dets = np.cumprod(1.0 / np.array(diagonal[:m]))
             uppers = np.array([float(b ** k * d) for k, (b, d) in enumerate(zip(np.sqrt(1.0 + gram), inverse_dets))])
-            verdicts = _verdicts(np.arange(1, m + 1), r, rn, values, uppers, corner, gram, residual_ok)
+            verdicts = _verdicts(sizes, r, rn, values, uppers, corner, gram, residual_ok)
             columns = (np.logical_and.reduce(verdicts), values, *_bracket(rn, values), uppers, gram, residual_ok)
         rows = enumerate(zip(*(column.tolist() for column in columns)), 1)
         records = [

@@ -53,7 +53,10 @@ def _toeplitz_index(n: int) -> tuple[np.ndarray, np.ndarray]:
     the index i - j of the coefficient each of them holds."""
     idx = np.subtract.outer(np.arange(n), np.arange(n))
     mask = idx >= 0
-    return mask, idx[mask]
+    idx = idx[mask]
+    # every caller shares them
+    mask.flags.writeable = idx.flags.writeable = False
+    return mask, idx
 
 
 def _lower_toeplitz(column: np.ndarray) -> np.ndarray:
