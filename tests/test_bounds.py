@@ -621,7 +621,6 @@ class TestKernelBudget:
         assert calls == list(range(52, 65))
         assert [rec.n for rec in records if rec.error] == calls
 
-
     def test_grid_sweep_forms_every_series_in_one_recursion(self, monkeypatch):
         # one recursion over the coefficient rows of every r in the grid,
         # where a loop per r ran one before
