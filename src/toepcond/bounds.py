@@ -143,11 +143,12 @@ def _bracket_matrices(n: int, rs: Sequence[float]) -> Iterator[tuple[np.ndarray,
     """For each r of rs in turn: T_r, its reciprocal-series inverse and its
     extremal vector x_k = r^k at size n. One recursion forms the series of
     every r, each bitwise as reciprocal_series forms it alone; the matrices
-    are built one r at a time. They are exactly real for real r, so their
-    real parts go through the check in real arithmetic."""
+    are built one r at a time. They are exactly real for real r, so they are
+    gathered from the real parts of the coefficients, as C-contiguous float64
+    arrays that go through the check in real arithmetic."""
     coeffs = np.array([build_T_r(n, r).symbol.coeffs for r in rs]).reshape(len(rs), n)
-    for r, f, g in zip(rs, coeffs, _reciprocal_rows(coeffs)):
-        yield _lower_toeplitz(f).real, _lower_toeplitz(g).real, float(r) ** np.arange(n)
+    for r, f, g in zip(rs, coeffs.real, _reciprocal_rows(coeffs).real):
+        yield _lower_toeplitz(f), _lower_toeplitz(g), float(r) ** np.arange(n)
 
 
 @functools.cache
@@ -196,6 +197,21 @@ def _defect_vector(x: np.ndarray, length: float, diagonal: list) -> np.ndarray:
     # 1 - prod |A_kk|^2 without cancellation as |det A| -> 1, and 0 past 1
     defect = -math.expm1(2.0 * min(0.0, math.fsum(map(math.log, diagonal))))
     return math.sqrt(defect) / length * x
+
+
+@functools.cache
+def _shells(m: int) -> np.ndarray:
+    """The shell max(i, j) of each entry of an m x m matrix."""
+    shells = np.maximum.outer(np.arange(m), np.arange(m))
+    shells.flags.writeable = False  # every caller shares it
+    return shells
+
+
+def _first_shell(B: np.ndarray) -> int:
+    """The least shell max(i, j) that holds a True entry of the m x m boolean
+    B, or m if none does: the number of leading blocks of B with no True
+    entry."""
+    return int(_shells(len(B)).min(where=B, initial=len(B)))
 
 
 def _leading_maxima(B: np.ndarray) -> np.ndarray:
@@ -358,14 +374,14 @@ def _sweep_records(n_max: int, r: float, A: np.ndarray, G: np.ndarray, x: np.nda
     # would spoil the products (0 * inf) or c (log 0) of the blocks before it
     bad = ~(np.isfinite(A) & np.isfinite(G)) | np.diag(np.diagonal(A) == 0.0)
     bad |= _strictly_upper(n_max) & (A != 0.0)
-    m = int(np.count_nonzero(~_leading_maxima(bad)))
+    m = _first_shell(bad)
     corner, records = diagonal[0], []
     if m > 0:
         c = _defect_vector(x[:m], _vector_norm(x[:m]), diagonal[:m])
         E, holds = _identity_terms(A[:m, :m], G[:m, :m], c)
         sizes = np.arange(1, m + 1)
         gram = sizes * _leading_maxima(E)
-        residual_ok = ~_leading_maxima(~holds)
+        residual_ok = sizes <= _first_shell(~holds)
         # G is lower triangular, so size n takes the first n row sums;
         # math.hypot drops their signs as _vector_norm does
         sums, xs = _row_sums(G[:m, :m], x[:m]).tolist(), x[:m].tolist()
@@ -375,7 +391,7 @@ def _sweep_records(n_max: int, r: float, A: np.ndarray, G: np.ndarray, x: np.nda
         with np.errstate(over="ignore", invalid="ignore"):
             # every size's 1/|det A| from one product in sequence, as math.prod forms it
             inverse_dets = np.cumprod(1.0 / np.array(diagonal[:m]))
-            uppers = np.array([float(b ** k * d) for k, (b, d) in enumerate(zip(np.sqrt(1.0 + gram), inverse_dets))])
+            uppers = np.sqrt(1.0 + gram) ** np.arange(m) * inverse_dets
             verdicts = _verdicts(sizes, r, rn, values, uppers, corner, gram, residual_ok)
             columns = (np.logical_and.reduce(verdicts), values, *_bracket(rn, values), uppers, gram, residual_ok)
         rows = enumerate(zip(*(column.tolist() for column in columns)), 1)
@@ -396,10 +412,10 @@ def grid_sweep(n_max: int, r_grid: Sequence[float]) -> list[BoundsRecord]:
     r, at size n_max: those at size n are exactly their leading blocks. The
     arithmetic of check_contraction runs once per r too, at size n_max, and
     is read for each n: n max|E| from running maxima over the leading
-    blocks, A W = I from a running "no miss yet" over them (its rule is per
+    blocks, A W = I up to the first shell with a miss (its rule is per
     row, so the same in every block), the value from the first n row sums
     of the lower-triangular series times x, the enclosure from one cumprod
-    of the 1/|A_kk| in math.prod's order and a power per size. Its argument
+    of the 1/|A_kk| in math.prod's order and one array power. Its argument
     checks also run once per r, on the n_max matrices: the first shell
     where one fails cuts the products, and from that size on
     check_contraction runs per point, where its argument checks raise, so

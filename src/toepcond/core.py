@@ -48,22 +48,20 @@ class AnalyticPolynomial:
 
 
 @cache
-def _toeplitz_index(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Mask of the entries on and below the diagonal of an n x n matrix, and
-    the index i - j of the coefficient each of them holds."""
+def _toeplitz_index(n: int) -> np.ndarray:
+    """The index of each entry of an n x n lower-triangular Toeplitz matrix
+    into its first column padded with one 0: i - j on and below the
+    diagonal, n above it."""
     idx = np.subtract.outer(np.arange(n), np.arange(n))
-    mask = idx >= 0
-    idx = idx[mask]
-    # every caller shares them
-    mask.flags.writeable = idx.flags.writeable = False
-    return mask, idx
+    idx[idx < 0] = n
+    idx.flags.writeable = False  # every caller shares it
+    return idx
 
 
 def _lower_toeplitz(column: np.ndarray) -> np.ndarray:
-    mask, idx = _toeplitz_index(column.shape[0])
-    out = np.zeros(mask.shape, dtype=np.complex128)
-    out[mask] = column[idx]
-    return out
+    """The C-contiguous lower-triangular Toeplitz matrix of the 1-D column,
+    in its dtype, by one gather."""
+    return np.concatenate((column, [0]))[_toeplitz_index(column.shape[0])]
 
 
 @dataclass(eq=False)

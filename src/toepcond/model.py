@@ -87,22 +87,31 @@ class ExtremalityReport:
 def _checked_zeros(zeros) -> tuple[tuple, np.ndarray, np.ndarray]:
     """The zeros as a tuple of complex numbers and as an array, and their
     weights s_k; ValueError unless there is one at least and all lie in the
-    open unit disk."""
+    open unit disk by _moduli, which the weights read too, so every weight
+    is positive."""
     zs = tuple(complex(z) for z in zeros)
     if len(zs) == 0:
         raise ValueError("at least one zero is required")
     lam = np.array(zs, dtype=np.complex128)
-    # |z| bit for bit as Python's abs(complex) gives it; np.abs may differ
-    moduli = np.hypot(lam.real, lam.imag)
+    moduli = _moduli(lam)
     outside = ~(moduli < 1.0)
     if outside.any():
         raise ValueError(f"zeros must lie in the open unit disk, got |z| = {moduli[outside.argmax()]:.6g}")
-    return zs, lam, _weights(lam)
+    return zs, lam, _weights(moduli)
 
 
-def _weights(lam: np.ndarray) -> np.ndarray:
-    # s_k = sqrt(1 - |lambda_k|^2); np.abs, not hypot, as near |z| = 1 s_k is ill-conditioned in |lambda_k|
-    return np.sqrt(_one_minus_square(np.abs(lam)))
+def _moduli(lam: np.ndarray) -> np.ndarray:
+    """|lambda_k|: np.abs where it and np.hypot (Python's abs(complex)) are
+    both below 1, so that the ill-conditioned weights s_k keep its bits, else
+    np.hypot. It is below 1 exactly where np.hypot is, and s_k > 0 there,
+    where np.abs alone can round a zero inside the circle up to 1."""
+    hyp, moduli = np.hypot(lam.real, lam.imag), np.abs(lam)
+    return np.where(np.maximum(moduli, hyp) < 1.0, moduli, hyp)
+
+
+def _weights(moduli: np.ndarray) -> np.ndarray:
+    # s_k = sqrt(1 - |lambda_k|^2), from the _moduli of the zeros
+    return np.sqrt(_one_minus_square(moduli))
 
 
 def model_operator(zeros) -> ModelOperatorMatrix:
@@ -157,11 +166,11 @@ def verify_extremality(r: float, zeros) -> ExtremalityReport:
         raise ValueError("r must lie strictly between 0 and 1")
     op = model_operator(zeros)
     lam = np.array(op.zeros, dtype=np.complex128)
-    moduli = np.hypot(lam.real, lam.imag)
+    moduli = _moduli(lam)
     off = np.abs(moduli - r) > 1e-12
     if off.any():
         raise ValueError(f"all zeros must have modulus r = {r}, got |z| = {moduli[off.argmax()]:.12g}")
-    s = _weights(lam)
+    s = _weights(moduli)
     n = op.n
     rec, E, c = _contraction_terms(n, r, op.matrix, _inverse_matrix(lam, s), _extremal_vector(lam, s))
     kron = kronecker_bound(n, r)

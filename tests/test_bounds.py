@@ -475,7 +475,7 @@ class TestCheckContraction:
             n = int(rng.integers(1, 65))
             moduli = rng.uniform(0.02, 0.9999, 1 if k % 2 else n)
             lam = moduli * np.exp(2j * np.pi * rng.uniform(size=n))
-            W = model_mod._inverse_matrix(lam, model_mod._weights(lam))
+            W = model_mod._inverse_matrix(*model_mod._checked_zeros(lam)[1:])
             worst = max(worst, _worst_row_residual(model_mod.model_operator(lam).matrix, W))
         assert 0.0 < worst <= bounds_mod.RESIDUAL_GAMMA / 2
 
@@ -672,6 +672,18 @@ class TestRealArithmetic:
         G = apply_calculus(reciprocal_series(T.symbol), T.n)
         assert np.all(T.matrix.imag == 0.0)
         assert np.all(G.matrix.imag == 0.0)
+
+    @pytest.mark.parametrize("n", [1, 3, 64])
+    def test_bracket_matrices_are_contiguous_real_matrices(self, n):
+        # gathered from the real coefficients, so BLAS takes them with no
+        # copy, and bitwise the real parts of the complex128 matrices
+        for r, (A, G, _) in zip(self.R_GRID, bounds_mod._bracket_matrices(n, self.R_GRID)):
+            T = build_T_r(n, r)
+            series = apply_calculus(reciprocal_series(T.symbol), n).matrix
+            for M, full in ((A, T.matrix), (G, series)):
+                assert M.dtype == np.float64 and M.flags.c_contiguous
+                assert full.dtype == np.complex128
+                assert np.array_equal(M.view(np.uint64), np.ascontiguousarray(full.real).view(np.uint64))
 
     def test_norms_match_complex_arithmetic(self):
         # the same norms on the complex128 matrices: ||T_r||, and ||G||,

@@ -15,6 +15,7 @@ from toepcond import (
     jordan_block,
     reciprocal_series,
 )
+from toepcond.core import _lower_toeplitz, _toeplitz_index
 
 P = AnalyticPolynomial.from_coeffs
 
@@ -95,6 +96,20 @@ class TestCommutant:
         rng = np.random.default_rng(47)
         A = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
         assert not commutes_with_shift(A)
+
+
+class TestLowerToeplitz:
+    @pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+    @pytest.mark.parametrize("n", [1, 2, 7])
+    def test_gather_keeps_the_dtype_and_is_c_contiguous(self, dtype, n):
+        column = (np.arange(1, n + 1) * (1.0 - 2.0j if dtype == np.complex128 else -1.5)).astype(dtype)
+        M = _lower_toeplitz(column)
+        assert M.dtype == dtype and M.flags.c_contiguous
+        assert np.array_equal(M, [[column[i - j] if i >= j else 0 for j in range(n)] for i in range(n)])
+
+    def test_shared_index_is_read_only(self):
+        with pytest.raises(ValueError):
+            _toeplitz_index(5)[0, 1] = 0
 
 
 class TestReciprocalSeries:

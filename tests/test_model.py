@@ -386,15 +386,14 @@ class TestVerifyExtremality:
         # one ulp inside the circle the row sum of |E| can reach ||c||^2/2
         # (|lambda|^2 and 1 - |lambda|^2 each round by about 1e-16), but at
         # n = 1 the defect is the one number 1 - |lambda|^2 > 0: rank 1 at
-        # every angle whose zero passes the argument checks
+        # every angle. np.abs rounds |z| up to 1 at 155 of them, where
+        # np.hypot stays below 1; the zeros are admitted by the modulus their
+        # weights read, so no weight is 0 and no certificate vanishes
         r = 1.0 - 2.0**-53
-        ranks = []
-        for t in np.linspace(0.0, 2.0 * np.pi, 1000, endpoint=False):
-            try:
-                ranks.append(verify_extremality(r, (r * np.exp(1j * t),)).defect_rank)
-            except ValueError as exc:
-                assert str(exc) == "certificate must be nonzero and finite"
-        assert ranks == [1] * 845
+        zeros = [(r * np.exp(1j * t),) for t in np.linspace(0.0, 2.0 * np.pi, 1000, endpoint=False)]
+        assert sum(abs(z) < 1.0 and np.abs(z) == 1.0 for (z,) in zeros) == 155
+        assert all(model_mod._checked_zeros(z)[2][0] > 0.0 for z in zeros)
+        assert [verify_extremality(r, z).defect_rank for z in zeros] == [1] * 1000
 
     def test_closed_form_is_checked_to_1e_12(self):
         # zeros 3e-14 inside |z| = r = 0.001 pass the modulus check, and M,

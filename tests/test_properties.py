@@ -1,8 +1,9 @@
 """Property tests: the row-wise matrix printer and the row-wise CSV of
 bounds records against their per-entry oracles, every subcommand of the CLI
 over its valid domain and outside it, the sequential row sums of a
-triangular matrix over its leading blocks, the reciprocal series of a
-stack of symbols against each symbol alone, and the grid sweep against the
+triangular matrix over its leading blocks, the first failing shell of a
+mask against its running maxima, the reciprocal series of a stack of
+symbols against each symbol alone, and the grid sweep against the
 single-point check."""
 
 import contextlib
@@ -19,7 +20,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
 from toepcond import BoundsRecord, SingularMatrixError, ToepcondError, bracket_endpoints, grid_sweep, theorem_check
-from toepcond.bounds import _failed_record, _row_sums
+from toepcond.bounds import _failed_record, _first_shell, _leading_maxima, _row_sums
 from toepcond.cli import CSV_HEADER, _bounds_row, _cell, _matrix_lines, _report, main
 from toepcond.core import _reciprocal_rows
 
@@ -115,6 +116,23 @@ def test_reciprocal_rows_are_those_of_each_row_alone(stack):
     assert _same_floats(_reciprocal_rows(a[i : i + 1])[0], full[i])
     for k in range(1, a.shape[1] + 1):
         assert _same_floats(_reciprocal_rows(a[:, :k]), full[:, :k])
+
+
+@st.composite
+def sparse_masks(draw):
+    """An m x m boolean mask, m up to 64, with each entry True at a density
+    of at most 0.2, seeded from the draw."""
+    m, density, seed = draw(st.integers(1, 64)), draw(st.floats(0.0, 0.2)), draw(st.integers(0, 2**32 - 1))
+    return np.random.default_rng(seed).random((m, m)) < density
+
+
+# The sweep cuts at the first failing shell of one mask and reads each
+# size's A W = I verdict from that of another: the count of leading blocks
+# with no True entry, which the running maxima over the shells also give.
+@settings(derandomize=True, max_examples=100, deadline=None, database=None)
+@given(sparse_masks())
+def test_first_shell_counts_the_clean_leading_blocks(B):
+    assert _first_shell(B) == np.count_nonzero(~_leading_maxima(B))
 
 
 # The CLI over the README's domain: every run ends in a checked result
