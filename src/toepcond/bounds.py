@@ -331,9 +331,13 @@ def _contraction_terms(n: int, r: float, A, W, x) -> tuple[BoundsRecord, np.ndar
     c = _defect_vector(x, length, diagonal)
     E, holds = _identity_terms(M, W, c)
     gram = n * float(E.max())
-    # 1/|det A| as the 1/|A_kk| in sequence, which do not underflow where |det A| would
+    # 1/|det A| as the 1/|A_kk| in sequence, which do not underflow where
+    # |det A| would. The power is numpy's array power, which grid_sweep
+    # takes for every size at once: its scalar power, and its square for
+    # x ** 2.0, can differ from it by an ulp
     with np.errstate(over="ignore"):  # a numpy power overflows to inf; a float's raises
-        upper = float(np.sqrt(1.0 + gram) ** (n - 1) * math.prod([1.0 / d for d in diagonal]))
+        power = np.sqrt(np.array([1.0 + gram])) ** np.array([n - 1.0])
+        upper = float((power * math.prod([1.0 / d for d in diagonal]))[0])
     value = _vector_norm(_row_sums(W, x)) / length
     return _certify(n, r, value, upper, diagonal[0], gram, bool(holds.all())), E, c
 
@@ -415,15 +419,16 @@ def grid_sweep(n_max: int, r_grid: Sequence[float]) -> list[BoundsRecord]:
     blocks, A W = I up to the first shell with a miss (its rule is per
     row, so the same in every block), the value from the first n row sums
     of the lower-triangular series times x, the enclosure from one cumprod
-    of the 1/|A_kk| in math.prod's order and one array power. Its argument
-    checks also run once per r, on the n_max matrices: the first shell
-    where one fails cuts the products, and from that size on
-    check_contraction runs per point, where its argument checks raise, so
-    that each failing n names its own first offending entry. The verdicts
-    of every size before the cut are _verdicts' arrays; per point only the
-    two math.hypot lengths of the value and the record remain, and
-    _certify runs only at a size that fails, to raise its typed error. So
-    each record is bitwise theorem_check(n, r). A point whose check raises
+    of the 1/|A_kk| in math.prod's order and one array power, which
+    check_contraction takes too. Its argument checks also run once per r,
+    on the n_max matrices: the first shell where one fails cuts the
+    products, and from that size on check_contraction runs per point,
+    where its argument checks raise, so that each failing n names its own
+    first offending entry. The verdicts of every size before the cut are
+    _verdicts' arrays; per point only the two math.hypot lengths of the
+    value and the record remain, and _certify runs only at a size that
+    fails, to raise its typed error. So each record is bitwise
+    theorem_check(n, r). A point whose check raises
     gets NaN norms, passed = False and its exception in `error`; the sweep
     always completes. Records come in (n, r) order.
     """

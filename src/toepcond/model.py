@@ -87,31 +87,22 @@ class ExtremalityReport:
 def _checked_zeros(zeros) -> tuple[tuple, np.ndarray, np.ndarray]:
     """The zeros as a tuple of complex numbers and as an array, and their
     weights s_k; ValueError unless there is one at least and all lie in the
-    open unit disk by _moduli, which the weights read too, so every weight
-    is positive."""
+    open unit disk."""
     zs = tuple(complex(z) for z in zeros)
     if len(zs) == 0:
         raise ValueError("at least one zero is required")
     lam = np.array(zs, dtype=np.complex128)
-    moduli = _moduli(lam)
+    # |z| bit for bit as Python's abs(complex) gives it; np.abs may differ
+    moduli = np.hypot(lam.real, lam.imag)
     outside = ~(moduli < 1.0)
     if outside.any():
         raise ValueError(f"zeros must lie in the open unit disk, got |z| = {moduli[outside.argmax()]:.6g}")
-    return zs, lam, _weights(moduli)
+    return zs, lam, _weights(lam)
 
 
-def _moduli(lam: np.ndarray) -> np.ndarray:
-    """|lambda_k|: np.abs where it and np.hypot (Python's abs(complex)) are
-    both below 1, so that the ill-conditioned weights s_k keep its bits, else
-    np.hypot. It is below 1 exactly where np.hypot is, and s_k > 0 there,
-    where np.abs alone can round a zero inside the circle up to 1."""
-    hyp, moduli = np.hypot(lam.real, lam.imag), np.abs(lam)
-    return np.where(np.maximum(moduli, hyp) < 1.0, moduli, hyp)
-
-
-def _weights(moduli: np.ndarray) -> np.ndarray:
-    # s_k = sqrt(1 - |lambda_k|^2), from the _moduli of the zeros
-    return np.sqrt(_one_minus_square(moduli))
+def _weights(lam: np.ndarray) -> np.ndarray:
+    # s_k = sqrt(1 - |lambda_k|^2); np.abs, not hypot, as near |z| = 1 s_k is ill-conditioned in |lambda_k|
+    return np.sqrt(_one_minus_square(np.abs(lam)))
 
 
 def model_operator(zeros) -> ModelOperatorMatrix:
@@ -159,18 +150,24 @@ def verify_extremality(r: float, zeros) -> ExtremalityReport:
     rank undecided. It reads the computed E, as the Gram check does, so
     within about 1e-14 of the circle the count is at roundoff level. At
     n = 1 the defect 1 - |lambda|^2 is one positive number, rank 1 for
-    every zero in the open disk, and no row sum is read.
+    every zero in the open disk, and no row sum is read. Where np.abs rounds
+    every |z| up to 1, 1 - |z|^2 and so the extremal vector are 0:
+    ValueError naming |z|.
     """
     r = float(r)
     if not 0.0 < r < 1.0:
         raise ValueError("r must lie strictly between 0 and 1")
     op = model_operator(zeros)
     lam = np.array(op.zeros, dtype=np.complex128)
-    moduli = _moduli(lam)
+    moduli = np.hypot(lam.real, lam.imag)
     off = np.abs(moduli - r) > 1e-12
     if off.any():
         raise ValueError(f"all zeros must have modulus r = {r}, got |z| = {moduli[off.argmax()]:.12g}")
-    s = _weights(moduli)
+    s = _weights(lam)
+    # np.abs can round |z| up to 1 where np.hypot stays below it; then s_k = 0,
+    # and where every s_k is 0 the extremal vector vanishes
+    if not s.any():
+        raise ValueError(f"1 - |z|^2 rounds to 0 at every zero, |z| = {float(moduli.max())!r}")
     n = op.n
     rec, E, c = _contraction_terms(n, r, op.matrix, _inverse_matrix(lam, s), _extremal_vector(lam, s))
     kron = kronecker_bound(n, r)

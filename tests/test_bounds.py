@@ -475,7 +475,7 @@ class TestCheckContraction:
             n = int(rng.integers(1, 65))
             moduli = rng.uniform(0.02, 0.9999, 1 if k % 2 else n)
             lam = moduli * np.exp(2j * np.pi * rng.uniform(size=n))
-            W = model_mod._inverse_matrix(*model_mod._checked_zeros(lam)[1:])
+            W = model_mod._inverse_matrix(lam, model_mod._weights(lam))
             worst = max(worst, _worst_row_residual(model_mod.model_operator(lam).matrix, W))
         assert 0.0 < worst <= bounds_mod.RESIDUAL_GAMMA / 2
 
@@ -730,6 +730,25 @@ class TestGridSweep:
             assert rec.scaled == ref.scaled
             assert rec.passed == ref.passed
             assert rec.error is None
+
+    def test_enclosure_failures_quote_check_contraction_digits(self, monkeypatch):
+        # A = diag(r, 1, ..., 1) plus a strictly lower part of entries 0 and
+        # +-1/4, and x = e_0, keep c the same in every leading block and
+        # A A* exact, so |E| too; but n max|E| grows to about n^2/24, so the
+        # enclosure's bases sqrt(1 + n max|E|) lie far from 1, where numpy's
+        # array and scalar powers can differ by an ulp. Every size from 2 on
+        # misses its enclosure and quotes it with check_contraction's digits
+        rng = np.random.default_rng(5)
+        A = np.tril(rng.choice([-0.25, 0.0, 0.25], (64, 64)), -1) + np.diag([0.5] + [1.0] * 63)
+        W, x = np.linalg.inv(A), np.eye(64)[0]
+        monkeypatch.setattr(bounds_mod, "_bracket_matrices", lambda n, rs: ((A, W, x) for r in rs))
+        records = grid_sweep(64, (0.5,))
+        assert records[0].passed
+        for rec in records[1:]:
+            n = rec.n
+            with pytest.raises(TwoPathMismatchError, match="^inverse norm outside its enclosure") as exc:
+                check_contraction(n, 0.5, A[:n, :n], W[:n, :n], x[:n])
+            assert rec.error == f"TwoPathMismatchError: {exc.value}"
 
     def test_failing_point_yields_nan_record(self, monkeypatch):
         # W[1, 0] 16 eps of its |A| |W| off fails A W = I at n = 2 only

@@ -15,6 +15,7 @@ import warnings
 from fractions import Fraction
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
@@ -209,6 +210,18 @@ def test_extremal_cli(n, r, model):
         assert_bound(field(out, "bound 1/r^n = ", ", " if model else ")"), n, r)
         if model:
             assert field(out, "relative gap ", ")") <= 1e-12
+
+
+@pytest.mark.parametrize("r", [1.0 - 2.0**-53, 1.0 - 2.0**-52])
+def test_extremal_model_cli_within_an_ulp_of_the_circle(r):
+    # every size reports, with rank 1, where RADII's two sampled radii meet
+    # all n the draws above leave out: np.abs rounds some of the zeros
+    # r * (roots of unity) up to 1, and their weights are 0
+    for n in range(1, 65):
+        code, out, err = run(["extremal", "--model", "--n", str(n), "--r", repr(r)])
+        assert (code, err) == (0, "") and "\ndefect rank = 1\n" in out
+        assert abs(field(out, "r^n * inv = ", ",") - 1.0) <= 1e-8
+        assert field(out, "relative gap ", ")") <= 1e-12
 
 
 @settings(derandomize=True, max_examples=40, deadline=None, database=None)
