@@ -76,13 +76,6 @@ def reciprocal_taylor(factor: BlaschkeFactor, n: int) -> AnalyticPolynomial:
     return AnalyticPolynomial(n, c)
 
 
-def _check_sample_count(m: int) -> int:
-    m = int(m)
-    if m < 16 or (m & (m - 1)) != 0:
-        raise ValueError("sample count must be a power of two, at least 16")
-    return m
-
-
 def eval_on_circle(g: BlaschkeFactor | AnalyticPolynomial, m: int) -> np.ndarray:
     """Moduli |g| at the m-th roots of unity e^{2 pi i k/m}, k = 0..m-1.
 
@@ -90,7 +83,9 @@ def eval_on_circle(g: BlaschkeFactor | AnalyticPolynomial, m: int) -> np.ndarray
     coefficient vector; factors are evaluated pointwise from their
     rational form.
     """
-    m = _check_sample_count(m)
+    m = int(m)
+    if m < 16 or (m & (m - 1)) != 0:
+        raise ValueError("sample count must be a power of two, at least 16")
     if isinstance(g, BlaschkeFactor):
         z = np.exp(2j * np.pi * np.arange(m) / m)
         return np.abs(g.eval(z))

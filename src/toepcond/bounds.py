@@ -90,8 +90,7 @@ class SearchResult:
 def kronecker_bound(n: int, r: float) -> float:
     """The unstructured bound 1/r^n on inverse norms of contractions
     with minimal eigenvalue modulus r; inf beyond the float64 range."""
-    n = int(n)
-    r = float(r)
+    n, r = int(n), float(r)
     if n < 1:
         raise ValueError("n must be at least 1")
     if not 0.0 < r <= 1.0:
@@ -104,8 +103,7 @@ def kronecker_bound(n: int, r: float) -> float:
 
 def build_T_r(n: int, r: float) -> AnalyticToeplitzMatrix:
     """T_r: the Blaschke factor of r applied to the Jordan block."""
-    n = int(n)
-    r = float(r)
+    n, r = int(n), float(r)
     if n < 1:
         raise ValueError("n must be at least 1")
     if not 0.0 < r < 1.0:
@@ -130,13 +128,10 @@ def _bracket(rn, inv_norm):
 def bracket_record(n: int, r: float, norm_T: float, inv_norm: float) -> BoundsRecord:
     """The record of one point: the scaled inverse norm r^n * inv_norm
     against the bracket [max(r^n, 1 - r^n), 1], passed within PASS_TOL."""
-    n = int(n)
-    r = float(r)
+    n, r = int(n), float(r)
     scaled, lower, passed = _bracket(r**n, inv_norm)
-    return BoundsRecord(
-        n=n, r=r, norm_T=norm_T, inv_norm=inv_norm, scaled=scaled,
-        lower=float(lower), upper=1.0, passed=bool(passed),
-    )
+    return BoundsRecord(n=n, r=r, norm_T=norm_T, inv_norm=inv_norm, scaled=scaled,
+                        lower=float(lower), upper=1.0, passed=bool(passed))
 
 
 def _bracket_matrices(n: int, rs: Sequence[float]) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
@@ -222,6 +217,14 @@ def _leading_maxima(B: np.ndarray) -> np.ndarray:
     return np.maximum.accumulate(shells.max(axis=1))
 
 
+@functools.cache
+def _residual_tolerance(m: int) -> np.ndarray:
+    """RESIDUAL_GAMMA (i + 1) eps for each row i of an m x m product."""
+    column = RESIDUAL_GAMMA * np.arange(1, m + 1)[:, None] * EPS
+    column.flags.writeable = False  # every caller shares it
+    return column
+
+
 def _identity_terms(A: np.ndarray, W: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """|I - A A* - c c*| and where A W = I holds, for the m x m lower-triangular
     A of check_contraction, its exact inverse W and its defect vector c: entry
@@ -232,13 +235,12 @@ def _identity_terms(A: np.ndarray, W: np.ndarray, c: np.ndarray) -> tuple[np.nda
     m = A.shape[0]
     # an overflow fails the checks of the callers instead of warning
     with np.errstate(over="ignore", invalid="ignore"):
-        gram = A @ A.conj().T + np.outer(c, c.conj())
+        gram = A @ A.conj().T + c[:, None] * c.conj()
         residual = A @ W
         scale = np.abs(A) @ np.abs(W)
         gram.flat[:: m + 1] -= 1.0
         residual.flat[:: m + 1] -= 1.0
-        terms = np.arange(1, m + 1)[:, None]
-        return np.abs(gram), (np.abs(residual) <= RESIDUAL_GAMMA * terms * EPS * scale) & (scale < math.inf)
+        return np.abs(gram), (np.abs(residual) <= _residual_tolerance(m) * scale) & (scale < math.inf)
 
 
 def _row_sums(W: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -446,8 +448,7 @@ def grid_sweep(n_max: int, r_grid: Sequence[float]) -> list[BoundsRecord]:
 def check_search_point(n: int, r: float) -> tuple[int, float]:
     """(n, r) as estimate_t_a takes them; ValueError unless n lies in 1..16
     and r in (0, 1)."""
-    n = int(n)
-    r = float(r)
+    n, r = int(n), float(r)
     if not 1 <= n <= 16:
         raise ValueError("n must lie in 1..16")
     if not 0.0 < r < 1.0:
@@ -471,13 +472,6 @@ def estimate_t_a(n: int, r: float, config: SearchConfig | None = None) -> Search
     symbol = build_T_r(n, r).symbol
     value = theorem_check(n, r).inv_norm
     scaled = min(1.0, r**n * value)
-    return SearchResult(
-        n=n,
-        r=r,
-        best_value=min(value, kronecker_bound(n, r)),
-        best_coeffs=symbol,
-        restarts_used=max(1, cfg.restarts),
-        seed=cfg.seed,
-        scaled_value=scaled,
-        kronecker_gap=1.0 - scaled,
-    )
+    return SearchResult(n=n, r=r, best_value=min(value, kronecker_bound(n, r)), best_coeffs=symbol,
+                        restarts_used=max(1, cfg.restarts), seed=cfg.seed, scaled_value=scaled,
+                        kronecker_gap=1.0 - scaled)

@@ -35,6 +35,7 @@ diag((-1)^k): T_r and M are two constructions of one contraction.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
@@ -105,30 +106,48 @@ def _weights(lam: np.ndarray) -> np.ndarray:
     return np.sqrt(_one_minus_square(np.abs(lam)))
 
 
+@cache
+def _masks(n: int) -> np.ndarray:
+    """The n x n masks of the builders at row l, column k: l > k + 1, l >= k
+    and l > k, read-only, as every call at this n shares them."""
+    masks = np.subtract.outer(np.arange(n), np.arange(n)) > np.array([1, -1, 0])[:, None, None]
+    masks.flags.writeable = False
+    return masks
+
+
+def _lower_products(between, factors, weights, diagonal: np.ndarray) -> np.ndarray:
+    """The closed forms of M and M^{-1}, O(n^2) with no Python loop: np.where
+    broadcasts the factor column where `between` holds, 1 elsewhere, and one
+    cumprod down the columns forms every partial product. The weights are
+    multiplied in on the strict lower triangle only, into zeros; then the
+    diagonal is set."""
+    n = diagonal.size
+    out = np.zeros((n, n), np.complex128)
+    np.multiply(weights, np.cumprod(np.where(between, factors, 1.0), axis=0), out=out, where=_masks(n)[2])
+    out.flat[:: n + 1] = diagonal
+    return out
+
+
+def _model_matrix(lam: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """M from validated zeros and their weights: M_lk = s_k s_l times the
+    factors -conj(lambda_(l-1)) where l > k + 1."""
+    factors = np.concatenate(([1.0], -np.conj(lam[:-1])))[:, None]
+    return _lower_products(_masks(lam.size)[0], factors, s[:, None] * s, lam)
+
+
 def model_operator(zeros) -> ModelOperatorMatrix:
-    """Compressed-shift matrix from the closed-form entries of the module
-    docstring, O(n^2) with no Python loop; zeros arbitrarily close to the
+    """Compressed-shift matrix of the zeros; zeros arbitrarily close to the
     circle are exact."""
     zs, lam, s = _checked_zeros(zeros)
-    n = len(zs)
-    rows, cols = np.indices((n, n))
-    between = np.where(rows > cols + 1, -np.conj(lam)[rows - 1], 1.0)
-    M = np.tril(s[:, None] * s * np.cumprod(between, axis=0), -1)
-    np.fill_diagonal(M, lam)
-    return ModelOperatorMatrix(n=n, zeros=zs, matrix=M)
+    return ModelOperatorMatrix(n=len(zs), zeros=zs, matrix=_model_matrix(lam, s))
 
 
 def _inverse_matrix(lam: np.ndarray, s: np.ndarray) -> np.ndarray:
-    """Inverse of the compressed-shift matrix from its closed form, O(n^2)
-    and no solve. Entries beyond float64 are inf or NaN, without a warning."""
-    n = lam.size
-    rows, cols = np.indices((n, n))
+    """M^{-1}, no solve: -s_k s_l times the factors -1/lambda_l where l >= k.
+    Entries beyond float64 are inf or NaN, without a warning."""
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         recip = 1.0 / lam
-        between = np.where(rows >= cols, -recip[rows], 1.0)
-        W = np.tril(-(s[:, None] * s) * np.cumprod(between, axis=0), -1)
-        np.fill_diagonal(W, recip)
-    return W
+        return _lower_products(_masks(lam.size)[1], -recip[:, None], -(s[:, None] * s), recip)
 
 
 def _extremal_vector(lam: np.ndarray, s: np.ndarray) -> np.ndarray:
@@ -141,47 +160,37 @@ def _extremal_vector(lam: np.ndarray, s: np.ndarray) -> np.ndarray:
 def verify_extremality(r: float, zeros) -> ExtremalityReport:
     """Check the equality case ||M^{-1}|| = 1/r^n for zeros on |z| = r.
 
-    M (its zeros validated once, by model_operator), its closed-form
-    inverse and its extremal vector go through bounds.check_contraction,
-    whose Gram identity decides the defect rank with no SVD: I - M*M has
-    the spectrum of I - M M* = c c* + E, and ||E|| <= max_i sum_j |E_ij|
-    for Hermitian E. Below ||c||^2/2 that sum leaves one singular value
-    above ||c||^2/2 and n - 1 below it: rank 1; else ExtremalityError, the
-    rank undecided. It reads the computed E, as the Gram check does, so
-    within about 1e-14 of the circle the count is at roundoff level. At
-    n = 1 the defect 1 - |lambda|^2 is one positive number, rank 1 for
-    every zero in the open disk, and no row sum is read. Where np.abs rounds
-    every |z| up to 1, 1 - |z|^2 and so the extremal vector are 0:
-    ValueError naming |z|.
+    The zeros are validated once, by _checked_zeros. M, its closed-form
+    inverse and its extremal vector, built from that one (lambda, s), go
+    through bounds.check_contraction, whose Gram identity decides the
+    defect rank with no SVD: I - M*M has the spectrum of I - M M* = c c* + E,
+    and ||E|| <= max_i sum_j |E_ij| for Hermitian E. Below ||c||^2/2 that
+    sum leaves one singular value above ||c||^2/2 and n - 1 below it: rank
+    1; else ExtremalityError, the rank undecided. It reads the computed E,
+    as the Gram check does, so within about 1e-14 of the circle the count
+    is at roundoff level. At n = 1 the defect 1 - |lambda|^2 is one positive
+    number, rank 1 for every zero in the open disk, and no row sum is read.
+    Where np.abs rounds every |z| up to 1, 1 - |z|^2 and so the extremal
+    vector are 0: ValueError naming |z|.
     """
     r = float(r)
     if not 0.0 < r < 1.0:
         raise ValueError("r must lie strictly between 0 and 1")
-    op = model_operator(zeros)
-    lam = np.array(op.zeros, dtype=np.complex128)
+    zs, lam, s = _checked_zeros(zeros)
     moduli = np.hypot(lam.real, lam.imag)
     off = np.abs(moduli - r) > 1e-12
     if off.any():
         raise ValueError(f"all zeros must have modulus r = {r}, got |z| = {moduli[off.argmax()]:.12g}")
-    s = _weights(lam)
     # np.abs can round |z| up to 1 where np.hypot stays below it; then s_k = 0,
     # and where every s_k is 0 the extremal vector vanishes
     if not s.any():
         raise ValueError(f"1 - |z|^2 rounds to 0 at every zero, |z| = {float(moduli.max())!r}")
-    n = op.n
-    rec, E, c = _contraction_terms(n, r, op.matrix, _inverse_matrix(lam, s), _extremal_vector(lam, s))
+    n, M = len(zs), _model_matrix(lam, s)
+    rec, E, c = _contraction_terms(n, r, M, _inverse_matrix(lam, s), _extremal_vector(lam, s))
     kron = kronecker_bound(n, r)
     half, spread = 0.5 * float(np.vdot(c, c).real), float(E.sum(axis=1).max())
     # at n = 1 the defect 1 - |lambda|^2 is a positive scalar: rank 1
     if n >= 2 and not spread < half:
         raise ExtremalityError(f"defect rank undecided: a row sum of |E| is {spread:.3g} >= ||c||^2/2 = {half:.3g}")
-    return ExtremalityReport(
-        n=n,
-        r=r,
-        zeros=op.zeros,
-        matrix=op.matrix,
-        record=rec,
-        kronecker=kron,
-        rel_gap=abs(rec.inv_norm - kron) / kron,
-        defect_rank=1,
-    )
+    return ExtremalityReport(n=n, r=r, zeros=zs, matrix=M, record=rec, kronecker=kron,
+                             rel_gap=abs(rec.inv_norm - kron) / kron, defect_rank=1)

@@ -28,7 +28,7 @@ from toepcond import (
     theorem_check,
     verify_extremality,
 )
-from toepcond.bounds import PASS_TOL, TWO_PATH_RTOL, bracket_record, check_contraction
+from toepcond.bounds import EPS, PASS_TOL, RESIDUAL_GAMMA, TWO_PATH_RTOL, bracket_record, check_contraction
 from toepcond.cli import DEFAULT_R_GRID, main, parse_r_grid
 from toepcond.core import apply_calculus, reciprocal_series
 from toepcond.linalg import PIVOT_TOL
@@ -660,6 +660,41 @@ class TestKernelBudget:
         records = grid_sweep(64, (0.5,))
         assert calls == list(range(2, 65))
         assert [rec.n for rec in records if rec.error] == calls
+
+
+class TestIdentityTerms:
+    @staticmethod
+    def _reference_terms(A, W, c):
+        # the products with np.outer and the tolerance column formed per call
+        m = A.shape[0]
+        with np.errstate(over="ignore", invalid="ignore"):
+            gram = A @ A.conj().T + np.outer(c, c.conj())
+            residual = A @ W
+            scale = np.abs(A) @ np.abs(W)
+            gram.flat[:: m + 1] -= 1.0
+            residual.flat[:: m + 1] -= 1.0
+            terms = np.arange(1, m + 1)[:, None]
+            return np.abs(gram), (np.abs(residual) <= RESIDUAL_GAMMA * terms * EPS * scale) & (scale < math.inf)
+
+    @pytest.mark.parametrize("n", (2, 32, 64))
+    def test_bitwise_the_outer_product_and_per_call_tolerance(self, n):
+        # T_r in real arithmetic and the model operator in complex
+        for r in (0.05, 0.5, 0.9999):
+            A, W, x = next(bounds_mod._bracket_matrices(n, (r,)))
+            zeros = tuple(r * np.exp(2j * np.pi * k / n) for k in range(n))
+            _, lam, s = model_mod._checked_zeros(zeros)
+            xm = model_mod._extremal_vector(lam, s)
+            cases = ((A, W, x), (model_mod.model_operator(zeros).matrix, model_mod._inverse_matrix(lam, s), xm))
+            for M, G, v in cases:
+                c = bounds_mod._defect_vector(v, bounds_mod._vector_norm(v), np.abs(np.diagonal(M)).tolist())
+                for got, want in zip(bounds_mod._identity_terms(M, G, c), self._reference_terms(M, G, c)):
+                    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+    def test_tolerance_column_is_cached_and_read_only(self):
+        column = bounds_mod._residual_tolerance(8)
+        assert column is bounds_mod._residual_tolerance(8)
+        with pytest.raises(ValueError):
+            column[0, 0] = 1.0
 
 
 class TestRealArithmetic:

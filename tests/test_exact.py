@@ -8,6 +8,8 @@ r as int64 coefficient arrays (entry p holds the coefficient of r^p). T_r
 and its inverse at size n are the leading blocks of those at n = 64, so the
 checks hold for every n <= 64 and every r in (0, 1): the singular values of
 T_r are 1, ..., 1, r^n, hence ||T_r|| = 1 for n >= 2 and ||T_r^{-1}|| = r^-n.
+The model-operator builders are checked likewise, against M, W and x formed
+over the Gaussian rationals from the float zeros and weights they are given.
 """
 
 import math
@@ -17,6 +19,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import toepcond.model as model_mod
 from toepcond import BlaschkeFactor, build_T_r, reciprocal_series, reciprocal_taylor
 from toepcond.blaschke import _one_minus_square
 from toepcond.cli import DEFAULT_R_GRID, parse_r_grid
@@ -270,3 +273,73 @@ class TestModelOperatorInQi:
     def test_defect_identity(self, zeros, s):
         M, _, _, d = _model_matrices(zeros, s)
         assert _differing(_identity_minus(_matmul(_adjoint(M), M)), _outer(d)) == []
+
+
+# Each float entry of M, W and x at gap l - k is a product of at most
+# l - k + 1 rounded factors (a complex product, a Smith division, a real
+# scaling), each within about one eps; MODEL_GAMMA leaves room over that
+MODEL_GAMMA = 2
+
+
+def _float_zero_sets() -> list:
+    """Seeded zero sets, n <= 16, for the float builders: equal moduli at
+    random phases, r times the n-th roots of unity, and random moduli."""
+    rng = np.random.default_rng(2025)
+    sets = []
+    for r in (1e-6, 0.001, 0.05, 0.5, 0.9, 0.9999, 1 - 1e-9, 1 - 2**-52):
+        n = int(rng.integers(1, 17))
+        sets.append(tuple(r * np.exp(2j * np.pi * rng.uniform(size=n))))
+        sets.append(tuple(r * np.exp(2j * np.pi * np.arange(16) / 16)))
+    for n in (3, 16):
+        sets.append(tuple(rng.uniform(0.01, 1.0, n) * np.exp(2j * np.pi * rng.uniform(size=n))))
+    return sets
+
+
+def _float_builder_errors(zeros) -> list:
+    """|float - exact| / ((l - k + 2) eps |exact|), normwise, over the entries
+    (l, k) of M and W and the entries k of x (gap k) whose exact value is a
+    normal float64. The exact values are formed over Q(i) from the float
+    lambda and the float s the builders take, so no square root is needed."""
+    _, lam, s = model_mod._checked_zeros(zeros)
+    M, W, x = (model_mod.model_operator(zeros).matrix.tolist(), model_mod._inverse_matrix(lam, s).tolist(),
+               model_mod._extremal_vector(lam, s).tolist())
+    zs = [Gaussian(z.real, z.imag) for z in lam.tolist()]
+    ss = [Fraction(v) for v in s.tolist()]
+    ratios = []
+
+    def compare(value: complex, exact: Gaussian, gap: int) -> None:
+        size = exact.re**2 + exact.im**2
+        if SMALLEST_NORMAL**2 <= size <= LARGEST**2:
+            miss = (Fraction(value.real) - exact.re) ** 2 + (Fraction(value.imag) - exact.im) ** 2
+            ratios.append(math.sqrt(miss / size) / ((gap + 2) * sys.float_info.epsilon))
+
+    for k, zk in enumerate(zs):
+        compare(M[k][k], zk, 0)
+        compare(W[k][k], Gaussian(1) / zk, 0)
+        # M_lk = s_k s_l prod_{k<j<l} (-conj lambda_j), W_lk = -s_k s_l / prod_{k<=j<=l} (-lambda_j)
+        between, through = Gaussian(1), -zk
+        for l in range(k + 1, len(zs)):
+            through = through * -zs[l]
+            compare(M[l][k], between * (ss[k] * ss[l]), l - k)
+            compare(W[l][k], Gaussian(-ss[k] * ss[l]) / through, l - k)
+            between = between * -zs[l].conj()
+    # x_k = s_k prod_{j<k} (-conj lambda_j)
+    before = Gaussian(1)
+    for k, zk in enumerate(zs):
+        compare(x[k], before * ss[k], k)
+        before = before * -zk.conj()
+    return ratios
+
+
+FLOAT_ZERO_SETS = _float_zero_sets()
+
+
+class TestModelBuildersAgainstRationals:
+    @pytest.mark.parametrize("zeros", FLOAT_ZERO_SETS)
+    def test_entries_within_gamma_gap_plus_2_eps(self, zeros):
+        ratios = _float_builder_errors(zeros)
+        assert ratios and max(ratios) <= MODEL_GAMMA
+
+    def test_worst_entry_keeps_half_the_margin(self):
+        # the worst over these sets is about 0.47 (gap + 2) eps
+        assert max(max(_float_builder_errors(zeros)) for zeros in FLOAT_ZERO_SETS) <= MODEL_GAMMA / 2

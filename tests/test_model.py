@@ -1,15 +1,19 @@
 """Compressed-shift matrices: closed form, quadrature oracle, extremality."""
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import toepcond.model as model_mod
 from toepcond import (
     BlaschkeFactor,
     ExtremalityError,
     SingularMatrixError,
+    ToepcondError,
     TwoPathMismatchError,
     apply_calculus,
     defect_singular_values,
@@ -411,14 +415,8 @@ class TestVerifyExtremality:
     @staticmethod
     def _scale_model(monkeypatch, factor):
         # factor * M with its exact inverse: only ||M|| = 1 (r at n = 1) is off
-        real_operator, real_model_inverse = model_mod.model_operator, model_mod._inverse_matrix
-
-        def scaled_operator(zs):
-            op = real_operator(zs)
-            op.matrix = factor * op.matrix
-            return op
-
-        monkeypatch.setattr(model_mod, "model_operator", scaled_operator)
+        real_model_matrix, real_model_inverse = model_mod._model_matrix, model_mod._inverse_matrix
+        monkeypatch.setattr(model_mod, "_model_matrix", lambda lam, s: factor * real_model_matrix(lam, s))
         monkeypatch.setattr(model_mod, "_inverse_matrix", lambda lam, s: real_model_inverse(lam, s) / factor)
 
     @pytest.mark.parametrize("zeros", [(0.5,), (0.5, -0.5, 0.5j)])
@@ -495,8 +493,65 @@ class TestVerifyExtremality:
         verify_extremality(0.5, (0.5, -0.5, 0.5j))
         assert len(calls) == 1
 
+    @pytest.mark.parametrize("n", (1, 2, 32))
+    def test_a_second_call_at_the_same_n_builds_no_index_grid(self, n, monkeypatch):
+        zeros = tuple(0.5 * np.exp(2j * np.pi * k / n) for k in range(n))
+        verify_extremality(0.5, zeros)
+        grids = mock.Mock(wraps=np.indices)
+        monkeypatch.setattr(np, "indices", grids)
+        assert np.array_equal(verify_extremality(0.5, zeros).matrix, model_operator(zeros).matrix)
+        assert grids.call_count == 0
+        assert model_mod._masks(n) is model_mod._masks(n)
+
+    @pytest.mark.parametrize("n", (1, 2, 8))
+    def test_cached_masks_are_read_only(self, n):
+        # every build at this n shares them
+        for mask in model_mod._masks(n):
+            with pytest.raises(ValueError):
+                mask[0, 0] = True
+
     def test_rejects_bad_radius(self):
         with pytest.raises(ValueError):
             verify_extremality(1.0, (0.5,))
         with pytest.raises(ValueError):
             verify_extremality(0.0, (0.5,))
+
+
+@st.composite
+def equal_modulus_zero_sets(draw):
+    """(r, zeros) with every |z| within 1e-12 of r: random phases or r times
+    the roots of unity, zeros at 0 where r <= 1e-12, and r within 4 ulp of
+    the circle."""
+    n = draw(st.integers(1, 32))
+    r = draw(st.one_of(
+        st.floats(1e-3, 1.0 - 1e-3),
+        st.sampled_from([1.0 - k * 2.0**-53 for k in range(1, 5)]),
+        st.sampled_from([1e-13, 5e-13]),
+    ))
+    if draw(st.booleans()):
+        phases = np.array(draw(st.lists(st.floats(0.0, 1.0, exclude_max=True), min_size=n, max_size=n)))
+    else:
+        phases = np.arange(n) / n
+    zeros = r * np.exp(2j * np.pi * phases)
+    if r <= 1e-12:
+        zeros = np.where(draw(st.lists(st.booleans(), min_size=n, max_size=n)), 0.0, zeros)
+    return r, tuple(complex(z) for z in zeros)
+
+
+@settings(derandomize=True, max_examples=100, deadline=None, database=None)
+@given(equal_modulus_zero_sets())
+def test_verify_extremality_checks_the_bits_of_model_operator(case):
+    # the one validated pass builds M by the builder model_operator wraps:
+    # the matrix the check reads, and the report's, are model_operator's
+    r, zeros = case
+    expected = model_operator(zeros).matrix
+    report = None
+    with mock.patch.object(model_mod, "_contraction_terms", wraps=model_mod._contraction_terms) as check:
+        try:
+            report = verify_extremality(r, zeros)
+        except (ToepcondError, ValueError):
+            pass
+    if check.called:
+        assert check.call_args.args[2].tobytes() == expected.tobytes()
+    if report is not None:
+        assert report.matrix.tobytes() == expected.tobytes()
