@@ -115,7 +115,7 @@ def _masks(n: int) -> np.ndarray:
     return masks
 
 
-def _lower_products(between, factors, weights, diagonal: np.ndarray) -> np.ndarray:
+def _lower_products(between, factors, weights, diagonal) -> np.ndarray:
     """The closed forms of M and M^{-1}, O(n^2) with no Python loop: np.where
     broadcasts the factor column where `between` holds, 1 elsewhere, and one
     cumprod down the columns forms every partial product. The weights are
