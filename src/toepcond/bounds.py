@@ -37,6 +37,7 @@ CLOSED_FORM_RTOL = 1e-12
 # |A W - I| <= RESIDUAL_GAMMA * (i + 1) * eps * |A| |W| in each row i
 RESIDUAL_GAMMA = 4
 EPS = float(np.finfo(np.float64).eps)
+TINY = float(np.finfo(np.float64).tiny)
 
 
 @dataclass(eq=False)
@@ -73,8 +74,8 @@ class SearchConfig:
 class SearchResult:
     """The extremal symbol of estimate_t_a and its inverse norm 1/r^n.
 
-    best_value is a lower bound on the extremal constant that equals it
-    up to roundoff; restarts_used and seed echo the config.
+    best_value is a lower bound on the extremal constant; restarts_used
+    and seed echo the config.
     """
 
     n: int
@@ -99,6 +100,18 @@ def kronecker_bound(n: int, r: float) -> float:
         return r ** (-n)
     except OverflowError:
         return math.inf
+
+
+def _exact_floor(n: int, r: float) -> float:
+    """The largest float at or below the exact 1/r^n = q^n/p^n of r = p/q,
+    or the largest finite float where 1/r^n is beyond it."""
+    p, q = (k**n for k in r.as_integer_ratio())
+    try:
+        nearest = q / p  # int division rounds to nearest
+    except OverflowError:
+        return math.nextafter(math.inf, 0.0)
+    num, den = nearest.as_integer_ratio()
+    return math.nextafter(nearest, 0.0) if num * p > q * den else nearest
 
 
 def build_T_r(n: int, r: float) -> AnalyticToeplitzMatrix:
@@ -149,13 +162,25 @@ def _bracket_matrices(n: int, rs: Sequence[float]) -> Iterator[tuple[np.ndarray,
 @functools.cache
 def _strictly_upper(n: int) -> np.ndarray:
     """Mask of the entries above the diagonal of an n x n matrix."""
-    return np.subtract.outer(np.arange(n), np.arange(n)) < 0
+    mask = np.subtract.outer(np.arange(n), np.arange(n)) < 0
+    mask.flags.writeable = False  # every caller shares it
+    return mask
 
 
-def _vector_norm(v: np.ndarray) -> float:
-    """||v|| without overflow up to the float64 limit: math.hypot scales the
-    entries, where numpy's vector norm squares them and overflows past 1e154."""
-    return math.hypot(*np.abs(v).tolist())
+def _prefix_norms(v) -> list[float]:
+    """||v[:n]|| for n = 1..len(v), each from v[:n] alone and within
+    (n/2 + 1) eps: the square root of a running sum of squares, added left
+    to right. From the first square outside the normal range, or sum past
+    it, math.hypot of the prefix, which does not overflow."""
+    moduli = np.abs(v).tolist()
+    norms, total = [], 0.0
+    for k, a in enumerate(moduli):
+        square = a * a
+        total += square
+        if not (square >= TINY or a == 0.0) or total == math.inf:
+            return norms + [math.hypot(*moduli[:n]) for n in range(k + 1, len(moduli) + 1)]
+        norms.append(math.sqrt(total))
+    return norms
 
 
 def _checked_arguments(n: int, A, W, x) -> tuple[np.ndarray, np.ndarray, np.ndarray, float, list]:
@@ -173,7 +198,7 @@ def _checked_arguments(n: int, A, W, x) -> tuple[np.ndarray, np.ndarray, np.ndar
         raise ValueError("expected a lower-triangular matrix")
     if not np.isfinite(M).all():
         raise ValueError("expected a finite matrix")
-    length = _vector_norm(x)
+    length = _prefix_norms(x)[-1]
     if not 0.0 < length < math.inf:
         raise ValueError("certificate must be nonzero and finite")
     finite = np.isfinite(W)
@@ -247,10 +272,11 @@ def _row_sums(W: np.ndarray, x: np.ndarray) -> np.ndarray:
     """W x with each row summed in sequence. For lower-triangular W the sum
     of row i then comes out bitwise the same in every leading block that
     holds that row, where a matvec's blocked sums change with the size, so
-    one product of the m x m W serves every n."""
+    one product of the m x m W serves every n. x goes in as a row, which
+    keeps a 1 x 1 complex W off numpy's scalar product: it rounds twice."""
     # an overflow fails the enclosure instead of warning
     with np.errstate(over="ignore", invalid="ignore"):
-        return np.add.accumulate(W * x, axis=1)[:, -1]
+        return np.add.accumulate(W * x[None, :], axis=1)[:, -1]
 
 
 def _verdicts(n, r, rn, value, upper, corner, gram, residual_ok) -> tuple:
@@ -308,7 +334,8 @@ def check_contraction(n: int, r: float, A, W, x) -> BoundsRecord:
       x; SingularMatrixError naming the first inf or NaN entry of W, or for
       a zero A_kk.
     - The value ||W x||/||x||, a lower bound on ||W||, with each row of
-      W x summed in sequence (_row_sums), meets the enclosure
+      W x summed in sequence (_row_sums) and lengths from _prefix_norms,
+      meets the enclosure
       ||A^{-1}|| <= ||A||^(n-1)/|det A| to relative TWO_PATH_RTOL: the
       singular values of A are at most ||A|| and multiply to prod |A_kk|.
       By Weyl's inequality ||A||^2 <= 1 + n * max|E|, which the enclosure
@@ -340,7 +367,7 @@ def _contraction_terms(n: int, r: float, A, W, x) -> tuple[BoundsRecord, np.ndar
     with np.errstate(over="ignore"):  # a numpy power overflows to inf; a float's raises
         power = np.sqrt(np.array([1.0 + gram])) ** np.array([n - 1.0])
         upper = float((power * math.prod([1.0 / d for d in diagonal]))[0])
-    value = _vector_norm(_row_sums(W, x)) / length
+    value = _prefix_norms(_row_sums(W, x))[-1] / length
     return _certify(n, r, value, upper, diagonal[0], gram, bool(holds.all())), E, c
 
 
@@ -383,29 +410,28 @@ def _sweep_records(n_max: int, r: float, A: np.ndarray, G: np.ndarray, x: np.nda
     m = _first_shell(bad)
     corner, records = diagonal[0], []
     if m > 0:
-        c = _defect_vector(x[:m], _vector_norm(x[:m]), diagonal[:m])
+        lengths = _prefix_norms(x[:m])
+        c = _defect_vector(x[:m], lengths[-1], diagonal[:m])
         E, holds = _identity_terms(A[:m, :m], G[:m, :m], c)
         sizes = np.arange(1, m + 1)
         gram = sizes * _leading_maxima(E)
         residual_ok = sizes <= _first_shell(~holds)
-        # G is lower triangular, so size n takes the first n row sums;
-        # math.hypot drops their signs as _vector_norm does
-        sums, xs = _row_sums(G[:m, :m], x[:m]).tolist(), x[:m].tolist()
-        values = np.array([math.hypot(*sums[:n]) / math.hypot(*xs[:n]) for n in range(1, m + 1)])
+        # G is lower triangular, so size n takes the first n row sums
+        values = np.divide(_prefix_norms(_row_sums(G[:m, :m], x[:m])), lengths)
         rn = np.array([r**n for n in range(1, m + 1)])
         # an overflow, or inf - inf, fails the verdicts instead of warning
         with np.errstate(over="ignore", invalid="ignore"):
             # every size's 1/|det A| from one product in sequence, as math.prod forms it
             inverse_dets = np.cumprod(1.0 / np.array(diagonal[:m]))
             uppers = np.sqrt(1.0 + gram) ** np.arange(m) * inverse_dets
-            verdicts = _verdicts(sizes, r, rn, values, uppers, corner, gram, residual_ok)
-            columns = (np.logical_and.reduce(verdicts), values, *_bracket(rn, values), uppers, gram, residual_ok)
-        rows = enumerate(zip(*(column.tolist() for column in columns)), 1)
-        records = [
-            BoundsRecord(n, r, 1.0 if n >= 2 else corner, value, scaled, lower, 1.0, passed) if ok
-            else _recorded(n, r, _certify, value, upper, corner, g, inverted)
-            for n, (ok, value, scaled, lower, passed, upper, g, inverted) in rows
-        ]
+            ok = np.logical_and.reduce(_verdicts(sizes, r, rn, values, uppers, corner, gram, residual_ok))
+            scaled, lower, passed = _bracket(rn, values)
+        # every size's record as if it passed, then each failing size's own
+        records = list(map(BoundsRecord, range(1, m + 1), [r] * m, [corner] + [1.0] * (m - 1), values.tolist(),
+                           scaled.tolist(), lower.tolist(), [1.0] * m, passed.tolist()))
+        for i in np.flatnonzero(~ok).tolist():
+            records[i] = _recorded(i + 1, r, _certify, float(values[i]), float(uppers[i]), corner, float(gram[i]),
+                                   bool(residual_ok[i]))
     # past the cut the argument checks raise, with each size's own first
     # offending entry
     return records + [_recorded(n, r, check_contraction, A[:n, :n], G[:n, :n], x[:n]) for n in range(m + 1, n_max + 1)]
@@ -419,20 +445,19 @@ def grid_sweep(n_max: int, r_grid: Sequence[float]) -> list[BoundsRecord]:
     arithmetic of check_contraction runs once per r too, at size n_max, and
     is read for each n: n max|E| from running maxima over the leading
     blocks, A W = I up to the first shell with a miss (its rule is per
-    row, so the same in every block), the value from the first n row sums
-    of the lower-triangular series times x, the enclosure from one cumprod
-    of the 1/|A_kk| in math.prod's order and one array power, which
-    check_contraction takes too. Its argument checks also run once per r,
-    on the n_max matrices: the first shell where one fails cuts the
-    products, and from that size on check_contraction runs per point,
-    where its argument checks raise, so that each failing n names its own
-    first offending entry. The verdicts of every size before the cut are
-    _verdicts' arrays; per point only the two math.hypot lengths of the
-    value and the record remain, and _certify runs only at a size that
-    fails, to raise its typed error. So each record is bitwise
-    theorem_check(n, r). A point whose check raises
-    gets NaN norms, passed = False and its exception in `error`; the sweep
-    always completes. Records come in (n, r) order.
+    row, so the same in every block), the value from the running norms of
+    x and of the row sums of the lower-triangular series times x, the
+    enclosure from one cumprod of the 1/|A_kk| in math.prod's order and
+    one array power, which check_contraction takes too. Its argument
+    checks also run once per r, on the n_max matrices: the first shell
+    where one fails cuts the products, and from that size on
+    check_contraction runs per point, where its argument checks raise, so
+    that each failing n names its own first offending entry. Before the
+    cut the verdicts are _verdicts' arrays and the records are built by
+    column; _certify runs only at a failing size, to raise its typed
+    error. So each record is bitwise theorem_check(n, r). A point whose
+    check raises gets NaN norms, passed = False and its exception in
+    `error`; the sweep always completes. Records come in (n, r) order.
     """
     n_max = int(n_max)
     if not 1 <= n_max <= 64:
@@ -464,14 +489,15 @@ def estimate_t_a(n: int, r: float, config: SearchConfig | None = None) -> Search
     enclosure bounds ||f(M_n)^{-1}|| by 1/|det f(M_n)| = 1/|f(0)|^n, and
     T_r = b_r(M_n), whose inverse norm is 1/r^n, attains it. The result is
     the Taylor symbol of b_r (unit norm, constant term r) with the inverse
-    norm theorem_check(n, r) reports for it, clipped to the ceiling 1/r^n,
-    so kronecker_gap >= 0 and scaled_value is 1 up to roundoff.
+    norm theorem_check(n, r) reports for it, clipped to _exact_floor, so
+    best_value is a lower bound, kronecker_gap >= 0 and scaled_value is 1
+    up to roundoff.
     """
     n, r = check_search_point(n, r)
     cfg = config or SearchConfig()
     symbol = build_T_r(n, r).symbol
     value = theorem_check(n, r).inv_norm
     scaled = min(1.0, r**n * value)
-    return SearchResult(n=n, r=r, best_value=min(value, kronecker_bound(n, r)), best_coeffs=symbol,
+    return SearchResult(n=n, r=r, best_value=min(value, _exact_floor(n, r)), best_coeffs=symbol,
                         restarts_used=max(1, cfg.restarts), seed=cfg.seed, scaled_value=scaled,
                         kronecker_gap=1.0 - scaled)

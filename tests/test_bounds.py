@@ -2,7 +2,9 @@
 
 import dataclasses
 import math
+import sys
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -457,7 +459,7 @@ class TestCheckContraction:
         A, W, x = triangular_case(n, r)
         bad = wrong(W)
         assert not np.array_equal(bad, W)
-        assert abs(bounds_mod._vector_norm(bad @ x) / bounds_mod._vector_norm(W @ x) - 1.0) <= 1e-12
+        assert abs(math.hypot(*bad @ x) / math.hypot(*W @ x) - 1.0) <= 1e-12
         assert check_contraction(n, r, A, W, x).inv_norm > 1.0 / PIVOT_TOL
         with pytest.raises(TwoPathMismatchError, match="misses A W = I"):
             check_contraction(n, r, A, bad, x)
@@ -661,6 +663,28 @@ class TestKernelBudget:
         assert calls == list(range(2, 65))
         assert [rec.n for rec in records if rec.error] == calls
 
+    def test_grid_sweep_takes_every_value_from_one_running_norm(self, monkeypatch):
+        # one running norm of x and one of the row sums per r give every
+        # size's value; no size takes its lengths afresh from math.hypot
+        lengths, hypots = [], []
+        real_norms, real_hypot = bounds_mod._prefix_norms, math.hypot
+
+        def counted(v):
+            lengths.append(len(v))
+            return real_norms(v)
+
+        def counted_hypot(*args):
+            hypots.append(len(args))
+            return real_hypot(*args)
+
+        monkeypatch.setattr(bounds_mod, "_prefix_norms", counted)
+        monkeypatch.setattr(math, "hypot", counted_hypot)
+        grid = parse_r_grid(DEFAULT_R_GRID)
+        records = grid_sweep(64, grid)
+        assert all(rec.passed for rec in records)
+        assert lengths == [64, 64] * len(grid)
+        assert hypots == []
+
 
 class TestIdentityTerms:
     @staticmethod
@@ -686,7 +710,7 @@ class TestIdentityTerms:
             xm = model_mod._extremal_vector(lam, s)
             cases = ((A, W, x), (model_mod.model_operator(zeros).matrix, model_mod._inverse_matrix(lam, s), xm))
             for M, G, v in cases:
-                c = bounds_mod._defect_vector(v, bounds_mod._vector_norm(v), np.abs(np.diagonal(M)).tolist())
+                c = bounds_mod._defect_vector(v, bounds_mod._prefix_norms(v)[-1], np.abs(np.diagonal(M)).tolist())
                 for got, want in zip(bounds_mod._identity_terms(M, G, c), self._reference_terms(M, G, c)):
                     assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
@@ -695,6 +719,42 @@ class TestIdentityTerms:
         assert column is bounds_mod._residual_tolerance(8)
         with pytest.raises(ValueError):
             column[0, 0] = 1.0
+
+    @pytest.mark.parametrize("n", (1, 4, 64))
+    def test_upper_mask_is_cached_and_read_only(self, n):
+        # the argument checks, the running maxima and the sweep's cut share it
+        mask = bounds_mod._strictly_upper(n)
+        assert mask is bounds_mod._strictly_upper(n)
+        with pytest.raises(ValueError):
+            mask[0, 0] = True
+
+
+class TestPrefixNorms:
+    @staticmethod
+    def _left_to_right(v):
+        # the square root of each running sum of squares, added one by one
+        norms, total = [], 0.0
+        for a in np.abs(v).tolist():
+            total += a * a
+            norms.append(math.sqrt(total))
+        return norms
+
+    def test_squares_are_added_left_to_right(self):
+        # the eight squares 2^-54 after a 1 each vanish into the running
+        # sum, where fsum (and builtin sum from Python 3.12 on) carries them
+        v = np.array([1.0] + [2.0**-27] * 8)
+        assert bounds_mod._prefix_norms(v) == [1.0] * 9
+        assert math.sqrt(math.fsum(v * v)) == 1.0 + 2.0**-52
+        # T_r's extremal vectors and their series row sums at n = 64, where
+        # every square lies in the normal range
+        for r in parse_r_grid(DEFAULT_R_GRID):
+            A, W, x = next(bounds_mod._bracket_matrices(64, (r,)))
+            for v in (x, bounds_mod._row_sums(W, x), -x):
+                assert bounds_mod._prefix_norms(v) == self._left_to_right(v)
+
+    def test_complex_entries_take_their_moduli(self):
+        v = np.array([3 + 4j, -5j, 0.0])
+        assert bounds_mod._prefix_norms(v) == [5.0, math.sqrt(50.0), math.sqrt(50.0)]
 
 
 class TestRealArithmetic:
@@ -930,6 +990,27 @@ class TestEstimateTa:
             assert np.array_equal(res.best_coeffs.coeffs, taylor(BlaschkeFactor(r), n).coeffs)
             assert abs(res.scaled_value - 1.0) <= 1e-13
             assert res.kronecker_gap >= 0.0
+
+    def test_best_value_is_at_most_the_exact_bound(self):
+        # the extremal constant is 1/r^n exactly, for the float r; the
+        # largest float at or below it caps the reported value, where
+        # rounding 1/r^n to nearest can lie above it
+        for r in parse_r_grid(DEFAULT_R_GRID) + [0.25, 0.5, 1e-6, 0.999999]:
+            for n in range(1, 17):
+                res, exact = estimate_t_a(n, r), Fraction(r) ** -n
+                assert Fraction(res.best_value) <= exact
+                value = theorem_check(n, r).inv_norm
+                assert res.best_value == value or Fraction(math.nextafter(res.best_value, math.inf)) > exact
+        # powers of two are exact
+        assert estimate_t_a(3, 0.5).best_value == 8.0
+        assert estimate_t_a(16, 0.25).best_value == 2.0**32
+
+    def test_exact_floor_beyond_the_float64_range(self):
+        # 1/r for r = fl(1/max) lies just past the largest finite float
+        for n, r in ((16, 1e-20), (2, 5e-324), (1, 5e-324), (1, 1.0 / sys.float_info.max)):
+            assert Fraction(r) ** -n > Fraction(sys.float_info.max)
+            assert bounds_mod._exact_floor(n, r) == sys.float_info.max
+        assert bounds_mod._exact_floor(1, 2.0**-1023) == 2.0**1023
 
     def test_deterministic(self):
         cfg = SearchConfig(seed=11, restarts=6, iters=80)

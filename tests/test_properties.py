@@ -1,9 +1,10 @@
 """Property tests: the row-wise matrix printer and the row-wise CSV of
 bounds records against their per-entry oracles, every subcommand of the CLI
 over its valid domain and outside it, the sequential row sums of a
-triangular matrix over its leading blocks, the first failing shell of a
-mask against its running maxima, the reciprocal series of a stack of
-symbols against each symbol alone, and the grid sweep against the
+triangular matrix over its leading blocks, the running norms of a vector
+against those of each prefix alone and its exact norm, the first failing
+shell of a mask against its running maxima, the reciprocal series of a
+stack of symbols against each symbol alone, and the grid sweep against the
 single-point check."""
 
 import contextlib
@@ -21,7 +22,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
 from toepcond import BoundsRecord, SingularMatrixError, ToepcondError, bracket_endpoints, grid_sweep, theorem_check
-from toepcond.bounds import _failed_record, _first_shell, _leading_maxima, _row_sums
+from toepcond.bounds import EPS, TINY, _failed_record, _first_shell, _leading_maxima, _prefix_norms, _row_sums
 from toepcond.cli import CSV_HEADER, _bounds_row, _cell, _matrix_lines, _report, main
 from toepcond.core import _reciprocal_rows
 
@@ -90,6 +91,58 @@ def test_row_sums_of_leading_blocks_are_those_of_the_full_matrix(system):
     full = _row_sums(W, x)
     for n in range(1, len(x) + 1):
         assert np.array_equal(_row_sums(W[:n, :n], x[:n]), full[:n], equal_nan=True)
+
+
+# entries whose squares underflow (near 1e-160 and subnormal) or overflow
+# (near 1e160 and beyond), zeros, inf and NaN, among any floats
+NORM_ENTRIES = st.one_of(
+    st.sampled_from([0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, 2.2250738585072014e-308, 1.0]),
+    st.floats(min_value=1e-170, max_value=1e-150), st.floats(min_value=1e150, max_value=1e170),
+    st.floats(min_value=-1e-300, max_value=1e-300), st.floats(min_value=0.5, max_value=2.0),
+    st.floats(),
+)
+
+
+def _hexes(values):
+    return [float(v).hex() for v in values]
+
+
+# The sweep reads the lengths of every leading block from one running norm
+# of the n_max vector, and check_contraction takes its last entry for the
+# block alone: so each prefix's norm must depend on that prefix only. Where
+# every square lies in the normal range the norm is within (n/2 + 1) eps of
+# the exact one, which Fraction forms from the squares; elsewhere, and
+# wherever the norm is beyond float64, it is math.hypot's.
+@settings(derandomize=True, max_examples=200, deadline=None, database=None)
+@given(st.lists(NORM_ENTRIES, min_size=1, max_size=24))
+def test_prefix_norms_are_those_of_each_prefix_alone(v):
+    v = np.array(v)
+    norms = _prefix_norms(v)
+    assert len(norms) == len(v)
+    for n in range(1, len(v) + 1):
+        prefix = np.abs(v[:n]).tolist()
+        assert _hexes(_prefix_norms(v[:n])) == _hexes(norms[:n])
+        norm, hypot = norms[n - 1], math.hypot(*prefix)
+        normal = all(a == 0.0 or TINY <= a * a < math.inf for a in prefix)
+        if not (normal and math.isfinite(hypot)):
+            assert _hexes([norm]) == _hexes([hypot])
+            continue
+        exact = sum(Fraction(a) ** 2 for a in prefix)
+        slack = Fraction(n, 2) + 1
+        low, high = Fraction(norm) / (1 + slack * Fraction(EPS)), Fraction(norm) / (1 - slack * Fraction(EPS))
+        assert low**2 <= exact <= high**2
+
+
+def test_complex_row_sums_of_the_corner_are_those_of_the_full_matrix():
+    # a 1 x 1 block times a 1-vector must not take numpy's scalar complex
+    # product, which rounds the real part twice where its array loop fuses
+    rng = np.random.default_rng(3)
+    for m in range(2, 9):
+        W = np.tril(rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m)))
+        x = rng.standard_normal(m) + 1j * rng.standard_normal(m)
+        full = _row_sums(W, x)
+        for n in range(1, m + 1):
+            assert _row_sums(W[:n, :n], x[:n]).tobytes() == full[:n].tobytes()
 
 
 @st.composite
