@@ -8,11 +8,10 @@ check_contraction, the one per-point check of T_r and of the model operator
 it: two identities that such a contraction meets exactly, I - A A* = c c*
 and A W = I, in place of any SVD or elimination. _identity_terms forms
 |I - A A* - c c*| and, by one rule per row, where A W = I holds, and
-_row_sums W x; check_contraction reduces them over the whole block,
-grid_sweep once per r over every leading block, where it also runs the
-argument checks once and takes every size's verdicts as arrays from
-_verdicts, the checks _certify raises on; estimate_t_a returns T_r's
-extremal symbol.
+_row_sums W x; check_contraction reduces them over the whole block, and
+grid_sweep once per r over every leading block, with the argument checks
+and every size's _verdicts as arrays, sending each failing size back to
+check_contraction. estimate_t_a returns T_r's extremal symbol.
 """
 
 from __future__ import annotations
@@ -297,9 +296,9 @@ def _verdicts(n, r, rn, value, upper, corner, gram, residual_ok) -> tuple:
 
 def _certify(n: int, r: float, value: float, upper: float, corner: float,
              gram: float, residual_ok: bool) -> BoundsRecord:
-    """The record of one size whose arguments passed, from the value, its
-    enclosure, |A_00| and the verdicts of the two identities: the error of
-    the first of the _verdicts that fails, typed and with its numbers."""
+    """check_contraction's record of a size whose arguments passed, from the
+    value, its enclosure, |A_00| and the verdicts of the two identities: the
+    error of the first of the _verdicts that fails, typed, with its numbers."""
     rn = r**n
     enclosed, normed, cornered, inverted, closed = _verdicts(n, r, rn, value, upper, corner, gram, residual_ok)
     if not enclosed:
@@ -363,7 +362,8 @@ def _contraction_terms(n: int, r: float, A, W, x) -> tuple[BoundsRecord, np.ndar
     # 1/|det A| as the 1/|A_kk| in sequence, which do not underflow where
     # |det A| would. The power is numpy's array power, which grid_sweep
     # takes for every size at once: its scalar power, and its square for
-    # x ** 2.0, can differ from it by an ulp
+    # x ** 2.0, can differ from it by an ulp. x ** 0 = 1 for every x, inf and
+    # NaN too, so n = 1 reads 1/|A_00| whatever the Gram term
     with np.errstate(over="ignore"):  # a numpy power overflows to inf; a float's raises
         power = np.sqrt(np.array([1.0 + gram])) ** np.array([n - 1.0])
         upper = float((power * math.prod([1.0 / d for d in diagonal]))[0])
@@ -389,11 +389,11 @@ def _failed_record(n: int, r: float, exc: Exception) -> BoundsRecord:
     return rec
 
 
-def _recorded(n: int, r: float, check, *args) -> BoundsRecord:
-    """check(n, r, *args), the record of one point, or if it raises the
-    failed record of its exception."""
+def _recorded(n: int, r: float, A, W, x) -> BoundsRecord:
+    """check_contraction(n, r, A, W, x), the record of one point, or if it
+    raises the failed record of its exception."""
     try:
-        return check(n, r, *args)
+        return check_contraction(n, r, A, W, x)
     except (ToepcondError, ValueError) as exc:
         return _failed_record(n, r, exc)
 
@@ -404,7 +404,8 @@ def _sweep_records(n_max: int, r: float, A: np.ndarray, G: np.ndarray, x: np.nda
     diagonal = np.abs(np.diagonal(A)).tolist()
     # the cut m: the first shell where an argument check fails (a nonzero
     # above the diagonal, an inf or NaN in A or W, or a zero A_kk), which
-    # would spoil the products (0 * inf) or c (log 0) of the blocks before it
+    # would spoil the products (0 * inf) or c (log 0) of the blocks before it;
+    # x_0 = 1, so 1 <= ||x[:n]|| <= sqrt(n) and the check of x never fails
     bad = ~(np.isfinite(A) & np.isfinite(G)) | np.diag(np.diagonal(A) == 0.0)
     bad |= _strictly_upper(n_max) & (A != 0.0)
     m = _first_shell(bad)
@@ -429,12 +430,11 @@ def _sweep_records(n_max: int, r: float, A: np.ndarray, G: np.ndarray, x: np.nda
         # every size's record as if it passed, then each failing size's own
         records = list(map(BoundsRecord, range(1, m + 1), [r] * m, [corner] + [1.0] * (m - 1), values.tolist(),
                            scaled.tolist(), lower.tolist(), [1.0] * m, passed.tolist()))
-        for i in np.flatnonzero(~ok).tolist():
-            records[i] = _recorded(i + 1, r, _certify, float(values[i]), float(uppers[i]), corner, float(gram[i]),
-                                   bool(residual_ok[i]))
+        for n in (np.flatnonzero(~ok) + 1).tolist():
+            records[n - 1] = _recorded(n, r, A[:n, :n], G[:n, :n], x[:n])
     # past the cut the argument checks raise, with each size's own first
     # offending entry
-    return records + [_recorded(n, r, check_contraction, A[:n, :n], G[:n, :n], x[:n]) for n in range(m + 1, n_max + 1)]
+    return records + [_recorded(n, r, A[:n, :n], G[:n, :n], x[:n]) for n in range(m + 1, n_max + 1)]
 
 
 def grid_sweep(n_max: int, r_grid: Sequence[float]) -> list[BoundsRecord]:
@@ -449,15 +449,15 @@ def grid_sweep(n_max: int, r_grid: Sequence[float]) -> list[BoundsRecord]:
     x and of the row sums of the lower-triangular series times x, the
     enclosure from one cumprod of the 1/|A_kk| in math.prod's order and
     one array power, which check_contraction takes too. Its argument
-    checks also run once per r, on the n_max matrices: the first shell
-    where one fails cuts the products, and from that size on
-    check_contraction runs per point, where its argument checks raise, so
-    that each failing n names its own first offending entry. Before the
-    cut the verdicts are _verdicts' arrays and the records are built by
-    column; _certify runs only at a failing size, to raise its typed
-    error. So each record is bitwise theorem_check(n, r). A point whose
-    check raises gets NaN norms, passed = False and its exception in
-    `error`; the sweep always completes. Records come in (n, r) order.
+    checks run once per r, on the n_max matrices; the first shell where
+    one fails cuts the products. Before the cut the verdicts are
+    _verdicts' arrays and the records are built by column. A size whose
+    verdict fails, and every size past the cut, goes through
+    check_contraction on its leading blocks, so its error quotes that
+    check's own numbers or its own first offending entry. So each record
+    is bitwise theorem_check(n, r); where that raises, the record has NaN
+    norms, passed = False and the same exception in `error`, and the
+    sweep goes on. Records come in (n, r) order.
     """
     n_max = int(n_max)
     if not 1 <= n_max <= 64:

@@ -813,18 +813,39 @@ class TestGridSweep:
         assert all(rec.passed for rec in records[59:])
         assert [rec.n for rec in records[59:]] == list(range(60, 65))
 
-    def test_sweep_matches_theorem_check_bitwise(self):
+    def test_sweep_matches_theorem_check_bitwise(self, monkeypatch):
         # the sweep checks leading blocks of the n = 64 matrices; at r = 0.05
-        # most points are series-only, at 0.5 and 0.95 they take both paths
-        records = grid_sweep(64, (0.05, 0.5, 0.95))
-        assert len(records) == 64 * 3
-        for rec in records:
-            ref = theorem_check(rec.n, rec.r)
-            assert rec.norm_T == ref.norm_T
-            assert rec.inv_norm == ref.inv_norm
-            assert rec.scaled == ref.scaled
-            assert rec.passed == ref.passed
-            assert rec.error is None
+        # most points are series-only, at 0.5 and 0.95 they take both paths.
+        # Failing points: the series of b_r leaves float64 from n = 52 at
+        # r = 1e-6 and from n = 2 at r = 1e-200, and W[1, 0] 16 eps of its
+        # |A| |W| off fails A W = I from n = 2 on. A failed record carries
+        # the very error the one-point check raises, and NaN norms
+        def assert_records_of(check, records):
+            for rec in records:
+                try:
+                    ref = check(rec.n, rec.r)
+                except (ToepcondError, ValueError) as exc:
+                    assert rec.error == f"{type(exc).__name__}: {exc}"
+                    assert not rec.passed
+                    assert all(math.isnan(v) for v in (rec.norm_T, rec.inv_norm, rec.scaled))
+                else:
+                    assert rec.norm_T == ref.norm_T
+                    assert rec.inv_norm == ref.inv_norm
+                    assert rec.scaled == ref.scaled
+                    assert rec.passed == ref.passed
+                    assert rec.error is None
+
+        records = grid_sweep(64, (1e-200, 1e-6, 0.05, 0.5, 0.95))
+        assert len(records) == 64 * 5
+        assert_records_of(theorem_check, records)
+        assert [rec.n for rec in records if rec.error and rec.r == 1e-6] == list(range(52, 65))
+        assert [rec.n for rec in records if rec.error and rec.r == 1e-200] == list(range(2, 65))
+        A, W, x = triangular_case(64, 0.5)
+        W = _row_one_off(W)
+        monkeypatch.setattr(bounds_mod, "_bracket_matrices", lambda n, rs: ((A, W, x) for r in rs))
+        records = grid_sweep(64, (0.5,))
+        assert_records_of(lambda n, r: check_contraction(n, r, A[:n, :n], W[:n, :n], x[:n]), records)
+        assert [rec.n for rec in records if rec.error] == list(range(2, 65))
 
     def test_enclosure_failures_quote_check_contraction_digits(self, monkeypatch):
         # A = diag(r, 1, ..., 1) plus a strictly lower part of entries 0 and

@@ -10,6 +10,12 @@ checks hold for every n <= 64 and every r in (0, 1): the singular values of
 T_r are 1, ..., 1, r^n, hence ||T_r|| = 1 for n >= 2 and ||T_r^{-1}|| = r^-n.
 The model-operator builders are checked likewise, against M, W and x formed
 over the Gaussian rationals from the float zeros and weights they are given.
+
+Over Q(i), with a small (re, im) Fraction class, the three model-operator
+identities I - M M* = x x*, M W = I and I - M* M = d d* hold exactly on
+twelve seeded zero sets with n <= 6. Their zeros are rho omega with
+rho^2 + s^2 = 1 for rational rho and s, and omega a rational point on the
+circle, so the weights s = sqrt(1 - rho^2) need no square root.
 """
 
 import math
