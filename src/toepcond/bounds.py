@@ -87,14 +87,20 @@ class SearchResult:
     kronecker_gap: float
 
 
-def kronecker_bound(n: int, r: float) -> float:
-    """The unstructured bound 1/r^n on inverse norms of contractions
-    with minimal eigenvalue modulus r; inf beyond the float64 range."""
+def _bound_domain(n: int, r: float) -> tuple[int, float]:
+    """n and r as int and float, refused unless n >= 1 and r lies in (0, 1]."""
     n, r = int(n), float(r)
     if n < 1:
         raise ValueError("n must be at least 1")
     if not 0.0 < r <= 1.0:
         raise ValueError("r must lie in (0, 1]")
+    return n, r
+
+
+def kronecker_bound(n: int, r: float) -> float:
+    """The unstructured bound 1/r^n on inverse norms of contractions
+    with minimal eigenvalue modulus r; inf beyond the float64 range."""
+    n, r = _bound_domain(n, r)
     try:
         return r ** (-n)
     except OverflowError:
@@ -124,8 +130,8 @@ def build_T_r(n: int, r: float) -> AnalyticToeplitzMatrix:
 
 
 def bracket_endpoints(n: int, r: float) -> tuple[float, float]:
-    rn = float(r) ** int(n)
-    return max(rn, 1.0 - rn), 1.0
+    n, r = _bound_domain(n, r)
+    return max(r**n, 1.0 - r**n), 1.0
 
 
 def _bracket(rn, inv_norm):

@@ -337,46 +337,54 @@ def cmd_bound(args: argparse.Namespace) -> int:
 
 
 @functools.cache
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
+    """The parser of subcommand `command` alone, or of all four where it names
+    none: the three a call does not run cost more to build than search's
+    answer. Usage and prog are set to what argparse makes for all four."""
     parser = argparse.ArgumentParser(
         prog="toepcond",
+        usage="%(prog)s [-h] {" + ",".join(COMMANDS) + "} ...",
         description="Condition-number brackets for triangular Toeplitz contractions",
         allow_abbrev=False,
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(dest="command", required=True, prog="toepcond")
+    names = [command] if command in COMMANDS else COMMANDS
 
-    report_opts = argparse.ArgumentParser(add_help=False)
-    report_opts.add_argument("--format", choices=("csv", "json"), default="csv")
-    report_opts.add_argument("--output", type=str, default=None)
+    def add_reporting(name: str, summary: str) -> argparse.ArgumentParser:
+        p = sub.add_parser(name, allow_abbrev=False, help=summary)
+        p.add_argument("--format", choices=("csv", "json"), default="csv")
+        p.add_argument("--output", type=str, default=None)
+        return p
 
-    p_verify = sub.add_parser("verify", parents=[report_opts], allow_abbrev=False,
-                              help="sweep the bracket check over an (n, r) grid")
-    p_verify.add_argument("--n-max", type=int, default=DEFAULT_N_MAX)
-    p_verify.add_argument("--r-grid", type=str, default=DEFAULT_R_GRID,
-                          help="grid as start:stop:step, endpoints strictly inside (0,1)")
+    if "verify" in names:
+        p = add_reporting("verify", "sweep the bracket check over an (n, r) grid")
+        p.add_argument("--n-max", type=int, default=DEFAULT_N_MAX)
+        p.add_argument("--r-grid", type=str, default=DEFAULT_R_GRID,
+                       help="grid as start:stop:step, endpoints strictly inside (0,1)")
 
-    p_ext = sub.add_parser("extremal", parents=[report_opts], allow_abbrev=False,
-                           help="construct one extremal-candidate matrix")
-    p_ext.add_argument("--n", type=int, required=True, help="matrix size, 1..64")
-    p_ext.add_argument("--r", type=float, required=True)
-    p_ext.add_argument("--model", action="store_true",
+    if "extremal" in names:
+        p = add_reporting("extremal", "construct one extremal-candidate matrix")
+        p.add_argument("--n", type=int, required=True, help="matrix size, 1..64")
+        p.add_argument("--r", type=float, required=True)
+        p.add_argument("--model", action="store_true",
                        help="use the model operator with zeros r*(n-th roots of unity)")
 
-    p_search = sub.add_parser("search", parents=[report_opts], allow_abbrev=False,
-                              help="report the extremal constant and its symbol")
-    p_search.add_argument("--n", type=int)
-    p_search.add_argument("--r", type=float)
-    p_search.add_argument("--seed", type=int, default=42)
-    p_search.add_argument("--restarts", type=int, default=32)
-    p_search.add_argument("--iters", type=int, default=2000)
-    p_search.add_argument("--n-list", type=str, default=None,
-                          help="comma-separated n values: run a scan instead of one point")
-    p_search.add_argument("--r-list", type=str, default=None,
-                          help="comma-separated r values for the scan")
+    if "search" in names:
+        p = add_reporting("search", "report the extremal constant and its symbol")
+        p.add_argument("--n", type=int)
+        p.add_argument("--r", type=float)
+        p.add_argument("--seed", type=int, default=42)
+        p.add_argument("--restarts", type=int, default=32)
+        p.add_argument("--iters", type=int, default=2000)
+        p.add_argument("--n-list", type=str, default=None,
+                       help="comma-separated n values: run a scan instead of one point")
+        p.add_argument("--r-list", type=str, default=None,
+                       help="comma-separated r values for the scan")
 
-    p_bound = sub.add_parser("bound", allow_abbrev=False, help="print the 1/r^n bound and bracket endpoints")
-    p_bound.add_argument("--n", type=int, required=True)
-    p_bound.add_argument("--r", type=float, required=True)
+    if "bound" in names:
+        p = sub.add_parser("bound", allow_abbrev=False, help="print the 1/r^n bound and bracket endpoints")
+        p.add_argument("--n", type=int, required=True)
+        p.add_argument("--r", type=float, required=True)
     return parser
 
 
@@ -384,7 +392,8 @@ COMMANDS = {"verify": cmd_verify, "extremal": cmd_extremal, "search": cmd_search
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = _build_parser()
+    argv = sys.argv[1:] if argv is None else argv
+    parser = _build_parser(argv[0] if argv and argv[0] in COMMANDS else None)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

@@ -162,6 +162,15 @@ class TestBracketEndpoints:
         lower, _ = bracket_endpoints(1, 0.9)
         assert lower == pytest.approx(0.9, rel=1e-15)
 
+    def test_domain(self):
+        # kronecker_bound's domain and messages: n >= 1 and r in (0, 1]
+        for n, r, message in [(0, 0.5, "n must be at least 1"), (-2, 0.5, "n must be at least 1"),
+                              (2, 0.0, "r must lie in"), (3, 2.0, "r must lie in"),
+                              (3, math.nan, "r must lie in")]:
+            with pytest.raises(ValueError, match=message):
+                bracket_endpoints(n, r)
+        assert bracket_endpoints(2, 1.0) == (1.0, 1.0)
+
 
 class TestBracketRecord:
     def test_nan_norms_fail(self):

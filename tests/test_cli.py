@@ -1,5 +1,6 @@
 """Command-line behavior: formats, exit codes, determinism of report files."""
 
+import argparse
 import errno
 import json
 import os
@@ -600,7 +601,9 @@ class TestSearch:
 
 
 # three pairs in which the second call leaves to its default an option the
-# first call sets, then a usage error followed by a valid call
+# first call sets, then a usage error followed by a valid call, then two
+# arguments that the top level reports as unrecognized after one subcommand
+# parsed the rest
 PARSER_REUSE_SEQUENCE = [
     ["search", "--n", "1", "--r", "0.5", "--seed", "7", "--format", "json"],
     ["search", "--n", "1", "--r", "0.5", "--format", "json"],
@@ -610,16 +613,51 @@ PARSER_REUSE_SEQUENCE = [
     ["verify"],
     ["extremal", "--n", "2"],
     ["bound", "--n", "3", "--r", "0.5"],
+    ["bound", "--n", "3", "--r", "0.5", "--format", "csv"],
+    ["search", "--bogus"],
 ]
+_USAGE = "usage: toepcond [-h] {verify,extremal,search,bound} ...\n"
 
 
 def _json_tail(out: str) -> dict:
     return json.loads(out[out.index("\n{") + 1 :])
 
 
+def _subcommands(parser: argparse.ArgumentParser) -> dict:
+    """The subcommand parsers registered on a top-level parser, by name."""
+    (action,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    return action.choices
+
+
 class TestParserReuse:
     def test_parser_is_built_once(self):
         assert cli._build_parser() is cli._build_parser()
+        for command in cli.COMMANDS:
+            assert cli._build_parser(command) is cli._build_parser(command) is not cli._build_parser()
+
+    def test_a_subcommand_parser_registers_that_subcommand_alone(self):
+        assert list(_subcommands(cli._build_parser())) == list(cli.COMMANDS)
+        assert list(_subcommands(cli._build_parser("bogus"))) == list(cli.COMMANDS)
+        for command in cli.COMMANDS:
+            assert list(_subcommands(cli._build_parser(command))) == [command]
+
+    @pytest.mark.parametrize("command", list(cli.COMMANDS))
+    def test_help_and_usage_match_the_full_parser(self, command, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")
+        full, alone = cli._build_parser(), cli._build_parser(command)
+        assert alone.format_usage() == full.format_usage() == _USAGE
+        assert _subcommands(alone)[command].format_help() == _subcommands(full)[command].format_help()
+        assert _subcommands(alone)[command].prog == f"toepcond {command}"
+
+    def test_cache_holds_one_parser_per_first_argument_kind(self, capsys):
+        # no arguments, -h, an unknown word and an option first all share the
+        # full parser, so five parsers at most are ever built
+        cli._build_parser.cache_clear()
+        for argv in [[], ["-h"], ["bogus"], ["--format", "json", "verify"],
+                     *([command, "-h"] for command in cli.COMMANDS)]:
+            main(argv)
+        capsys.readouterr()
+        assert cli._build_parser.cache_info().currsize == 5
 
     def test_each_call_gives_its_first_call_output(self, capsys):
         def run(argv):
@@ -639,8 +677,11 @@ class TestParserReuse:
         assert models == [True, False]
         assert [err.split(",")[0] for _, _, err in in_sequence[4:6]] == [
             "verify: 57 points", "verify: 228 points"]
-        assert [code for code, _, _ in in_sequence[6:]] == [2, 0]
+        assert [code for code, _, _ in in_sequence[6:]] == [2, 0, 2, 2]
         assert in_sequence[7][1] == "kronecker=8 lower=0.875 upper=1\n"
+        assert [err for _, _, err in in_sequence[8:]] == [
+            _USAGE + "toepcond: error: unrecognized arguments: --format csv\n",
+            _USAGE + "toepcond: error: unrecognized arguments: --bogus\n"]
 
 
 class TestParser:

@@ -57,7 +57,9 @@ def test_every_subcommand_has_an_example():
 
 
 @pytest.mark.parametrize("argv, code, output", EXAMPLES, ids=[" ".join(argv) for argv, _, _ in EXAMPLES])
-def test_command_prints_what_the_readme_shows(argv, code, output):
+def test_command_prints_what_the_readme_shows(argv, code, output, monkeypatch):
+    # argparse wraps usage at the terminal width, which COLUMNS sets first
+    monkeypatch.setenv("COLUMNS", "80")
     terminal = io.StringIO()
     with contextlib.redirect_stdout(terminal), contextlib.redirect_stderr(terminal):
         returned = main(argv)
