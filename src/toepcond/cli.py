@@ -7,21 +7,23 @@ Subcommands:
   search    report the extremal constant 1/r^n and its symbol (or a grid scan)
   bound     print the 1/r^n bound and the bracket endpoints
 
-Exit codes: 0 success / all pass, 1 verification or computation failure
-(a verify point or search scan pair fails on a FAIL line and the rest go on),
-2 usage or domain error. r lies in (0, 1] for bound, as 1/r^n is defined at
-r = 1, and in (0, 1) for the rest, as b_r degenerates there. --output and
-every (n, r) of a search scan are checked before any work; --output
-writes a regular file atomically and any other target, such as a FIFO, in
-place, and repeated runs with identical flags give byte-identical files.
-The search options --seed, --restarts and --iters are still accepted and
-echoed in the report but have no effect: search returns the proven
-optimum, not the result of a search.
+Exit codes: 0 success / all pass, 1 verification or computation failure (a
+verify point or search scan pair fails on a FAIL line and the rest go on) or
+a stdout that cannot be written, 2 usage or domain error. r lies in (0, 1]
+for bound, as 1/r^n is defined at r = 1, and in (0, 1) for the rest, as b_r
+degenerates there. --output and every (n, r) of a search scan are checked
+before any work; --output writes a regular file atomically and any other
+target, such as a FIFO, in place, and repeated runs with identical flags
+give byte-identical files. The search options --seed, --restarts and --iters
+are still accepted and echoed in the report but have no effect: search
+returns the proven optimum, not the result of a search. A call of one
+subcommand with its own `--option value` words, each once, is read from the
+table _OPTIONS; argparse parses the rest: help, usage errors and spellings
+such as --n=3.
 """
 
 from __future__ import annotations
 
-import argparse
 import errno
 import functools
 import json
@@ -29,6 +31,7 @@ import os
 import stat
 import sys
 import tempfile
+from types import SimpleNamespace
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -205,7 +208,7 @@ def _report(fmt: str, header: str, rows: Iterable[tuple], config: Optional[dict]
                       default=lambda a: [[c.real, c.imag] for c in a.tolist()]) + "\n"
 
 
-def _wants_report(args: argparse.Namespace) -> bool:
+def _wants_report(args: SimpleNamespace) -> bool:
     """extremal and search write a report when --output or --format json asks for one."""
     return args.output is not None or args.format == "json"
 
@@ -219,7 +222,7 @@ def _search_row(res: SearchResult) -> tuple:
             res.restarts_used, res.seed, res.best_coeffs.coeffs)
 
 
-def cmd_verify(args: argparse.Namespace) -> int:
+def cmd_verify(args: SimpleNamespace) -> int:
     records = grid_sweep(args.n_max, parse_r_grid(args.r_grid))
     failures = [rec for rec in records if not rec.passed]
     config = {"command": "verify", "n_max": args.n_max, "r_grid": args.r_grid}
@@ -248,7 +251,7 @@ def _matrix_lines(M: np.ndarray) -> list[str]:
     return [line % tuple(row) for row in rows]
 
 
-def cmd_extremal(args: argparse.Namespace) -> int:
+def cmd_extremal(args: SimpleNamespace) -> int:
     n, r = args.n, args.r
     if not 1 <= n <= 64:
         raise ValueError("n must lie in 1..64")
@@ -284,7 +287,7 @@ def _search_csv(results: Sequence[SearchResult]) -> str:
     return _report("csv", SEARCH_HEADER, map(_search_row, results))
 
 
-def cmd_search(args: argparse.Namespace) -> int:
+def cmd_search(args: SimpleNamespace) -> int:
     search_cfg = SearchConfig(seed=args.seed, restarts=args.restarts, iters=args.iters)
     config = {"command": "search", "seed": args.seed, "restarts": args.restarts, "iters": args.iters}
     scan = bool(args.n_list or args.r_list)
@@ -329,62 +332,79 @@ def cmd_search(args: argparse.Namespace) -> int:
     return 1 if failures else 0
 
 
-def cmd_bound(args: argparse.Namespace) -> int:
+def cmd_bound(args: SimpleNamespace) -> int:
     kron = kronecker_bound(args.n, args.r)
     lower, upper = bracket_endpoints(args.n, args.r)
     print(f"kronecker={_fmt(kron)} lower={_fmt(lower)} upper={_fmt(upper)}")
     return 0
 
 
+# each subcommand's summary and options, as argparse keyword arguments
+_REPORTING = {"--format": {"choices": ("csv", "json"), "default": "csv"}, "--output": {"type": str}}
+_OPTIONS = {
+    "verify": ("sweep the bracket check over an (n, r) grid", {
+        **_REPORTING, "--n-max": {"type": int, "default": DEFAULT_N_MAX},
+        "--r-grid": {"type": str, "default": DEFAULT_R_GRID,
+                     "help": "grid as start:stop:step, endpoints strictly inside (0,1)"}}),
+    "extremal": ("construct one extremal-candidate matrix", {
+        **_REPORTING, "--n": {"type": int, "required": True, "help": "matrix size, 1..64"},
+        "--r": {"type": float, "required": True},
+        "--model": {"action": "store_true", "default": False,
+                    "help": "use the model operator with zeros r*(n-th roots of unity)"}}),
+    "search": ("report the extremal constant and its symbol", {
+        **_REPORTING, "--n": {"type": int}, "--r": {"type": float}, "--seed": {"type": int, "default": 42},
+        "--restarts": {"type": int, "default": 32}, "--iters": {"type": int, "default": 2000},
+        "--n-list": {"type": str, "help": "comma-separated n values: run a scan instead of one point"},
+        "--r-list": {"type": str, "help": "comma-separated r values for the scan"}}),
+    "bound": ("print the 1/r^n bound and bracket endpoints",
+              {"--n": {"type": int, "required": True}, "--r": {"type": float, "required": True}}),
+}
+
+
+def _plain_args(argv: Sequence[str]) -> Optional[SimpleNamespace]:
+    """The namespace argparse gives a well-formed call, or None for any other:
+    a subcommand, then its own options, each at most once, as a flag or as
+    `--option value` with a value of the option's type and choices that does
+    not start with "-", and every required option."""
+    if not argv or argv[0] not in _OPTIONS:
+        return None
+    options, given, words = _OPTIONS[argv[0]][1], {}, iter(argv[1:])
+    for word in words:
+        spec = options.get(word)
+        if spec is None or word in given:
+            return None
+        if "action" in spec:
+            given[word] = True
+            continue
+        value = next(words, "-")
+        try:
+            given[word] = spec.get("type", str)(value)
+        except ValueError:
+            return None
+        if value.startswith("-") or given[word] not in spec.get("choices", [given[word]]):
+            return None
+    if any(spec.get("required") and flag not in given for flag, spec in options.items()):
+        return None
+    return SimpleNamespace(command=argv[0], **{flag[2:].replace("-", "_"): given.get(flag, spec.get("default"))
+                                                for flag, spec in options.items()})
+
+
 @functools.cache
-def _build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
+def _build_parser(command: Optional[str] = None):
     """The parser of subcommand `command` alone, or of all four where it names
     none: the three a call does not run cost more to build than search's
     answer. Usage and prog are set to what argparse makes for all four."""
-    parser = argparse.ArgumentParser(
-        prog="toepcond",
-        usage="%(prog)s [-h] {" + ",".join(COMMANDS) + "} ...",
-        description="Condition-number brackets for triangular Toeplitz contractions",
-        allow_abbrev=False,
-    )
+    import argparse
+
+    parser = argparse.ArgumentParser(prog="toepcond", usage="%(prog)s [-h] {" + ",".join(COMMANDS) + "} ...",
+                                     description="Condition-number brackets for triangular Toeplitz contractions",
+                                     allow_abbrev=False)
     sub = parser.add_subparsers(dest="command", required=True, prog="toepcond")
-    names = [command] if command in COMMANDS else COMMANDS
-
-    def add_reporting(name: str, summary: str) -> argparse.ArgumentParser:
+    for name in [command] if command in COMMANDS else COMMANDS:
+        summary, options = _OPTIONS[name]
         p = sub.add_parser(name, allow_abbrev=False, help=summary)
-        p.add_argument("--format", choices=("csv", "json"), default="csv")
-        p.add_argument("--output", type=str, default=None)
-        return p
-
-    if "verify" in names:
-        p = add_reporting("verify", "sweep the bracket check over an (n, r) grid")
-        p.add_argument("--n-max", type=int, default=DEFAULT_N_MAX)
-        p.add_argument("--r-grid", type=str, default=DEFAULT_R_GRID,
-                       help="grid as start:stop:step, endpoints strictly inside (0,1)")
-
-    if "extremal" in names:
-        p = add_reporting("extremal", "construct one extremal-candidate matrix")
-        p.add_argument("--n", type=int, required=True, help="matrix size, 1..64")
-        p.add_argument("--r", type=float, required=True)
-        p.add_argument("--model", action="store_true",
-                       help="use the model operator with zeros r*(n-th roots of unity)")
-
-    if "search" in names:
-        p = add_reporting("search", "report the extremal constant and its symbol")
-        p.add_argument("--n", type=int)
-        p.add_argument("--r", type=float)
-        p.add_argument("--seed", type=int, default=42)
-        p.add_argument("--restarts", type=int, default=32)
-        p.add_argument("--iters", type=int, default=2000)
-        p.add_argument("--n-list", type=str, default=None,
-                       help="comma-separated n values: run a scan instead of one point")
-        p.add_argument("--r-list", type=str, default=None,
-                       help="comma-separated r values for the scan")
-
-    if "bound" in names:
-        p = sub.add_parser("bound", allow_abbrev=False, help="print the 1/r^n bound and bracket endpoints")
-        p.add_argument("--n", type=int, required=True)
-        p.add_argument("--r", type=float, required=True)
+        for flag, spec in options.items():
+            p.add_argument(flag, **spec)
     return parser
 
 
@@ -393,19 +413,29 @@ COMMANDS = {"verify": cmd_verify, "extremal": cmd_extremal, "search": cmd_search
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
-    parser = _build_parser(argv[0] if argv and argv[0] in COMMANDS else None)
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code) if exc.code is not None else 2
+    args = _plain_args(argv)
+    if args is None:
+        parser = _build_parser(argv[0] if argv and argv[0] in COMMANDS else None)
+        try:
+            args = SimpleNamespace(**vars(parser.parse_args(argv)))
+        except SystemExit as exc:
+            return int(exc.code) if exc.code is not None else 2
     try:
         _check_output(getattr(args, "output", None))
-        return COMMANDS[args.command](args)
+        code = COMMANDS[args.command](args)
+        sys.stdout.flush()
+        return code
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except ToepcondError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except OSError as exc:  # from stdout: --output errors are ValueErrors
+        print(f"error: cannot write to stdout: {exc.strerror or exc}", file=sys.stderr)
+        # what stdout still buffers goes to devnull, not to a second error at exit
+        with open(os.devnull, "w") as devnull:
+            os.dup2(devnull.fileno(), sys.stdout.fileno())
         return 1
 
 

@@ -4,10 +4,14 @@ import argparse
 import errno
 import json
 import os
+import random
 import stat
+import subprocess
+import sys
 import threading
 import time
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,6 +20,8 @@ import toepcond.cli as cli
 from toepcond import BoundsRecord, grid_sweep, theorem_check, verify_extremality
 from toepcond.bounds import bracket_record
 from toepcond.cli import CSV_HEADER, MAX_GRID_POINTS, main, parse_r_grid
+
+SRC = Path(cli.__file__).resolve().parents[1]
 
 
 def _json_record(rec: BoundsRecord) -> dict:
@@ -697,3 +703,138 @@ class TestParser:
         assert "--m" in capsys.readouterr().err
         assert main(["verify", "--n-m", "3"]) == 2
         assert "--n-m" in capsys.readouterr().err
+
+
+# what perfbench/run.py passes to main() on each workload, with its temp
+# dir as "out": verify_n64, search_n3 at seed 42, and every model_sweep point
+BENCHMARK_CALLS = [
+    ["verify", "--n-max", "64", "--output", "out/verify.csv"],
+    ["search", "--n", "3", "--r", "0.5", "--seed", "42", "--restarts", "8", "--iters", "250",
+     "--format", "json", "--output", "out/search.json"],
+    *(["extremal", "--model", "--n", str(n), "--r", repr(r)]
+      for n in (2, 8, 32) for r in (0.5, 0.9, 0.99, 0.999, 0.9999)),
+]
+# every option word, then words argparse alone reads, then values of every kind
+_OPTION_WORDS = sorted({flag for _, options in cli._OPTIONS.values() for flag in options})
+_OTHER_WORDS = ["-h", "--", "--n=3", "--bogus"]
+_VALUES = ["3", "0", "64", "0.5", "1e-300", "-3", "-0.5", "", "nan", "inf", "+4", " 7", "3_0", "xml",
+           "csv", "json", "1,2", "0.25,0.5", "0.25:0.5:0.25", "out.csv", "verify"]
+
+
+def _random_argvs(count: int) -> list:
+    """Seeded argv: a subcommand or not, most often its required options,
+    then option words, each followed by a value or not, with now and then
+    another subcommand's option or a word argparse alone reads."""
+    rng = random.Random(2024)
+    argvs = []
+    for _ in range(count):
+        command = rng.choice([*cli.COMMANDS, "bogus"])
+        options = cli._OPTIONS.get(command, ("", {}))[1]
+        words = [flag for flag, spec in options.items() if spec.get("required") and rng.random() < 0.9]
+        words += [rng.choice(list(options) or _OPTION_WORDS if rng.random() < 0.8 else _OPTION_WORDS + _OTHER_WORDS)
+                  for _ in range(rng.randrange(5))]
+        rng.shuffle(words)
+        argv = [command]
+        for word in words:
+            argv.append(word)
+            if word != "--model" and rng.random() < 0.95:
+                argv.append(rng.choice(_VALUES[:5] if rng.random() < 0.6 else _VALUES))
+        argvs.append(argv)
+    return argvs
+
+
+def _reprs(namespace) -> dict:
+    # repr tells 3 from 3.0 and True from 1, and is equal for two NaNs
+    return {key: repr(value) for key, value in vars(namespace).items()}
+
+
+class TestPlainArgs:
+    """A well-formed call is read from the option table, without argparse,
+    into the namespace argparse gives it; argparse reads everything else."""
+
+    def test_agrees_with_argparse_wherever_it_accepts(self):
+        accepted = 0
+        for argv in _random_argvs(20000):
+            plain = cli._plain_args(argv)
+            if plain is not None:
+                accepted += 1
+                assert _reprs(plain) == _reprs(cli._build_parser(argv[0]).parse_args(argv)), argv
+        assert accepted > 1000
+
+    @pytest.mark.parametrize("argv", BENCHMARK_CALLS, ids=[" ".join(argv) for argv in BENCHMARK_CALLS])
+    def test_accepts_the_benchmark_calls(self, argv):
+        assert cli._plain_args(argv) is not None
+
+    @pytest.mark.parametrize("argv", [
+        [], ["bogus"], ["-h"], ["verify", "-h"], ["verify", "--n-max=3"], ["verify", "--", "--n-max", "3"],
+        ["search", "--n", "-3", "--r", "0.5"], ["search", "--n", "3", "--r", "-0.5"],
+        ["search", "--seed", "7", "--seed", "8"], ["extremal", "--model", "--model", "--n", "2", "--r", "0.5"],
+        ["extremal", "--n", "2"], ["bound", "--n", "3", "--r"], ["bound", "--n", "3", "--r", "0.5", "--format", "csv"],
+        ["verify", "--format", "xml"], ["verify", "--n-max", "x"], ["verify", "--output", "-"],
+    ])
+    def test_leaves_everything_else_to_argparse(self, argv):
+        assert cli._plain_args(argv) is None
+
+    def test_no_parser_is_built_for_a_well_formed_call(self, capsys):
+        cli._build_parser.cache_clear()
+        for argv in (["verify", "--n-max", "1", "--r-grid", "0.5:0.5:0.1"], ["extremal", "--n", "1", "--r", "0.5"],
+                     ["search", "--n", "1", "--r", "0.5"], ["bound", "--n", "3", "--r", "0.5"]):
+            assert main(argv) == 0
+        capsys.readouterr()
+        assert cli._build_parser.cache_info().currsize == 0
+
+    def test_a_well_formed_call_imports_no_argparse(self, monkeypatch):
+        # in a fresh interpreter: the import and the call load neither module,
+        # and help, which argparse alone prints, still works after them
+        monkeypatch.setenv("COLUMNS", "80")
+        monkeypatch.setenv("PYTHONPATH", str(SRC))
+        script = ("import sys, toepcond.cli as cli\n"
+                  "code = cli.main(['bound', '--n', '3', '--r', '0.5'])\n"
+                  "print(code, 'argparse' in sys.modules, 'gettext' in sys.modules)\n"
+                  "cli.main(['bound', '-h'])\n")
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, timeout=60)
+        lines = proc.stdout.splitlines()
+        assert lines[:2] == ["kronecker=8 lower=0.875 upper=1", "0 False False"]
+        assert lines[2] == "usage: toepcond bound [-h] --n N --r R"
+        assert proc.returncode == 0
+        assert proc.stderr == ""
+
+    @pytest.mark.parametrize("argparse_only, plain", [
+        (["verify", "--n-max=3"], ["verify", "--n-max", "3"]),
+        (["search", "--n", "1", "--r", "0.5", "--seed", "7", "--seed", "8", "--format", "json"],
+         ["search", "--n", "1", "--r", "0.5", "--seed", "8", "--format", "json"]),
+        (["extremal", "--model", "--model", "--n", "2", "--r", "0.5"], ["extremal", "--model", "--n", "2", "--r", "0.5"]),
+    ], ids=["equals-sign", "repeated-seed", "repeated-flag"])
+    def test_spellings_only_argparse_reads_give_the_same_output(self, argparse_only, plain, capsys):
+        assert cli._plain_args(argparse_only) is None and cli._plain_args(plain) is not None
+        outputs = []
+        for argv in (argparse_only, plain):
+            code = main(argv)
+            captured = capsys.readouterr()
+            outputs.append((code, captured.out, captured.err))
+        assert outputs[0] == outputs[1]
+        assert outputs[0][0] == 0
+        if "--seed" in plain:
+            assert _json_tail(outputs[0][1])["config"]["seed"] == 8
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+class TestUnwritableStdout:
+    @pytest.mark.parametrize("argv", [
+        ["bound", "--n", "3", "--r", "0.5"],
+        ["verify", "--n-max", "2"],
+        ["search", "--n", "3", "--r", "0.5", "--format", "json"],
+        ["extremal", "--model", "--n", "32", "--r", "0.5"],
+    ], ids=["bound", "verify", "search", "extremal"])
+    @pytest.mark.parametrize("unbuffered", ["1", ""], ids=["unbuffered", "buffered"])
+    def test_one_error_line_and_exit_one(self, argv, unbuffered, monkeypatch):
+        # buffered, the failing write is the flush after the command, so
+        # verify's summary reaches stderr first; unbuffered, it is the report's
+        monkeypatch.setenv("PYTHONPATH", str(SRC))
+        monkeypatch.setenv("PYTHONUNBUFFERED", unbuffered)
+        with open("/dev/full", "w") as full:
+            proc = subprocess.run([sys.executable, "-m", "toepcond.cli", *argv], stdout=full,
+                                  stderr=subprocess.PIPE, text=True, timeout=60)
+        lines = [line for line in proc.stderr.splitlines() if not line.startswith("verify: ")]
+        assert lines == [f"error: cannot write to stdout: {os.strerror(errno.ENOSPC)}"]
+        assert proc.returncode == 1

@@ -17,7 +17,7 @@ from pathlib import Path
 
 import pytest
 
-from toepcond.cli import main
+from toepcond.cli import _plain_args, main
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 FENCE = re.compile(r"^```(\w*)\n(.*?)^```$", re.MULTILINE | re.DOTALL)
@@ -64,3 +64,9 @@ def test_command_prints_what_the_readme_shows(argv, code, output, monkeypatch):
     with contextlib.redirect_stdout(terminal), contextlib.redirect_stderr(terminal):
         returned = main(argv)
     assert (returned, terminal.getvalue()) == (code, output)
+
+
+@pytest.mark.parametrize("argv", [argv for argv, code, _ in EXAMPLES if code == 0],
+                         ids=[" ".join(argv) for argv, code, _ in EXAMPLES if code == 0])
+def test_each_passing_example_is_read_without_argparse(argv):
+    assert _plain_args(argv) is not None
