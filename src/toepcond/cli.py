@@ -24,6 +24,7 @@ such as --n=3.
 
 from __future__ import annotations
 
+import contextlib
 import errno
 import functools
 import json
@@ -411,6 +412,25 @@ def _build_parser(command: Optional[str] = None):
 COMMANDS = {"verify": cmd_verify, "extremal": cmd_extremal, "search": cmd_search, "bound": cmd_bound}
 
 
+class _ClosedStdout:
+    """sys.stdout for a process started with stdout closed, which Python
+    sets to None: every write fails as on a closed descriptor, so a call
+    that prints ends in the one stdout error, not in an AttributeError."""
+
+    def write(self, text: str) -> int:
+        raise OSError(errno.EBADF, os.strerror(errno.EBADF))
+
+    def flush(self) -> None:
+        pass
+
+
+def _error(message: str, code: int) -> int:
+    """Print an error line; a stderr that cannot take it keeps the code."""
+    with contextlib.suppress(OSError):
+        print(f"error: {message}", file=sys.stderr)
+    return code
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     args = _plain_args(argv)
@@ -420,23 +440,23 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             args = SimpleNamespace(**vars(parser.parse_args(argv)))
         except SystemExit as exc:
             return int(exc.code) if exc.code is not None else 2
+    stdout = sys.stdout
     try:
         _check_output(getattr(args, "output", None))
-        code = COMMANDS[args.command](args)
-        sys.stdout.flush()
+        with contextlib.redirect_stdout(stdout or _ClosedStdout()):
+            code = COMMANDS[args.command](args)
+            sys.stdout.flush()
         return code
     except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return _error(str(exc), 2)
     except ToepcondError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return _error(str(exc), 1)
     except OSError as exc:  # from stdout: --output errors are ValueErrors
-        print(f"error: cannot write to stdout: {exc.strerror or exc}", file=sys.stderr)
-        # what stdout still buffers goes to devnull, not to a second error at exit
-        with open(os.devnull, "w") as devnull:
-            os.dup2(devnull.fileno(), sys.stdout.fileno())
-        return 1
+        if stdout is not None:
+            # what stdout still buffers goes to devnull, not to a second error at exit
+            with open(os.devnull, "w") as devnull:
+                os.dup2(devnull.fileno(), stdout.fileno())
+        return _error(f"cannot write to stdout: {exc.strerror or exc}", 1)
 
 
 if __name__ == "__main__":

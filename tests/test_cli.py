@@ -838,3 +838,22 @@ class TestUnwritableStdout:
         lines = [line for line in proc.stderr.splitlines() if not line.startswith("verify: ")]
         assert lines == [f"error: cannot write to stdout: {os.strerror(errno.ENOSPC)}"]
         assert proc.returncode == 1
+
+
+@pytest.mark.parametrize("redirect, argv, code, lines", [
+    ("2>/dev/full", ["bound", "--n", "3", "--r", "7"], 2, []),
+    ("2>/dev/full", ["bound", "--n", "3", "--bogus"], 2, []),
+    ("2>/dev/full", ["extremal", "--n", "64", "--r", "1e-300"], 1, []),
+    # with fd 1 closed at start, Python sets sys.stdout to None
+    *((">&-", argv, 1, [f"error: cannot write to stdout: {os.strerror(errno.EBADF)}"])
+      for argv in (["bound", "--n", "3", "--r", "0.5"], ["verify", "--n-max", "2"],
+                   ["search", "--n", "3", "--r", "0.5"], ["extremal", "--model", "--n", "2", "--r", "0.5"])),
+])
+def test_a_stream_that_cannot_be_written_keeps_the_exit_code(redirect, argv, code, lines, monkeypatch):
+    if "/dev/full" in redirect and not os.path.exists("/dev/full"):
+        pytest.skip("needs /dev/full")
+    monkeypatch.setenv("PYTHONPATH", str(SRC))
+    proc = subprocess.run(["sh", "-c", f'"$0" -m toepcond.cli "$@" {redirect}', sys.executable, *argv],
+                          capture_output=True, text=True, timeout=60)
+    assert (proc.returncode, proc.stdout) == (code, "")
+    assert [line for line in proc.stderr.splitlines() if not line.startswith("verify: ")] == lines

@@ -1,7 +1,7 @@
 """Compressed-shift matrices: closed form, quadrature oracle, extremality.
 
 verify_extremality validates its zeros once and builds M, W and x in one
-pass. A Hypothesis property over equal-modulus zero sets (random phases,
+pass. A property over 100 equal-modulus zero sets (random phases,
 roots of unity, zeros at 0, r within 4 ulp of the circle) checks that the
 matrix it checks and reports is bitwise model_operator's; other tests check
 that the zeros are validated once, that a second call at the same n builds
@@ -13,8 +13,6 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 import toepcond.model as model_mod
 from toepcond import (
@@ -33,6 +31,7 @@ from toepcond import (
 )
 from toepcond.bounds import _contraction_terms, check_contraction, kronecker_bound
 from toepcond.cli import DEFAULT_R_GRID, parse_r_grid
+from test_properties import CONSTANTS, drawn_from
 
 # Independent oracle: the compressed shift by trapezoidal quadrature of
 # <z e_k, e_l> over the circle, doubling the sample count until the Gram
@@ -525,29 +524,21 @@ class TestVerifyExtremality:
             verify_extremality(0.0, (0.5,))
 
 
-@st.composite
-def equal_modulus_zero_sets(draw):
+def equal_modulus_zero_set(rng):
     """(r, zeros) with every |z| within 1e-12 of r: random phases or r times
     the roots of unity, zeros at 0 where r <= 1e-12, and r within 4 ulp of
-    the circle."""
-    n = draw(st.integers(1, 32))
-    r = draw(st.one_of(
-        st.floats(1e-3, 1.0 - 1e-3),
-        st.sampled_from([1.0 - k * 2.0**-53 for k in range(1, 5)]),
-        st.sampled_from([1e-13, 5e-13]),
-    ))
-    if draw(st.booleans()):
-        phases = np.array(draw(st.lists(st.floats(0.0, 1.0, exclude_max=True), min_size=n, max_size=n)))
-    else:
-        phases = np.arange(n) / n
+    the circle, and the program constants that lie in (0, 1)."""
+    n = rng.randint(1, 32)
+    edges = [1e-13, 5e-13, *CONSTANTS, *(1.0 - k * 2.0**-53 for k in range(2, 5))]
+    r = rng.choice([rng.uniform(1e-3, 1.0 - 1e-3), rng.choice(edges)])
+    phases = np.array([rng.random() for _ in range(n)]) if rng.random() < 0.5 else np.arange(n) / n
     zeros = r * np.exp(2j * np.pi * phases)
     if r <= 1e-12:
-        zeros = np.where(draw(st.lists(st.booleans(), min_size=n, max_size=n)), 0.0, zeros)
+        zeros = np.where([rng.random() < 0.5 for _ in range(n)], 0.0, zeros)
     return r, tuple(complex(z) for z in zeros)
 
 
-@settings(max_examples=100)
-@given(equal_modulus_zero_sets())
+@drawn_from(13, 100, ((), equal_modulus_zero_set))
 def test_verify_extremality_checks_the_bits_of_model_operator(case):
     # the one validated pass builds M by the builder model_operator wraps:
     # the matrix the check reads, and the report's, are model_operator's

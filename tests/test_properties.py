@@ -8,91 +8,131 @@ stack of symbols against each symbol alone, and the grid sweep against the
 single-point check.
 
 The CLI runs cover r over its valid domain, from 5e-324 up to 1 - 2^-53
-(1 - 1e-15 and 1 - 2^-52 among the sampled values). Each run exits 0 with
-values that meet their closed forms, 1 with the one overflow message, or 2
-(only r = 1 outside `bound`), with no traceback and no RuntimeWarning. Every
-draw is derandomized by the suite's Hypothesis profile (conftest.py).
+(1 - 1e-15 and 1 - 2^-52 among the edges). Each run exits 0 with values
+that meet their closed forms, 1 with the one overflow message, or 2 (only
+r = 1 outside `bound`), with no traceback and no RuntimeWarning. Each test
+runs on what `drawn_from` draws for it alone, from its own seed and from
+edges that hold the program constants, whatever else is imported.
 """
 
 import contextlib
 import dataclasses
 import io
 import math
+import os
+import random
 import re
+import subprocess
+import sys
 import warnings
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
-from hypothesis.extra.numpy import array_shapes, arrays
 
 from toepcond import BoundsRecord, SingularMatrixError, ToepcondError, bracket_endpoints, grid_sweep, theorem_check
 from toepcond.bounds import EPS, TINY, _failed_record, _first_shell, _leading_maxima, _prefix_norms, _row_sums
 from toepcond.cli import CSV_HEADER, _bounds_row, _cell, _matrix_lines, _report, main
 from toepcond.core import _reciprocal_rows
 
-SPECIAL = [0.0, -0.0, np.nan, -np.nan, np.inf, -np.inf, 5e-324, -5e-324,
-           2.2250738585072014e-308, 1e300, -1e300, 1.7976931348623157e308, 0.5e-6, -0.5e-6]
-REALS = st.one_of(st.sampled_from(SPECIAL), st.floats(allow_nan=True, allow_infinity=True),
-                  st.floats(min_value=1e299, max_value=1e308))
-SHAPES = array_shapes(min_dims=2, max_dims=2, min_side=1, max_side=4)
-MATRICES = st.one_of(
-    arrays(np.float64, SHAPES, elements=REALS),
-    arrays(np.complex128, SHAPES, elements=st.builds(complex, REALS, REALS)),
-)
+
+def drawn_from(seed, count, *columns):
+    """Run the test count times. Its k-th argument takes each edge of the pair
+    columns[k] = (edges, draw) once and draw(rng) the other times, in an order
+    that rng, the test's own random.Random(seed), shuffles. test.draws() lists
+    the argument tuples; `pytest -l` shows those a failing run was given."""
+    def decorate(test):
+        def each_draw():
+            for args in each_draw.draws():
+                test(*args)
+
+        def draws():
+            rng = random.Random(seed)
+            values = [[*edges, *(draw(rng) for _ in range(count - len(edges)))] for edges, draw in columns]
+            return list(zip(*(rng.sample(column, count) for column in values)))
+
+        each_draw.draws = draws
+        return each_draw
+    return decorate
+
+
+def ints(low, high):
+    return (low, high), lambda rng: rng.randint(low, high)
+
+
+# TINY, EPS, the switch of _one_minus_square, CLOSED_FORM_RTOL and the float below 1
+CONSTANTS = [TINY, EPS, 0.5, 1e-12, 1.0 - 2.0**-53]
+SPECIAL = [0.0, -0.0, math.nan, -math.nan, math.inf, -math.inf, 5e-324, -5e-324, 2.2250738585072014e-308,
+           1e300, -1e300, 1.7976931348623157e308, 0.5e-6, -0.5e-6, 1.0, *CONSTANTS]
+
+
+def any_float(rng):
+    """A float of any sign and size from a random bit pattern, now and then
+    subnormal, inf or NaN; or, a fifth of the time, one in [-4, 4]."""
+    bits = float(np.frombuffer(rng.randbytes(8), "<f8")[0])
+    return bits if rng.random() < 0.8 else rng.uniform(-4.0, 4.0)
+
+
+def real(rng):
+    return rng.choice([rng.choice(SPECIAL), any_float(rng), rng.uniform(1e299, 1e308)])
+
+
+def finite(rng):
+    while not math.isfinite(x := real(rng)):
+        pass
+    return x
+
+
+def array(rng, shape, part, parts=1):
+    """An array of the given shape whose entries have 1 (real) or 2 (complex) parts drawn by part."""
+    return np.array([complex(part(rng), part(rng)) if parts == 2 else part(rng)
+                     for _ in range(math.prod(shape))]).reshape(shape)
 
 
 def per_entry_lines(M):
     return ["  [" + ", ".join(f"{c.real:+.6f}{c.imag:+.6f}j" for c in row) + "]" for row in M]
 
 
-@settings(max_examples=100)
-@given(MATRICES)
+@drawn_from(1, 100, ((), lambda rng: array(rng, (rng.randint(1, 4), rng.randint(1, 4)), real, rng.randint(1, 2))))
 def test_row_wise_lines_match_per_entry_formatting(M):
     assert _matrix_lines(M) == per_entry_lines(M)
 
 
-RECORDS = st.one_of(
-    st.builds(BoundsRecord, n=st.integers(1, 10**6), r=REALS, norm_T=REALS, inv_norm=REALS, scaled=REALS,
-              lower=REALS, upper=REALS, passed=st.booleans()),
+def radius(rng):
+    """A float in [5e-324, 1): uniform, uniform in its exponent down to the
+    subnormals, or 1 - 2^-k for real k from 1 to 53."""
+    return rng.choice([max(5e-324, rng.random()), max(5e-324, 10.0 ** rng.uniform(-324, -1)),
+                       1.0 - 2.0 ** -rng.uniform(1, 53)])
+
+
+def record(rng):
+    if rng.random() < 0.5:
+        return BoundsRecord(rng.randint(1, 10**6), *(real(rng) for _ in range(6)), rng.random() < 0.5)
     # a failed point: NaN norms, passed = False and its error, which reports omit
-    st.builds(lambda n, r: _failed_record(n, r, ToepcondError("synthetic failure")),
-              st.integers(1, 64), st.floats(min_value=5e-324, max_value=1.0, exclude_max=True)),
-)
+    return _failed_record(rng.randint(1, 64), radius(rng), ToepcondError("synthetic failure"))
 
 
 def per_cell_csv(rows):
     return "\n".join([CSV_HEADER, *(",".join(map(_cell, row)) for row in rows)]) + "\n"
 
 
-@settings(max_examples=100)
-@given(st.lists(RECORDS, max_size=5))
+@drawn_from(2, 100, ((), lambda rng: [record(rng) for _ in range(rng.randint(0, 5))]))
 def test_row_wise_csv_matches_per_cell_formatting(records):
     rows = [_bounds_row(rec) for rec in records]
     assert _report("csv", CSV_HEADER, rows) == per_cell_csv(rows)
 
 
-FINITE = st.one_of(st.sampled_from([v for v in SPECIAL if math.isfinite(v)]),
-                   st.floats(allow_nan=False, allow_infinity=False))
-
-
-@st.composite
-def triangular_systems(draw):
+def triangular_system(rng):
     """A lower-triangular m x m W and an m-vector x, real or complex, with
     finite entries whose products and sums may still overflow."""
-    m = draw(st.integers(1, 12))
-    dtype, elements = draw(st.sampled_from([(np.float64, FINITE),
-                                            (np.complex128, st.builds(complex, FINITE, FINITE))]))
-    return np.tril(draw(arrays(dtype, (m, m), elements=elements))), draw(arrays(dtype, m, elements=elements))
+    m, parts = rng.randint(1, 12), rng.randint(1, 2)
+    return np.tril(array(rng, (m, m), finite, parts)), array(rng, (m,), finite, parts)
 
 
 # The sweep reads the row sums of every leading block from those of the
 # n_max block. Equality as floats, NaN included, is bitwise up to the
 # payload of a NaN and the sign of a zero, which the norm of the sums drops.
-@settings(max_examples=100)
-@given(triangular_systems())
+@drawn_from(3, 100, ((), triangular_system))
 def test_row_sums_of_leading_blocks_are_those_of_the_full_matrix(system):
     W, x = system
     full = _row_sums(W, x)
@@ -102,12 +142,9 @@ def test_row_sums_of_leading_blocks_are_those_of_the_full_matrix(system):
 
 # entries whose squares underflow (near 1e-160 and subnormal) or overflow
 # (near 1e160 and beyond), zeros, inf and NaN, among any floats
-NORM_ENTRIES = st.one_of(
-    st.sampled_from([0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, 2.2250738585072014e-308, 1.0]),
-    st.floats(min_value=1e-170, max_value=1e-150), st.floats(min_value=1e150, max_value=1e170),
-    st.floats(min_value=-1e-300, max_value=1e-300), st.floats(min_value=0.5, max_value=2.0),
-    st.floats(),
-)
+NORM_ENTRIES = [lambda rng: rng.choice(SPECIAL), lambda rng: 10.0 ** rng.uniform(-170, -150),
+                lambda rng: 10.0 ** rng.uniform(150, 170), lambda rng: rng.uniform(0.5, 2.0), any_float,
+                lambda rng: rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-324, -300)]  # 0 and subnormals too
 
 
 def _hexes(values):
@@ -120,8 +157,7 @@ def _hexes(values):
 # every square lies in the normal range the norm is within (n/2 + 1) eps of
 # the exact one, which Fraction forms from the squares; elsewhere, and
 # wherever the norm is beyond float64, it is math.hypot's.
-@settings(max_examples=200)
-@given(st.lists(NORM_ENTRIES, min_size=1, max_size=24))
+@drawn_from(4, 200, ((), lambda rng: [rng.choice(NORM_ENTRIES)(rng) for _ in range(rng.randint(1, 24))]))
 def test_prefix_norms_are_those_of_each_prefix_alone(v):
     v = np.array(v)
     norms = _prefix_norms(v)
@@ -152,13 +188,11 @@ def test_complex_row_sums_of_the_corner_are_those_of_the_full_matrix():
             assert _row_sums(W[:n, :n], x[:n]).tobytes() == full[:n].tobytes()
 
 
-@st.composite
-def coefficient_stacks(draw):
+def coefficient_stack(rng):
     """An R x n stack of symbol coefficients, real or complex, finite, whose
     reciprocal series may overflow to inf or NaN, and one row index."""
-    rows, n = draw(st.integers(1, 6)), draw(st.integers(1, 12))
-    elements = draw(st.sampled_from([st.builds(complex, FINITE), st.builds(complex, FINITE, FINITE)]))
-    return draw(arrays(np.complex128, (rows, n), elements=elements)), draw(st.integers(0, rows - 1))
+    rows, n = rng.randint(1, 6), rng.randint(1, 12)
+    return array(rng, (rows, n), finite, rng.randint(1, 2)).astype(complex), rng.randint(0, rows - 1)
 
 
 def _same_floats(a, b):
@@ -169,8 +203,7 @@ def _same_floats(a, b):
 # The sweep forms the series of every r in one recursion and theorem_check
 # that of one r at its own size, so each row's series must not depend on
 # the other rows, nor its first k coefficients on the length of the row.
-@settings(max_examples=100)
-@given(coefficient_stacks())
+@drawn_from(5, 100, ((), coefficient_stack))
 def test_reciprocal_rows_are_those_of_each_row_alone(stack):
     a, i = stack
     full = _reciprocal_rows(a)
@@ -179,20 +212,12 @@ def test_reciprocal_rows_are_those_of_each_row_alone(stack):
         assert _same_floats(_reciprocal_rows(a[:, :k]), full[:, :k])
 
 
-@st.composite
-def sparse_masks(draw):
-    """An m x m boolean mask, m up to 64, with each entry True at a density
-    of at most 0.2, seeded from the draw."""
-    m, density, seed = draw(st.integers(1, 64)), draw(st.floats(0.0, 0.2)), draw(st.integers(0, 2**32 - 1))
-    return np.random.default_rng(seed).random((m, m)) < density
-
-
 # The sweep cuts at the first failing shell of one mask and reads each
 # size's A W = I verdict from that of another: the count of leading blocks
 # with no True entry, which the running maxima over the shells also give.
-@settings(max_examples=100)
-@given(sparse_masks())
-def test_first_shell_counts_the_clean_leading_blocks(B):
+@drawn_from(6, 100, ints(1, 64), ((0.0, 0.2), lambda rng: rng.uniform(0.0, 0.2)), ((), lambda rng: rng.getrandbits(64)))
+def test_first_shell_counts_the_clean_leading_blocks(m, density, seed):
+    B = np.random.default_rng(seed).random((m, m)) < density
     assert _first_shell(B) == np.count_nonzero(~_leading_maxima(B))
 
 
@@ -201,11 +226,8 @@ def test_first_shell_counts_the_clean_leading_blocks(B):
 # (exit 2, here only r = 1 outside `bound`), never in a traceback or a
 # RuntimeWarning.
 OVERFLOW = re.compile(r"exact inverse has entries beyond the float64 range, first at \(\d+, \d+\)")
-RADII = st.one_of(
-    st.sampled_from([5e-324, 1e-300, 1e-200, 1e-154, 1e-6, 0.05, 0.5, 0.9, 0.9999, 1.0 - 1e-12,
-                     1.0 - 1e-15, 1.0 - 2.0**-52, 1.0 - 2.0**-53, 1.0]),
-    st.floats(min_value=5e-324, max_value=1.0),
-)
+RADII = list(dict.fromkeys([5e-324, 1e-300, 1e-200, 1e-154, 1e-6, 0.05, 0.5, 0.9, 0.9999, 1.0 - 1e-12,
+                            1.0 - 1e-15, 1.0 - 2.0**-52, 1.0 - 2.0**-53, 1.0, *CONSTANTS]))
 
 
 def run(argv):
@@ -245,8 +267,7 @@ def succeeded(code, out, err, r):
     return code == 0
 
 
-@settings(max_examples=60)
-@given(st.integers(1, 8), RADII, RADII)
+@drawn_from(7, 60, ints(1, 8), (RADII, radius), (RADII, radius))
 def test_verify_cli(n_max, a, b):
     a, b = sorted((min(a, 0.999), min(b, 0.999)))
     step = b - a if b - a >= 1e-3 else 1.0
@@ -261,8 +282,7 @@ def test_verify_cli(n_max, a, b):
     assert all(OVERFLOW.fullmatch(line.split(" error=SingularMatrixError: ", 1)[1]) for line in fails)
 
 
-@settings(max_examples=60)
-@given(st.integers(1, 64), RADII, st.booleans())
+@drawn_from(8, 60, ints(1, 64), (RADII, radius), ((False, True), lambda rng: rng.random() < 0.5))
 def test_extremal_cli(n, r, model):
     code, out, err = run(["extremal", "--n", str(n), "--r", repr(r)] + (["--model"] if model else []))
     if succeeded(code, out, err, r):
@@ -274,8 +294,8 @@ def test_extremal_cli(n, r, model):
 
 @pytest.mark.parametrize("r", [1.0 - 2.0**-53, 1.0 - 2.0**-52])
 def test_extremal_model_cli_within_an_ulp_of_the_circle(r):
-    # every size reports, with rank 1, where RADII's two sampled radii meet
-    # all n the draws above leave out: np.abs rounds some of the zeros
+    # every size reports, with rank 1, where two of RADII meet all n the
+    # draws above leave out: np.abs rounds some of the zeros
     # r * (roots of unity) up to 1, and their weights are 0
     for n in range(1, 65):
         code, out, err = run(["extremal", "--model", "--n", str(n), "--r", repr(r)])
@@ -284,8 +304,7 @@ def test_extremal_model_cli_within_an_ulp_of_the_circle(r):
         assert field(out, "relative gap ", ")") <= 1e-12
 
 
-@settings(max_examples=40)
-@given(st.integers(1, 16), RADII)
+@drawn_from(9, 40, ints(1, 16), (RADII, radius))
 def test_search_cli(n, r):
     code, out, err = run(["search", "--n", str(n), "--r", repr(r)])
     if succeeded(code, out, err, r):
@@ -293,8 +312,7 @@ def test_search_cli(n, r):
         assert_bound(field(out, " estimate=", " "), n, r)
 
 
-@settings(max_examples=40)
-@given(st.integers(1, 64), RADII)
+@drawn_from(10, 40, ints(1, 64), (RADII, radius))
 def test_bound_cli(n, r):
     code, out, err = run(["bound", "--n", str(n), "--r", repr(r)])
     assert code == 0 and err == ""
@@ -307,16 +325,13 @@ def test_bound_cli(n, r):
 # Outside its domain every subcommand refuses r with exit 2 and its own
 # message, before r reaches any arithmetic, so no traceback or RuntimeWarning
 # escapes: nan, +-inf, zero, negatives and values past 1 (`bound` takes r = 1).
-OUTSIDE = st.one_of(
-    st.sampled_from([math.nan, math.inf, -math.inf, 0.0, -0.0, -5e-324, -0.5, 1.0, 1.0 + 2.0**-52, 1.5, 1e308]),
-    st.floats(max_value=0.0),
-    st.floats(min_value=1.0),
-)
+OUTSIDE = [math.nan, math.inf, -math.inf, 0.0, -0.0, -5e-324, -0.5, 1.0, 1.0 + 2.0**-52, 1.5, 1e308,
+           *(-c for c in CONSTANTS if c != 0.5)]
 OPEN_INTERVAL = "r must lie strictly between 0 and 1"
 
 
-@settings(max_examples=60)
-@given(st.integers(1, 16), OUTSIDE)
+@drawn_from(11, 60, ints(1, 16),
+            (OUTSIDE, lambda rng: -abs(finite(rng)) if rng.random() < 0.5 else 1.0 + abs(finite(rng))))
 def test_r_outside_the_domain_is_usage_error(n, r):
     runs = [
         (["verify", "--n-max", str(n), f"--r-grid={r!r}:{r!r}:0.1"], "grid endpoints must lie strictly between 0 and 1"),
@@ -336,8 +351,7 @@ def test_r_outside_the_domain_is_usage_error(n, r):
 # and products over the leading blocks; theorem_check does all of it at n
 # alone. Both run under the suite's
 # error::RuntimeWarning filter.
-@settings(max_examples=40)
-@given(st.integers(1, 64), RADII.filter(lambda r: r < 1.0))
+@drawn_from(12, 40, ints(1, 64), ([r for r in RADII if r < 1.0], radius))
 def test_grid_sweep_agrees_with_theorem_check(n_max, r):
     for rec in grid_sweep(n_max, (r,)):
         try:
@@ -350,3 +364,19 @@ def test_grid_sweep_agrees_with_theorem_check(n_max, r):
             continue
         assert ref.passed and abs(ref.scaled - 1.0) <= 1e-12
         assert dataclasses.astuple(rec) == dataclasses.astuple(ref)
+
+
+def test_draws_do_not_depend_on_imported_constants(tmp_path, monkeypatch):
+    # a draw from a pool of the float constants of the modules loaded so far
+    # would change with the module below, and with any edit to src/
+    (tmp_path / "extra_constants.py").write_text("SCALE = 0.3183098861837907\nFLOOR = -7.25e-201\n")
+    monkeypatch.setenv("PYTHONPATH", os.pathsep.join([str(tmp_path), *sys.path]))
+    # import the named modules, then print each test's count of inputs and a digest of them all
+    script = """import hashlib, pickle, sys
+*_, props, model = [__import__(name) for name in sys.argv[1:] + ["test_properties", "test_model"]]
+draws = [test.draws() for module in (props, model) for test in vars(module).values() if hasattr(test, "draws")]
+print(*map(len, draws), hashlib.sha256(pickle.dumps(draws)).hexdigest())"""
+    runs = [subprocess.run([sys.executable, "-c", script, *extra], capture_output=True, text=True, check=True,
+                           timeout=120).stdout.split() for extra in ([], ["extra_constants"])]
+    assert runs[0] == runs[1]
+    assert runs[0][:-1] == "100 100 100 200 100 100 60 60 40 40 60 40 100".split()
