@@ -39,6 +39,15 @@ def _one_minus_square(a):
     return np.where(a < 0.5, 1.0 - a * a, (1.0 - a) * (1.0 + a))
 
 
+def _taylor_rows(zeros, n: int) -> np.ndarray:
+    """taylor's n coefficients for each lambda of the 1-D zeros, as the rows of an
+    (R, n) array; all elementwise, so a row has the same bits alone and in any stack."""
+    lam = np.asarray(zeros, dtype=np.complex128)[:, None]
+    # |lambda| bit for bit as Python's abs(complex) gives it; np.abs may differ
+    weight = -_one_minus_square(np.hypot(lam.real, lam.imag))
+    return np.concatenate((lam, weight * np.conj(lam) ** np.arange(n - 1)), axis=1)
+
+
 def taylor(factor: BlaschkeFactor, n: int) -> AnalyticPolynomial:
     """First n Taylor coefficients of b_lambda at 0.
 
@@ -47,12 +56,7 @@ def taylor(factor: BlaschkeFactor, n: int) -> AnalyticPolynomial:
     """
     if n < 1:
         raise ValueError("n must be at least 1")
-    lam = factor.zero
-    c = np.zeros(n, dtype=np.complex128)
-    c[0] = lam
-    if n > 1:
-        c[1:] = -_one_minus_square(abs(lam)) * np.conj(lam) ** np.arange(n - 1)
-    return AnalyticPolynomial(n, c)
+    return AnalyticPolynomial(n, _taylor_rows([factor.zero], n)[0])
 
 
 def reciprocal_taylor(factor: BlaschkeFactor, n: int) -> AnalyticPolynomial:

@@ -9,9 +9,11 @@ it: two identities that such a contraction meets exactly, I - A A* = c c*
 and A W = I, in place of any SVD or elimination. _identity_terms forms
 |I - A A* - c c*| and, by one rule per row, where A W = I holds, and
 _row_sums W x; check_contraction reduces them over the whole block, and
-grid_sweep once per r over every leading block, with the argument checks
-and every size's _verdicts as arrays, sending each failing size back to
-check_contraction. estimate_t_a returns T_r's extremal symbol.
+grid_sweep once per r over every leading block. grid_sweep builds the
+matrices, cuts at the argument checks and takes every size's _verdicts as
+stacks over a batch of radii, keeping per r only the products, which are
+slower stacked; the bound on a batch caps memory. Each failing size goes
+back to check_contraction. estimate_t_a returns T_r's extremal symbol.
 """
 
 from __future__ import annotations
@@ -19,12 +21,12 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Iterator, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
 from . import linalg
-from .blaschke import BlaschkeFactor, taylor
+from .blaschke import BlaschkeFactor, _taylor_rows, taylor
 from .core import AnalyticPolynomial, AnalyticToeplitzMatrix, _lower_toeplitz, _reciprocal_rows, apply_calculus
 from .errors import ExtremalityError, SingularMatrixError, ToepcondError, TwoPathMismatchError
 
@@ -37,6 +39,7 @@ CLOSED_FORM_RTOL = 1e-12
 RESIDUAL_GAMMA = 4
 EPS = float(np.finfo(np.float64).eps)
 TINY = float(np.finfo(np.float64).tiny)
+_BATCH = 64  # radii per batch of grid_sweep: 2 MB per (R, 64, 64) stack
 
 
 @dataclass(eq=False)
@@ -87,13 +90,13 @@ class SearchResult:
     kronecker_gap: float
 
 
-def _bound_domain(n: int, r: float) -> tuple[int, float]:
-    """n and r as int and float, refused unless n >= 1 and r lies in (0, 1]."""
+def _bound_domain(n: int, r: float, closed: bool = True) -> tuple[int, float]:
+    """n and r as int and float; ValueError unless n >= 1 and r lies in (0, 1], or in (0, 1) if not closed."""
     n, r = int(n), float(r)
     if n < 1:
         raise ValueError("n must be at least 1")
-    if not 0.0 < r <= 1.0:
-        raise ValueError("r must lie in (0, 1]")
+    if not (0.0 < r < 1.0 or closed and r == 1.0):
+        raise ValueError("r must lie in (0, 1]" if closed else "r must lie strictly between 0 and 1")
     return n, r
 
 
@@ -121,11 +124,7 @@ def _exact_floor(n: int, r: float) -> float:
 
 def build_T_r(n: int, r: float) -> AnalyticToeplitzMatrix:
     """T_r: the Blaschke factor of r applied to the Jordan block."""
-    n, r = int(n), float(r)
-    if n < 1:
-        raise ValueError("n must be at least 1")
-    if not 0.0 < r < 1.0:
-        raise ValueError("r must lie strictly between 0 and 1")
+    n, r = _bound_domain(n, r, closed=False)
     return apply_calculus(taylor(BlaschkeFactor(r), n), n)
 
 
@@ -152,16 +151,15 @@ def bracket_record(n: int, r: float, norm_T: float, inv_norm: float) -> BoundsRe
                         lower=float(lower), upper=1.0, passed=bool(passed))
 
 
-def _bracket_matrices(n: int, rs: Sequence[float]) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """For each r of rs in turn: T_r, its reciprocal-series inverse and its
-    extremal vector x_k = r^k at size n. One recursion forms the series of
-    every r, each bitwise as reciprocal_series forms it alone; the matrices
-    are built one r at a time. They are exactly real for real r, so they are
-    gathered from the real parts of the coefficients, as C-contiguous float64
-    arrays that go through the check in real arithmetic."""
-    coeffs = np.array([build_T_r(n, r).symbol.coeffs for r in rs]).reshape(len(rs), n)
-    for r, f, g in zip(rs, coeffs.real, _reciprocal_rows(coeffs).real):
-        yield _lower_toeplitz(f), _lower_toeplitz(g), float(r) ** np.arange(n)
+def _bracket_matrices(n: int, rs: Sequence[float]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """T_r, its reciprocal-series inverse and its extremal vector x_k = r^k at
+    size n for every r of rs, as C-contiguous float64 stacks of shapes
+    (R, n, n), (R, n, n) and (R, n), gathered from the real parts of the
+    coefficients: each row is bitwise what taylor and reciprocal_series form
+    alone, and exactly real, so the check runs in real arithmetic."""
+    radii = np.array(rs, dtype=np.float64)
+    coeffs = _taylor_rows(radii, n)
+    return _lower_toeplitz(coeffs.real), _lower_toeplitz(_reciprocal_rows(coeffs).real), radii[:, None] ** np.arange(n)
 
 
 @functools.cache
@@ -381,11 +379,12 @@ def theorem_check(n: int, r: float) -> BoundsRecord:
     """Verify the bracket max(r^n, 1-r^n) <= r^n ||T_r^{-1}|| <= 1 at one point.
 
     T_r, its reciprocal-series inverse and its extremal vector x_k = r^k go
-    through check_contraction in real arithmetic. The one limit at every r
-    is a series beyond float64, refused at its first such coefficient k,
-    entry (k, 0): first at n = 2 for r = 1e-200.
+    through check_contraction in real arithmetic, for n >= 1 and r in (0, 1).
+    The one limit at every r is a series beyond float64, refused at its
+    first such coefficient k, entry (k, 0): first at n = 2 for r = 1e-200.
     """
-    return check_contraction(n, r, *next(_bracket_matrices(n, (r,))))
+    n, r = _bound_domain(n, r, closed=False)
+    return check_contraction(n, r, *(stack[0] for stack in _bracket_matrices(n, (r,))))
 
 
 def _failed_record(n: int, r: float, exc: Exception) -> BoundsRecord:
@@ -395,75 +394,70 @@ def _failed_record(n: int, r: float, exc: Exception) -> BoundsRecord:
     return rec
 
 
-def _recorded(n: int, r: float, A, W, x) -> BoundsRecord:
-    """check_contraction(n, r, A, W, x), the record of one point, or if it
-    raises the failed record of its exception."""
-    try:
-        return check_contraction(n, r, A, W, x)
-    except (ToepcondError, ValueError) as exc:
-        return _failed_record(n, r, exc)
-
-
-def _sweep_records(n_max: int, r: float, A: np.ndarray, G: np.ndarray, x: np.ndarray) -> list[BoundsRecord]:
-    """The records of grid_sweep at one r, sizes 1..n_max, from T_r, its
-    series and its extremal vector at size n_max."""
-    diagonal = np.abs(np.diagonal(A)).tolist()
-    # the cut m: the first shell where an argument check fails (a nonzero
-    # above the diagonal, an inf or NaN in A or W, or a zero A_kk), which
+def _sweep_records(n_max: int, rs: list[float]) -> list[BoundsRecord]:
+    """The records of grid_sweep at the radii rs, sizes 1..n_max, in (r, n)
+    order, from the stacks of _bracket_matrices at size n_max."""
+    (A, G, X), R, sizes = _bracket_matrices(n_max, rs), len(rs), np.arange(1, n_max + 1)
+    moduli = np.abs(np.diagonal(A, axis1=1, axis2=2))
+    # the cut of each r: the first shell where an argument check fails (a
+    # nonzero above the diagonal, an inf or NaN in A or W, a zero A_kk), which
     # would spoil the products (0 * inf) or c (log 0) of the blocks before it;
-    # x_0 = 1, so 1 <= ||x[:n]|| <= sqrt(n) and the check of x never fails
-    bad = ~(np.isfinite(A) & np.isfinite(G)) | np.diag(np.diagonal(A) == 0.0)
-    bad |= _strictly_upper(n_max) & (A != 0.0)
-    m = _first_shell(bad)
-    corner, records = diagonal[0], []
-    if m > 0:
-        lengths = _prefix_norms(x[:m])
-        c = _defect_vector(x[:m], lengths[-1], diagonal[:m])
-        E, holds = _identity_terms(A[:m, :m], G[:m, :m], c)
-        sizes = np.arange(1, m + 1)
-        gram = sizes * _leading_maxima(E)
-        residual_ok = sizes <= _first_shell(~holds)
-        # G is lower triangular, so size n takes the first n row sums
-        values = np.divide(_prefix_norms(_row_sums(G[:m, :m], x[:m])), lengths)
-        rn = np.array([r**n for n in range(1, m + 1)])
-        # an overflow, or inf - inf, fails the verdicts instead of warning
-        with np.errstate(over="ignore", invalid="ignore"):
-            # every size's 1/|det A| from one product in sequence, as math.prod forms it
-            inverse_dets = np.cumprod(1.0 / np.array(diagonal[:m]))
-            uppers = np.sqrt(1.0 + gram) ** np.arange(m) * inverse_dets
-            ok = np.logical_and.reduce(_verdicts(sizes, r, rn, values, uppers, corner, gram, residual_ok))
-            scaled, lower, passed = _bracket(rn, values)
-        # every size's record as if it passed, then each failing size's own
-        records = list(map(BoundsRecord, range(1, m + 1), [r] * m, [corner] + [1.0] * (m - 1), values.tolist(),
-                           scaled.tolist(), lower.tolist(), [1.0] * m, passed.tolist()))
-        for n in (np.flatnonzero(~ok) + 1).tolist():
-            records[n - 1] = _recorded(n, r, A[:n, :n], G[:n, :n], x[:n])
-    # past the cut the argument checks raise, with each size's own first
-    # offending entry
-    return records + [_recorded(n, r, A[:n, :n], G[:n, :n], x[:n]) for n in range(m + 1, n_max + 1)]
+    # x_0 = 1, so 1 <= ||x[:n]|| <= sqrt(n) and x always passes
+    bad = ~(np.isfinite(A) & np.isfinite(G)) | (_strictly_upper(n_max) & (A != 0.0))
+    bad.reshape(R, -1)[:, :: n_max + 1] |= moduli == 0.0
+    cuts = np.broadcast_to(_shells(n_max), bad.shape).min(axis=(1, 2), where=bad, initial=n_max)
+    # past its cut a size's value stays NaN, which fails its verdicts
+    maxima, values, clean = np.full((R, n_max), np.nan), np.full((R, n_max), np.nan), np.zeros(R, int)
+    for i, (m, diagonal) in enumerate(zip(cuts.tolist(), moduli.tolist())):
+        if m > 0:
+            x, W = X[i, :m], G[i, :m, :m]
+            lengths = _prefix_norms(x)
+            E, holds = _identity_terms(A[i, :m, :m], W, _defect_vector(x, lengths[-1], diagonal[:m]))
+            maxima[i, :m], clean[i] = _leading_maxima(E), _first_shell(~holds)
+            # W is lower triangular, so size n takes the first n row sums
+            values[i, :m] = np.divide(_prefix_norms(_row_sums(W, x)), lengths)
+    gram, column, inverted = sizes * maxima, np.array(rs)[:, None], sizes <= clean[:, None]
+    rn = np.array([[r**n for n in sizes.tolist()] for r in rs])
+    # past a cut (1/0, inf - inf), and an overflow anywhere, fail the verdicts instead of warning
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        # every size's 1/|det A| from one product in sequence, as math.prod forms it
+        uppers = np.sqrt(1.0 + gram) ** np.arange(n_max) * np.cumprod(1.0 / moduli, axis=1)
+        ok = np.logical_and.reduce(_verdicts(sizes, column, rn, values, uppers, moduli[:, :1], gram, inverted))
+        scaled, lower, passed = _bracket(rn, values)
+    norms = np.where(sizes == 1, moduli[:, :1], 1.0)
+    # every size's record as if it passed, then each failing size's own:
+    # check_contraction's, or past the cut its own first offending entry
+    records = list(map(BoundsRecord, np.tile(sizes, R).tolist(), np.repeat(column, n_max).tolist(),
+                       norms.ravel().tolist(), values.ravel().tolist(), scaled.ravel().tolist(),
+                       lower.ravel().tolist(), [1.0] * (R * n_max), passed.ravel().tolist()))
+    for i, k in np.argwhere(~ok).tolist():
+        n, r = k + 1, rs[i]
+        try:
+            records[i * n_max + k] = check_contraction(n, r, A[i, :n, :n], G[i, :n, :n], X[i, :n])
+        except (ToepcondError, ValueError) as exc:
+            records[i * n_max + k] = _failed_record(n, r, exc)
+    return records
 
 
 def grid_sweep(n_max: int, r_grid: Sequence[float]) -> list[BoundsRecord]:
     """theorem_check over every (n, r) with 1 <= n <= n_max, r in r_grid.
 
-    T_r, its reciprocal series and its extremal vector are built once per
-    r, at size n_max: those at size n are exactly their leading blocks. The
-    arithmetic of check_contraction runs once per r too, at size n_max, and
-    is read for each n: n max|E| from running maxima over the leading
-    blocks, A W = I up to the first shell with a miss (its rule is per
-    row, so the same in every block), the value from the running norms of
-    x and of the row sums of the lower-triangular series times x, the
-    enclosure from one cumprod of the 1/|A_kk| in math.prod's order and
-    one array power, which check_contraction takes too. Its argument
-    checks run once per r, on the n_max matrices; the first shell where
-    one fails cuts the products. Before the cut the verdicts are
-    _verdicts' arrays and the records are built by column. A size whose
-    verdict fails, and every size past the cut, goes through
-    check_contraction on its leading blocks, so its error quotes that
-    check's own numbers or its own first offending entry. So each record
-    is bitwise theorem_check(n, r); where that raises, the record has NaN
-    norms, passed = False and the same exception in `error`, and the
-    sweep goes on. Records come in (n, r) order.
+    The sorted radii go in batches of at most _BATCH, which keeps memory
+    flat on any grid. A batch builds T_r, its series and its extremal
+    vector at size n_max as stacks over its radii: those at size n are
+    their leading blocks. One masked minimum over the stacks gives each r
+    its cut, the first shell where an argument check of check_contraction
+    fails. Up to its cut each r alone forms the products, which take longer
+    stacked, and reads every size from them: n max|E| from running maxima
+    over the leading blocks, A W = I up to the first shell with a miss (its
+    rule is per row), the value from running norms of x and of W x. The
+    enclosures (one cumprod of the 1/|A_kk| in math.prod's order, one array
+    power, as check_contraction takes them), the _verdicts and the brackets
+    come as (R, n_max) arrays. A size whose verdict fails, and every size
+    past the cut, goes through check_contraction on its leading blocks: each
+    record is bitwise theorem_check(n, r), or where that raises has NaN
+    norms, passed = False and its exception in `error`. Records come in
+    (n, r) order.
     """
     n_max = int(n_max)
     if not 1 <= n_max <= 64:
@@ -472,19 +466,16 @@ def grid_sweep(n_max: int, r_grid: Sequence[float]) -> list[BoundsRecord]:
     for r in rs:
         if not 0.0 < r < 1.0:
             raise ValueError("grid values must lie strictly between 0 and 1")
-    per_r = [_sweep_records(n_max, r, *triple) for r, triple in zip(rs, _bracket_matrices(n_max, rs))]
-    return [rec for size in zip(*per_r) for rec in size]
+    per_r = [rec for start in range(0, len(rs), _BATCH) for rec in _sweep_records(n_max, rs[start : start + _BATCH])]
+    return [rec for n in range(n_max) for rec in per_r[n::n_max]]
 
 
 def check_search_point(n: int, r: float) -> tuple[int, float]:
     """(n, r) as estimate_t_a takes them; ValueError unless n lies in 1..16
     and r in (0, 1)."""
-    n, r = int(n), float(r)
-    if not 1 <= n <= 16:
+    if not 1 <= int(n) <= 16:
         raise ValueError("n must lie in 1..16")
-    if not 0.0 < r < 1.0:
-        raise ValueError("r must lie strictly between 0 and 1")
-    return n, r
+    return _bound_domain(n, r, closed=False)
 
 
 def estimate_t_a(n: int, r: float, config: SearchConfig | None = None) -> SearchResult:

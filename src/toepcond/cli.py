@@ -234,14 +234,8 @@ def cmd_verify(args: SimpleNamespace) -> int:
         # the closed form r^n ||T_r^{-1}|| = 1 makes every deviation roundoff
         worst = max(passed, key=lambda rec: abs(rec.scaled - 1.0))
         summary += f"; worst |scaled - 1| = {abs(worst.scaled - 1.0):.3g} at n={worst.n} r={_fmt(worst.r)}"
-    print(summary, file=sys.stderr)
-    for rec in failures:
-        print(
-            f"FAIL n={rec.n} r={_fmt(rec.r)} scaled={_fmt(rec.scaled)} "
-            f"bracket=[{_fmt(rec.lower)}, {_fmt(rec.upper)}]"
-            + (f" error={rec.error}" if rec.error else ""),
-            file=sys.stderr,
-        )
+    _to_stderr(summary, *(f"FAIL n={rec.n} r={_fmt(rec.r)} scaled={_fmt(rec.scaled)} bracket=[{_fmt(rec.lower)}, "
+                          f"{_fmt(rec.upper)}]" + (f" error={rec.error}" if rec.error else "") for rec in failures))
     return 0 if not failures else 1
 
 
@@ -328,8 +322,7 @@ def cmd_search(args: SimpleNamespace) -> int:
         key = "results" if scan else "result"
         text = _report(args.format, SEARCH_HEADER, map(_search_row, results), config, key)
         _write_output(text, args.output)
-    for line in failures:
-        print(line, file=sys.stderr)
+    _to_stderr(*failures)
     return 1 if failures else 0
 
 
@@ -424,11 +417,21 @@ class _ClosedStdout:
         pass
 
 
-def _error(message: str, code: int) -> int:
-    """Print an error line; a stderr that cannot take it keeps the code."""
-    with contextlib.suppress(OSError):
-        print(f"error: {message}", file=sys.stderr)
-    return code
+def _to_devnull(stream) -> None:
+    """Send a stream that failed a write, and what it still buffers, to devnull, not to a second error at exit."""
+    with open(os.devnull, "w") as devnull:
+        os.dup2(devnull.fileno(), stream.fileno())
+
+
+def _to_stderr(*lines: str) -> None:
+    """Write the lines to stderr and flush it, the one way anything reaches
+    it; a stderr that is closed or cannot take them is dropped."""
+    if sys.stderr is not None:
+        try:
+            sys.stderr.write("".join(line + "\n" for line in lines))
+            sys.stderr.flush()
+        except OSError:
+            _to_devnull(sys.stderr)
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
@@ -439,6 +442,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         try:
             args = SimpleNamespace(**vars(parser.parse_args(argv)))
         except SystemExit as exc:
+            _to_stderr()  # flush what argparse wrote
             return int(exc.code) if exc.code is not None else 2
     stdout = sys.stdout
     try:
@@ -448,15 +452,15 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             sys.stdout.flush()
         return code
     except ValueError as exc:
-        return _error(str(exc), 2)
+        message, code = str(exc), 2
     except ToepcondError as exc:
-        return _error(str(exc), 1)
-    except OSError as exc:  # from stdout: --output errors are ValueErrors
+        message, code = str(exc), 1
+    except OSError as exc:  # from stdout: stderr never raises, --output errors are ValueErrors
         if stdout is not None:
-            # what stdout still buffers goes to devnull, not to a second error at exit
-            with open(os.devnull, "w") as devnull:
-                os.dup2(devnull.fileno(), stdout.fileno())
-        return _error(f"cannot write to stdout: {exc.strerror or exc}", 1)
+            _to_devnull(stdout)
+        message, code = f"cannot write to stdout: {exc.strerror or exc}", 1
+    _to_stderr(f"error: {message}")
+    return code
 
 
 if __name__ == "__main__":

@@ -59,9 +59,10 @@ def _toeplitz_index(n: int) -> np.ndarray:
 
 
 def _lower_toeplitz(column: np.ndarray) -> np.ndarray:
-    """The C-contiguous lower-triangular Toeplitz matrix of the 1-D column,
-    in its dtype, by one gather."""
-    return np.concatenate((column, [0]))[_toeplitz_index(column.shape[0])]
+    """The C-contiguous lower-triangular Toeplitz matrix of the 1-D column, or
+    the stack of those of each row of a 2-D array, in its dtype, by one gather."""
+    padded = np.concatenate((column, np.zeros_like(column[..., :1])), axis=-1)
+    return np.take(padded, _toeplitz_index(column.shape[-1]), axis=-1)
 
 
 @dataclass(eq=False)

@@ -189,6 +189,18 @@ class TestBracketRecord:
 
 
 class TestTheoremCheck:
+    @pytest.mark.parametrize("n, r, message", [
+        (0, 0.5, "n must be at least 1"),
+        (3, 0.0, "r must lie strictly between 0 and 1"),
+        (3, 1.0, "r must lie strictly between 0 and 1"),
+        (3, math.nan, "r must lie strictly between 0 and 1"),
+    ])
+    def test_domain(self, n, r, message):
+        # refused before any matrix is built
+        with pytest.raises(ValueError) as info:
+            theorem_check(n, r)
+        assert str(info.value) == message
+
     def test_scalar_case_is_exact(self):
         rec = theorem_check(1, 0.9)
         assert rec.scaled == pytest.approx(1.0, abs=1e-12)
@@ -253,8 +265,8 @@ class TestTheoremCheck:
         real_matrices = bounds_mod._bracket_matrices
 
         def scaled_matrices(n, rs):
-            for A, G, x in real_matrices(n, rs):
-                yield factor * A, G / factor, x
+            A, G, X = real_matrices(n, rs)
+            return factor * A, G / factor, X
 
         monkeypatch.setattr(bounds_mod, "_bracket_matrices", scaled_matrices)
 
@@ -280,10 +292,10 @@ class TestTheoremCheck:
         real_matrices = bounds_mod._bracket_matrices
 
         def halved_corner(n, rs):
-            for r, (A, G, x) in zip(rs, real_matrices(n, rs)):
-                A = A.copy()
-                A[0, 0] = r / 2
-                yield A, G, x
+            A, G, X = real_matrices(n, rs)
+            A = A.copy()
+            A[:, 0, 0] = np.divide(rs, 2)
+            return A, G, X
 
         monkeypatch.setattr(bounds_mod, "_bracket_matrices", halved_corner)
         with pytest.raises(TwoPathMismatchError, match="enclosure"):
@@ -307,7 +319,12 @@ E1 = np.array([0.0, 1.0])
 
 def triangular_case(n, r):
     """T_r, its exact inverse and its extremal vector r^k at (n, r)."""
-    return next(bounds_mod._bracket_matrices(n, (r,)))
+    return tuple(stack[0] for stack in bounds_mod._bracket_matrices(n, (r,)))
+
+
+def _stacks(rs, *arrays):
+    """Each array once per radius of rs, stacked as _bracket_matrices gives them."""
+    return tuple(np.stack([M] * len(rs)) for M in arrays)
 
 
 def _swapped_rows(W):
@@ -472,7 +489,7 @@ class TestCheckContraction:
         assert check_contraction(n, r, A, W, x).inv_norm > 1.0 / PIVOT_TOL
         with pytest.raises(TwoPathMismatchError, match="misses A W = I"):
             check_contraction(n, r, A, bad, x)
-        monkeypatch.setattr(bounds_mod, "_bracket_matrices", lambda m, rs: ((A[:m, :m], bad[:m, :m], x[:m]) for r in rs))
+        monkeypatch.setattr(bounds_mod, "_bracket_matrices", lambda m, rs: _stacks(rs, A[:m, :m], bad[:m, :m], x[:m]))
         (rec,) = [rec for rec in grid_sweep(n, (r,)) if rec.n == n]
         assert rec.error.startswith("TwoPathMismatchError: exact inverse misses A W = I")
 
@@ -540,7 +557,7 @@ class TestCheckContraction:
             return real_certify(n, r, value, upper, corner, gram, residual_ok)
 
         monkeypatch.setattr(bounds_mod, "_certify", spied)
-        monkeypatch.setattr(bounds_mod, "_bracket_matrices", lambda n, rs: ((A, W, np.array([1.0, 0.0])) for r in rs))
+        monkeypatch.setattr(bounds_mod, "_bracket_matrices", lambda n, rs: _stacks(rs, A, W, np.array([1.0, 0.0])))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(TwoPathMismatchError):
@@ -666,11 +683,30 @@ class TestKernelBudget:
         assert [rec.n for rec in records if rec.error] == list(range(52, 65))
         # W[1, 0] 16 eps of its |A| |W| off fails A W = I from n = 2 on
         A, W, x = triangular_case(64, 0.5)
-        monkeypatch.setattr(bounds_mod, "_bracket_matrices", lambda n, rs: ((A, _row_one_off(W), x) for r in rs))
+        monkeypatch.setattr(bounds_mod, "_bracket_matrices", lambda n, rs: _stacks(rs, A, _row_one_off(W), x))
         calls.clear()
         records = grid_sweep(64, (0.5,))
         assert calls == list(range(2, 65))
         assert [rec.n for rec in records if rec.error] == calls
+
+    def test_grid_sweep_builds_each_batch_of_radii_once(self, monkeypatch):
+        # one build of the matrices of every r in a batch, and none through
+        # build_T_r or taylor; batches of at most 64 radii keep the memory
+        # of a long grid flat
+        batches, singles = [], []
+        real_matrices = bounds_mod._bracket_matrices
+        monkeypatch.setattr(bounds_mod, "_bracket_matrices",
+                            lambda n, rs: batches.append((n, len(rs))) or real_matrices(n, rs))
+        for name in ("build_T_r", "taylor"):
+            real = getattr(bounds_mod, name)
+            monkeypatch.setattr(bounds_mod, name, lambda *args, real=real: singles.append(args) or real(*args))
+        grid_sweep(64, parse_r_grid(DEFAULT_R_GRID))
+        assert batches == [(64, 19)]
+        batches.clear()
+        records = grid_sweep(64, parse_r_grid("0.001:0.999:0.001"))
+        assert batches == [(64, 64)] * 15 + [(64, 39)]
+        assert len(records) == 64 * 999 and all(rec.passed for rec in records)
+        assert singles == []
 
     def test_grid_sweep_takes_every_value_from_one_running_norm(self, monkeypatch):
         # one running norm of x and one of the row sums per r give every
@@ -713,7 +749,7 @@ class TestIdentityTerms:
     def test_bitwise_the_outer_product_and_per_call_tolerance(self, n):
         # T_r in real arithmetic and the model operator in complex
         for r in (0.05, 0.5, 0.9999):
-            A, W, x = next(bounds_mod._bracket_matrices(n, (r,)))
+            A, W, x = triangular_case(n, r)
             zeros = tuple(r * np.exp(2j * np.pi * k / n) for k in range(n))
             _, lam, s = model_mod._checked_zeros(zeros)
             xm = model_mod._extremal_vector(lam, s)
@@ -757,7 +793,7 @@ class TestPrefixNorms:
         # T_r's extremal vectors and their series row sums at n = 64, where
         # every square lies in the normal range
         for r in parse_r_grid(DEFAULT_R_GRID):
-            A, W, x = next(bounds_mod._bracket_matrices(64, (r,)))
+            A, W, x = triangular_case(64, r)
             for v in (x, bounds_mod._row_sums(W, x), -x):
                 assert bounds_mod._prefix_norms(v) == self._left_to_right(v)
 
@@ -781,7 +817,11 @@ class TestRealArithmetic:
     def test_bracket_matrices_are_contiguous_real_matrices(self, n):
         # gathered from the real coefficients, so BLAS takes them with no
         # copy, and bitwise the real parts of the complex128 matrices
-        for r, (A, G, _) in zip(self.R_GRID, bounds_mod._bracket_matrices(n, self.R_GRID)):
+        A_stack, G_stack, X = bounds_mod._bracket_matrices(n, self.R_GRID)
+        R = len(self.R_GRID)
+        assert (A_stack.shape, G_stack.shape, X.shape) == ((R, n, n), (R, n, n), (R, n))
+        assert A_stack.flags.c_contiguous and G_stack.flags.c_contiguous and X.flags.c_contiguous
+        for r, A, G in zip(self.R_GRID, A_stack, G_stack):
             T = build_T_r(n, r)
             series = apply_calculus(reciprocal_series(T.symbol), n).matrix
             for M, full in ((A, T.matrix), (G, series)):
@@ -851,10 +891,26 @@ class TestGridSweep:
         assert [rec.n for rec in records if rec.error and rec.r == 1e-200] == list(range(2, 65))
         A, W, x = triangular_case(64, 0.5)
         W = _row_one_off(W)
-        monkeypatch.setattr(bounds_mod, "_bracket_matrices", lambda n, rs: ((A, W, x) for r in rs))
+        monkeypatch.setattr(bounds_mod, "_bracket_matrices", lambda n, rs: _stacks(rs, A, W, x))
         records = grid_sweep(64, (0.5,))
         assert_records_of(lambda n, r: check_contraction(n, r, A[:n, :n], W[:n, :n], x[:n]), records)
         assert [rec.n for rec in records if rec.error] == list(range(2, 65))
+
+    @pytest.mark.parametrize("rs", [
+        (1e-300, 1e-200, 1e-6, 1e-5, 0.05, 0.5, 0.9999, 1.0 - 2.0**-53),
+        tuple(k / 131 for k in range(1, 131)),
+    ], ids=["mixed_cuts", "three_batches"])
+    def test_batches_match_one_radius_sweeps(self, rs):
+        # radii whose series leave float64 at n = 2 (1e-300, 1e-200), 52 and
+        # 62 among radii whose series never do, then 130 radii in batches of
+        # 64, 64 and 2: each record, error included, is that of the sweep of
+        # its r alone. The batch computes the entries past each cut too (1/0,
+        # overflows), and the suite's error filter shows that none warns
+        by_r = {r: grid_sweep(64, (r,)) for r in rs}
+        alone = [by_r[r][n - 1] for n in range(1, 65) for r in sorted(rs)]
+        records = grid_sweep(64, rs)
+        assert [repr(dataclasses.astuple(rec)) for rec in records] == [repr(dataclasses.astuple(rec)) for rec in alone]
+        assert any(rec.error for rec in records) == (rs[0] == 1e-300)
 
     def test_enclosure_failures_quote_check_contraction_digits(self, monkeypatch):
         # A = diag(r, 1, ..., 1) plus a strictly lower part of entries 0 and
@@ -866,7 +922,7 @@ class TestGridSweep:
         rng = np.random.default_rng(5)
         A = np.tril(rng.choice([-0.25, 0.0, 0.25], (64, 64)), -1) + np.diag([0.5] + [1.0] * 63)
         W, x = np.linalg.inv(A), np.eye(64)[0]
-        monkeypatch.setattr(bounds_mod, "_bracket_matrices", lambda n, rs: ((A, W, x) for r in rs))
+        monkeypatch.setattr(bounds_mod, "_bracket_matrices", lambda n, rs: _stacks(rs, A, W, x))
         records = grid_sweep(64, (0.5,))
         assert records[0].passed
         for rec in records[1:]:
@@ -878,7 +934,7 @@ class TestGridSweep:
     def test_failing_point_yields_nan_record(self, monkeypatch):
         # W[1, 0] 16 eps of its |A| |W| off fails A W = I at n = 2 only
         A, W, x = triangular_case(2, 0.5)
-        monkeypatch.setattr(bounds_mod, "_bracket_matrices", lambda n, rs: ((A, _row_one_off(W), x) for r in rs))
+        monkeypatch.setattr(bounds_mod, "_bracket_matrices", lambda n, rs: _stacks(rs, A, _row_one_off(W), x))
         records = bounds_mod.grid_sweep(2, (0.5,))
         assert len(records) == 2
         ok, bad = records[0], records[1]
@@ -897,13 +953,13 @@ class TestGridSweep:
         # blocks, with its own first offending entry, and each size before
         # the first fault is bitwise theorem_check's
         expected = [dataclasses.astuple(theorem_check(n, 0.5)) for n in range(1, 10)]
-        A, W, x = (M.copy() for M in next(bounds_mod._bracket_matrices(64, (0.5,))))
+        A, W, x = (M.copy() for M in triangular_case(64, 0.5))
         A[9, 9] = 0.0
         W[12, 4] = math.inf
         W[11, 20] = math.inf  # first in row-major order from n = 21 on
         A[40, 7] = math.nan
         A[3, 50] = 1e-3
-        monkeypatch.setattr(bounds_mod, "_bracket_matrices", lambda n, rs: ((A, W, x) for r in rs))
+        monkeypatch.setattr(bounds_mod, "_bracket_matrices", lambda n, rs: _stacks(rs, A, W, x))
         records = grid_sweep(64, (0.5,))
         assert [dataclasses.astuple(rec) for rec in records[:9]] == expected
         errors = []
@@ -931,9 +987,9 @@ class TestGridSweep:
         # (A[3, 30] enters (A A*)[3, 3], and W[30, 4] = inf turns column 4 of
         # A W into NaN) or their defect vector (log 0), so it cuts them there
         expected = [dataclasses.astuple(theorem_check(n, 0.5)) for n in range(1, 31)]
-        A, W, x = (M.copy() for M in next(bounds_mod._bracket_matrices(64, (0.5,))))
+        A, W, x = (M.copy() for M in triangular_case(64, 0.5))
         (A, W)[matrix][index] = value
-        monkeypatch.setattr(bounds_mod, "_bracket_matrices", lambda n, rs: ((A, W, x) for r in rs))
+        monkeypatch.setattr(bounds_mod, "_bracket_matrices", lambda n, rs: _stacks(rs, A, W, x))
         records = grid_sweep(64, (0.5,))
         assert [dataclasses.astuple(rec) for rec in records[:30]] == expected
         assert all(rec.error and not rec.passed for rec in records[30:])

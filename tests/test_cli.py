@@ -840,20 +840,36 @@ class TestUnwritableStdout:
         assert proc.returncode == 1
 
 
-@pytest.mark.parametrize("redirect, argv, code, lines", [
-    ("2>/dev/full", ["bound", "--n", "3", "--r", "7"], 2, []),
-    ("2>/dev/full", ["bound", "--n", "3", "--bogus"], 2, []),
-    ("2>/dev/full", ["extremal", "--n", "64", "--r", "1e-300"], 1, []),
+@pytest.mark.parametrize("unbuffered", ["1", ""], ids=["unbuffered", "buffered"])
+@pytest.mark.parametrize("redirect, argv, code, head, lines", [
+    ("2>/dev/full", ["bound", "--n", "3", "--r", "7"], 2, "", []),
+    ("2>/dev/full", ["bound", "--n", "3", "--bogus"], 2, "", []),
+    ("2>/dev/full", ["extremal", "--n", "64", "--r", "1e-300"], 1, "", []),
+    # a stderr that cannot take the summary and FAIL lines changes neither
+    # the report on stdout nor the exit code
+    ("2>/dev/full", ["verify", "--n-max", "2"], 0, CSV_HEADER, []),
+    ("2>/dev/full", ["verify", "--n-max", "2", "--r-grid", "1e-300:1e-300:0.1"], 1, CSV_HEADER, []),
+    ("2>/dev/full", ["search", "--n-list", "2,3", "--r-list", "0.5,1e-300"], 1,
+     "n=2 r=0.5 estimate=4 scaled=1 gap=0", []),
+    # with fd 2 closed at start, Python sets sys.stderr to None
+    ("2>&-", ["verify", "--n-max", "2"], 0, CSV_HEADER, []),
     # with fd 1 closed at start, Python sets sys.stdout to None
-    *((">&-", argv, 1, [f"error: cannot write to stdout: {os.strerror(errno.EBADF)}"])
+    *((">&-", argv, 1, "", [f"error: cannot write to stdout: {os.strerror(errno.EBADF)}"])
       for argv in (["bound", "--n", "3", "--r", "0.5"], ["verify", "--n-max", "2"],
                    ["search", "--n", "3", "--r", "0.5"], ["extremal", "--model", "--n", "2", "--r", "0.5"])),
-])
-def test_a_stream_that_cannot_be_written_keeps_the_exit_code(redirect, argv, code, lines, monkeypatch):
+], ids=["full-bound-domain", "full-bound-usage", "full-extremal-overflow", "full-verify", "full-verify-failing",
+        "full-search-scan", "closed-stderr", "closed-bound", "closed-verify", "closed-search", "closed-extremal"])
+def test_a_stream_that_cannot_be_written_keeps_the_exit_code(redirect, argv, code, head, lines, unbuffered,
+                                                            monkeypatch, capsys):
+    # buffered, a failed line stays in stderr's buffer and fails again at exit
     if "/dev/full" in redirect and not os.path.exists("/dev/full"):
         pytest.skip("needs /dev/full")
     monkeypatch.setenv("PYTHONPATH", str(SRC))
+    monkeypatch.setenv("PYTHONUNBUFFERED", unbuffered)
     proc = subprocess.run(["sh", "-c", f'"$0" -m toepcond.cli "$@" {redirect}', sys.executable, *argv],
                           capture_output=True, text=True, timeout=60)
-    assert (proc.returncode, proc.stdout) == (code, "")
+    assert (proc.returncode, proc.stdout.partition("\n")[0]) == (code, head)
     assert [line for line in proc.stderr.splitlines() if not line.startswith("verify: ")] == lines
+    if redirect.startswith("2>"):
+        # stdout is all of what a call whose stderr takes its lines writes
+        assert (main(argv), capsys.readouterr().out) == (code, proc.stdout)

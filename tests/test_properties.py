@@ -4,8 +4,8 @@ over its valid domain and outside it, the sequential row sums of a
 triangular matrix over its leading blocks, the running norms of a vector
 against those of each prefix alone and its exact norm, the first failing
 shell of a mask against its running maxima, the reciprocal series of a
-stack of symbols against each symbol alone, and the grid sweep against the
-single-point check.
+stack of symbols and the Taylor rows of a stack of Blaschke factors against
+each alone, and the grid sweep against the single-point check.
 
 The CLI runs cover r over its valid domain, from 5e-324 up to 1 - 2^-53
 (1 - 1e-15 and 1 - 2^-52 among the edges). Each run exits 0 with values
@@ -15,6 +15,7 @@ runs on what `drawn_from` draws for it alone, from its own seed and from
 edges that hold the program constants, whatever else is imported.
 """
 
+import cmath
 import contextlib
 import dataclasses
 import io
@@ -30,7 +31,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from toepcond import BoundsRecord, SingularMatrixError, ToepcondError, bracket_endpoints, grid_sweep, theorem_check
+from toepcond import (BlaschkeFactor, BoundsRecord, SingularMatrixError, ToepcondError, bracket_endpoints, grid_sweep,
+                      taylor, theorem_check)
+from toepcond.blaschke import _one_minus_square, _taylor_rows
 from toepcond.bounds import EPS, TINY, _failed_record, _first_shell, _leading_maxima, _prefix_norms, _row_sums
 from toepcond.cli import CSV_HEADER, _bounds_row, _cell, _matrix_lines, _report, main
 from toepcond.core import _reciprocal_rows
@@ -212,6 +215,33 @@ def test_reciprocal_rows_are_those_of_each_row_alone(stack):
         assert _same_floats(_reciprocal_rows(a[:, :k]), full[:, :k])
 
 
+def blaschke_zero(rng):
+    """A zero in the open disk: 0, a negative real, or of modulus 1 - 2^-53,
+    uniform, or 10^-k down to 1e-300, at any argument."""
+    modulus = rng.choice([0.0, 1.0 - 2.0**-53, rng.random(), 10.0 ** rng.uniform(-300, 0)])
+    z = -modulus if rng.random() < 0.25 else modulus * cmath.exp(1j * rng.uniform(-math.pi, math.pi))
+    return complex(z) if abs(z) < 1.0 else complex(-modulus)
+
+
+def closed_form(z, n):
+    """taylor's closed form for one factor alone, entry by entry as numpy forms it."""
+    c = np.zeros(n, dtype=np.complex128)
+    c[0] = z
+    c[1:] = -_one_minus_square(abs(z)) * np.conj(z) ** np.arange(n - 1)
+    return c
+
+
+# The sweep forms the Taylor rows of every r in one stack and theorem_check
+# those of one r: each row must have the bits of its factor's coefficients.
+@drawn_from(13, 100, (([0j], [-0.5 + 0j], [complex(1.0 - 2.0**-53)], [-(1.0 - 2.0**-53) + 0j]),
+                      lambda rng: [blaschke_zero(rng) for _ in range(rng.choice([1, 64]))]), ints(1, 64))
+def test_taylor_rows_are_those_of_each_factor_alone(zeros, n):
+    rows = _taylor_rows(zeros, n)
+    assert rows.shape == (len(zeros), n) and rows.dtype == np.complex128
+    for z, row in zip(zeros, rows):
+        assert row.tobytes() == taylor(BlaschkeFactor(z), n).coeffs.tobytes() == closed_form(z, n).tobytes()
+
+
 # The sweep cuts at the first failing shell of one mask and reads each
 # size's A W = I verdict from that of another: the count of leading blocks
 # with no True entry, which the running maxima over the shells also give.
@@ -379,4 +409,4 @@ print(*map(len, draws), hashlib.sha256(pickle.dumps(draws)).hexdigest())"""
     runs = [subprocess.run([sys.executable, "-c", script, *extra], capture_output=True, text=True, check=True,
                            timeout=120).stdout.split() for extra in ([], ["extra_constants"])]
     assert runs[0] == runs[1]
-    assert runs[0][:-1] == "100 100 100 200 100 100 60 60 40 40 60 40 100".split()
+    assert runs[0][:-1] == "100 100 100 200 100 100 100 60 60 40 40 60 40 100".split()
