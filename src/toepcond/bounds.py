@@ -10,10 +10,11 @@ and A W = I, in place of any SVD or elimination. _identity_terms forms
 |I - A A* - c c*| and, by one rule per row, where A W = I holds, and
 _row_sums W x; check_contraction reduces them over the whole block, and
 grid_sweep once per r over every leading block. grid_sweep builds the
-matrices, cuts at the argument checks and takes every size's _verdicts as
-stacks over a batch of radii, keeping per r only the products, which are
-slower stacked; the bound on a batch caps memory. Each failing size goes
-back to check_contraction. estimate_t_a returns T_r's extremal symbol.
+matrices, cuts at the argument checks and takes every size's _verdicts and
+lengths as stacks over a batch of radii (_prefix_norm_rows: one accumulate,
+bitwise _prefix_norms), keeping per r only the products, which are slower
+stacked; the bound on a batch caps memory. Each failing size goes back to
+check_contraction. estimate_t_a returns T_r's extremal symbol.
 """
 
 from __future__ import annotations
@@ -183,6 +184,21 @@ def _prefix_norms(v) -> list[float]:
         if not (square >= TINY or a == 0.0) or total == math.inf:
             return norms + [math.hypot(*moduli[:n]) for n in range(k + 1, len(moduli) + 1)]
         norms.append(math.sqrt(total))
+    return norms
+
+
+def _prefix_norm_rows(V: np.ndarray) -> np.ndarray:
+    """_prefix_norms of each row of the 2-D V, bitwise, as one (R, m) array:
+    the square roots of one np.add.accumulate of the squares along the rows,
+    which adds in sequence as the loop does. A row with a square outside the
+    normal range, or a sum at inf or NaN, takes _prefix_norms itself."""
+    moduli = np.abs(V)
+    with np.errstate(over="ignore"):  # an overflow takes the loop instead of warning
+        squares = moduli * moduli
+        norms = np.sqrt(np.add.accumulate(squares, axis=1))
+    normal = ((squares >= TINY) | (moduli == 0.0)).all(axis=1) & (norms[:, -1] < math.inf)
+    for i in np.flatnonzero(~normal).tolist():
+        norms[i] = _prefix_norms(V[i])
     return norms
 
 
@@ -406,16 +422,17 @@ def _sweep_records(n_max: int, rs: list[float]) -> list[BoundsRecord]:
     bad = ~(np.isfinite(A) & np.isfinite(G)) | (_strictly_upper(n_max) & (A != 0.0))
     bad.reshape(R, -1)[:, :: n_max + 1] |= moduli == 0.0
     cuts = np.broadcast_to(_shells(n_max), bad.shape).min(axis=(1, 2), where=bad, initial=n_max)
-    # past its cut a size's value stays NaN, which fails its verdicts
-    maxima, values, clean = np.full((R, n_max), np.nan), np.full((R, n_max), np.nan), np.zeros(R, int)
+    lengths, sums = _prefix_norm_rows(X), np.zeros((R, n_max))
+    maxima, clean = np.full((R, n_max), np.nan), np.zeros(R, int)
     for i, (m, diagonal) in enumerate(zip(cuts.tolist(), moduli.tolist())):
         if m > 0:
             x, W = X[i, :m], G[i, :m, :m]
-            lengths = _prefix_norms(x)
-            E, holds = _identity_terms(A[i, :m, :m], W, _defect_vector(x, lengths[-1], diagonal[:m]))
+            E, holds = _identity_terms(A[i, :m, :m], W, _defect_vector(x, lengths[i, m - 1], diagonal[:m]))
             maxima[i, :m], clean[i] = _leading_maxima(E), _first_shell(~holds)
             # W is lower triangular, so size n takes the first n row sums
-            values[i, :m] = np.divide(_prefix_norms(_row_sums(W, x)), lengths)
+            sums[i, :m] = _row_sums(W, x)
+    # past its cut a size's value is NaN, which fails its verdicts
+    values = np.where(sizes <= cuts[:, None], _prefix_norm_rows(sums) / lengths, np.nan)
     gram, column, inverted = sizes * maxima, np.array(rs)[:, None], sizes <= clean[:, None]
     rn = np.array([[r**n for n in sizes.tolist()] for r in rs])
     # past a cut (1/0, inf - inf), and an overflow anywhere, fail the verdicts instead of warning
@@ -450,14 +467,14 @@ def grid_sweep(n_max: int, r_grid: Sequence[float]) -> list[BoundsRecord]:
     fails. Up to its cut each r alone forms the products, which take longer
     stacked, and reads every size from them: n max|E| from running maxima
     over the leading blocks, A W = I up to the first shell with a miss (its
-    rule is per row), the value from running norms of x and of W x. The
-    enclosures (one cumprod of the 1/|A_kk| in math.prod's order, one array
-    power, as check_contraction takes them), the _verdicts and the brackets
-    come as (R, n_max) arrays. A size whose verdict fails, and every size
-    past the cut, goes through check_contraction on its leading blocks: each
-    record is bitwise theorem_check(n, r), or where that raises has NaN
-    norms, passed = False and its exception in `error`. Records come in
-    (n, r) order.
+    rule is per row), the row sums of W x. The running norms of x and of W x
+    (one accumulate over the batch each, bitwise _prefix_norms row by row),
+    the enclosures (one cumprod of the 1/|A_kk| in math.prod's order, one
+    array power, as check_contraction takes them), the _verdicts and the
+    brackets come as (R, n_max) arrays. A size whose verdict fails, and every
+    size past the cut, goes through check_contraction on its leading blocks:
+    each record is bitwise theorem_check(n, r), or where that raises has NaN
+    norms, passed = False and its `error`. Records come in (n, r) order.
     """
     n_max = int(n_max)
     if not 1 <= n_max <= 64:

@@ -53,8 +53,6 @@ from .errors import ToepcondError
 from .model import verify_extremality
 
 CSV_HEADER = "n,r,norm_T,inv_norm,scaled,lower,upper,pass"
-# a CSV_HEADER row in one format: the cells _cell gives n, six floats and pass
-_BOUNDS_LINE = "%d," + "%.17g," * 6 + "%s"
 SEARCH_HEADER = "n,r,best_value,scaled_value,kronecker_gap,restarts_used,seed,best_coeffs"
 
 DEFAULT_N_MAX = 12
@@ -193,10 +191,25 @@ def _report(fmt: str, header: str, rows: Iterable[tuple], config: Optional[dict]
     ("records", "results"), the one row itself under a singular key
     ("record", "result"). CSV has no config. A non-finite float, which
     strict JSON cannot hold, is null in JSON and nan or inf in CSV.
+
+    A CSV_HEADER row's r, norm_T, scaled and upper repeat down a sweep: each
+    nonzero value is formatted once per report, but a zero every time, as
+    0.0 and -0.0 are one dict key and two cells. inv_norm and lower are not.
     """
     if fmt == "csv":
         if header == CSV_HEADER:
-            lines = [_BOUNDS_LINE % (*row[:-1], "true" if row[-1] else "false") for row in rows]
+            cells = {}
+            get = cells.get
+
+            def cell(x) -> str:
+                text = "%.17g" % x
+                if x:
+                    cells[x] = text
+                return text
+
+            lines = ["%d,%s,%s,%.17g,%s,%.17g,%s,%s" % (n, get(r) or cell(r), get(norm) or cell(norm), inv,
+                     get(scaled) or cell(scaled), lower, get(upper) or cell(upper), "true" if passed else "false")
+                     for n, r, norm, inv, scaled, lower, upper, passed in rows]
         else:
             lines = [",".join(map(_cell, row)) for row in rows]
         return "\n".join([header, *lines]) + "\n"

@@ -709,10 +709,15 @@ class TestKernelBudget:
         assert singles == []
 
     def test_grid_sweep_takes_every_value_from_one_running_norm(self, monkeypatch):
-        # one running norm of x and one of the row sums per r give every
-        # size's value; no size takes its lengths afresh from math.hypot
-        lengths, hypots = [], []
-        real_norms, real_hypot = bounds_mod._prefix_norms, math.hypot
+        # one running norm of the batch's x and one of its row sums give
+        # every size's value; no size takes its lengths afresh from the
+        # one-vector loop or from math.hypot
+        rows, lengths, hypots = [], [], []
+        real_rows, real_norms, real_hypot = bounds_mod._prefix_norm_rows, bounds_mod._prefix_norms, math.hypot
+
+        def counted_rows(V):
+            rows.append(V.shape)
+            return real_rows(V)
 
         def counted(v):
             lengths.append(len(v))
@@ -722,12 +727,14 @@ class TestKernelBudget:
             hypots.append(len(args))
             return real_hypot(*args)
 
+        monkeypatch.setattr(bounds_mod, "_prefix_norm_rows", counted_rows)
         monkeypatch.setattr(bounds_mod, "_prefix_norms", counted)
         monkeypatch.setattr(math, "hypot", counted_hypot)
         grid = parse_r_grid(DEFAULT_R_GRID)
         records = grid_sweep(64, grid)
         assert all(rec.passed for rec in records)
-        assert lengths == [64, 64] * len(grid)
+        assert rows == [(19, 64), (19, 64)] == [(len(grid), 64)] * 2
+        assert lengths == []
         assert hypots == []
 
 
@@ -978,6 +985,34 @@ class TestGridSweep:
             + ["ValueError: expected a finite matrix"] * 10
             + ["ValueError: expected a lower-triangular matrix"] * 14
         )
+
+    def test_an_upper_entry_cuts_sizes_whose_full_products_pass(self, monkeypatch):
+        # A[0, 3] = 1e-20 and W its exact Sherman-Morrison inverse: the 8 x 8
+        # products meet both identities, so without the cut at the upper
+        # entry every size would read a pass from them. The leading blocks of
+        # sizes 2 and 3 hold the part of W above the diagonal that A[0, 3]
+        # pays for, but not A[0, 3] itself, and miss A W = I; from size 4 on
+        # A is not lower triangular. Each record is check_contraction's on its
+        # leading blocks, error included, and size 1 is theorem_check's
+        expected = repr(dataclasses.astuple(theorem_check(1, 0.5)))
+        A, W, x = (M.copy() for M in triangular_case(8, 0.5))
+        A[0, 3] = 1e-20
+        Wu, vW = W[:, 0] * 1e-20, W[3].copy()
+        W -= np.outer(Wu, vW) / (1.0 + vW[0] * 1e-20)
+        monkeypatch.setattr(bounds_mod, "_bracket_matrices", lambda n, rs: _stacks(rs, A, W, x))
+        records = grid_sweep(8, (0.5,))
+        errors = []
+        for rec in records:
+            n = rec.n
+            try:
+                ref = check_contraction(n, 0.5, A[:n, :n], W[:n, :n], x[:n])
+            except (ToepcondError, ValueError) as exc:
+                ref = bounds_mod._failed_record(n, 0.5, exc)
+            assert repr(dataclasses.astuple(rec)) == repr(dataclasses.astuple(ref))
+            errors.append(rec.error and rec.error.split(":")[0])
+        assert errors == [None] + ["TwoPathMismatchError"] * 2 + ["ValueError"] * 5
+        assert records[0].passed and repr(dataclasses.astuple(records[0])) == expected
+        assert records[4].error == "ValueError: expected a lower-triangular matrix"
 
     @pytest.mark.parametrize("matrix, index, value", [
         (0, (3, 30), 1e-3), (0, (30, 7), math.nan), (0, (30, 30), 0.0), (1, (30, 4), math.inf),

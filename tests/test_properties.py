@@ -34,8 +34,9 @@ import pytest
 from toepcond import (BlaschkeFactor, BoundsRecord, SingularMatrixError, ToepcondError, bracket_endpoints, grid_sweep,
                       taylor, theorem_check)
 from toepcond.blaschke import _one_minus_square, _taylor_rows
-from toepcond.bounds import EPS, TINY, _failed_record, _first_shell, _leading_maxima, _prefix_norms, _row_sums
-from toepcond.cli import CSV_HEADER, _bounds_row, _cell, _matrix_lines, _report, main
+from toepcond.bounds import (EPS, TINY, _failed_record, _first_shell, _leading_maxima, _prefix_norm_rows, _prefix_norms,
+                             _row_sums)
+from toepcond.cli import CSV_HEADER, _bounds_row, _cell, _matrix_lines, _report, main, parse_r_grid
 from toepcond.core import _reciprocal_rows
 
 
@@ -125,6 +126,25 @@ def test_row_wise_csv_matches_per_cell_formatting(records):
     assert _report("csv", CSV_HEADER, rows) == per_cell_csv(rows)
 
 
+def test_csv_cell_cache_keeps_signed_zeros_nan_and_inf():
+    # _report formats each distinct r, norm_T, scaled and upper once per
+    # report, from one dict the four columns share. 0.0 and -0.0 are one
+    # key but two cells, so no zero is stored: each row here rotates the
+    # values, so every column takes each zero both before and after the
+    # other, and NaN, -NaN and +-inf as well
+    values = [0.0, -0.0, 0.0, math.nan, 1.0, -math.nan, math.inf, -0.0, -math.inf, 0.0, -1.0, -0.0]
+    rows = [(k, *(values[(k + j) % len(values)] for j in range(6)), k % 2 == 0) for k in range(2 * len(values))]
+    text = _report("csv", CSV_HEADER, rows)
+    assert text == per_cell_csv(rows)
+    assert text.splitlines()[2] == "1,-0,0,nan,1,nan,inf,false"
+
+
+def test_csv_of_a_999_radius_sweep_matches_per_cell_formatting():
+    rows = [_bounds_row(rec) for rec in grid_sweep(12, parse_r_grid("0.001:0.999:0.001"))]
+    assert len(rows) == 12 * 999
+    assert _report("csv", CSV_HEADER, rows) == per_cell_csv(rows)
+
+
 def triangular_system(rng):
     """A lower-triangular m x m W and an m-vector x, real or complex, with
     finite entries whose products and sums may still overflow."""
@@ -177,6 +197,37 @@ def test_prefix_norms_are_those_of_each_prefix_alone(v):
         slack = Fraction(n, 2) + 1
         low, high = Fraction(norm) / (1 + slack * Fraction(EPS)), Fraction(norm) / (1 - slack * Fraction(EPS))
         assert low**2 <= exact <= high**2
+
+
+def norm_stack(rng):
+    """An R x m stack, real or complex, of zeros and entries whose squares
+    lie in the normal range; in most rows one entry from NORM_ENTRIES at
+    column 0, in the middle, last or anywhere, which may take its square
+    out of that range or be NaN or inf."""
+    rows, m, parts = rng.randint(1, 6), rng.randint(1, 24), rng.randint(1, 2)
+    V = array(rng, (rows, m), lambda rng: rng.choice([0.0, -0.0, rng.uniform(0.5, 2.0), rng.uniform(-1e100, 1e100)]),
+              parts)
+    for row in V:
+        if rng.random() < 0.75:
+            row[rng.choice([0, m // 2, m - 1, rng.randrange(m)])] = array(rng, (), rng.choice(NORM_ENTRIES), parts)
+    return V
+
+
+# a square below the normal range at column 0, in the middle and last; NaN
+# and inf; squares in range whose sum overflows; and a row that stays normal
+NORM_EDGES = [np.array([[1e-200, 1.0, 2.0], [1.0, 1e-200, 2.0], [1.0, 2.0, 1e-200], [1.0, math.nan, 2.0],
+                        [1.0, math.inf, 2.0], [1e154, 1e154, 1.0], [3.0, 4.0, 0.0]])]
+NORM_EDGES.append(NORM_EDGES[0] * (1 - 1j))
+
+
+# The sweep takes the lengths of a whole batch in one accumulate: each row
+# must be bitwise what the one-vector rule gives that row alone
+@drawn_from(14, 100, (NORM_EDGES, norm_stack))
+def test_prefix_norm_rows_are_those_of_each_row_alone(V):
+    norms = _prefix_norm_rows(V)
+    assert norms.shape == V.shape and norms.dtype == np.float64
+    for row, v in zip(norms, V):
+        assert _hexes(row) == _hexes(_prefix_norms(v))
 
 
 def test_complex_row_sums_of_the_corner_are_those_of_the_full_matrix():
@@ -409,4 +460,4 @@ print(*map(len, draws), hashlib.sha256(pickle.dumps(draws)).hexdigest())"""
     runs = [subprocess.run([sys.executable, "-c", script, *extra], capture_output=True, text=True, check=True,
                            timeout=120).stdout.split() for extra in ([], ["extra_constants"])]
     assert runs[0] == runs[1]
-    assert runs[0][:-1] == "100 100 100 200 100 100 100 60 60 40 40 60 40 100".split()
+    assert runs[0][:-1] == "100 100 100 200 100 100 100 100 60 60 40 40 60 40 100".split()
