@@ -9,12 +9,11 @@ it: two identities that such a contraction meets exactly, I - A A* = c c*
 and A W = I, in place of any SVD or elimination. _identity_terms forms
 |I - A A* - c c*| and, by one rule per row, where A W = I holds, and
 _row_sums W x; check_contraction reduces them over the whole block, and
-grid_sweep once per r over every leading block. grid_sweep builds the
-matrices, cuts at the argument checks and takes every size's _verdicts and
-lengths as stacks over a batch of radii (_prefix_norm_rows: one accumulate,
-bitwise _prefix_norms), keeping per r only the products, which are slower
-stacked; the bound on a batch caps memory. Each failing size goes back to
-check_contraction. estimate_t_a returns T_r's extremal symbol.
+grid_sweep once per r over every leading block, with the argument cut,
+lengths and _verdicts as stacks over a batch of radii; a failing size goes
+back to check_contraction. The results are columns, one per BoundsRecord
+field (_sweep_columns): verify reports from them, as a record per point
+costs more than its report row. estimate_t_a returns T_r's extremal symbol.
 """
 
 from __future__ import annotations
@@ -410,9 +409,8 @@ def _failed_record(n: int, r: float, exc: Exception) -> BoundsRecord:
     return rec
 
 
-def _sweep_records(n_max: int, rs: list[float]) -> list[BoundsRecord]:
-    """The records of grid_sweep at the radii rs, sizes 1..n_max, in (r, n)
-    order, from the stacks of _bracket_matrices at size n_max."""
+def _sweep_batch(n_max: int, rs: list[float]) -> tuple[tuple[np.ndarray, ...], dict]:
+    """grid_sweep's (R, n_max) norm_T, inv_norm, scaled, lower and passed at rs; the record of each failing (i, k)."""
     (A, G, X), R, sizes = _bracket_matrices(n_max, rs), len(rs), np.arange(1, n_max + 1)
     moduli = np.abs(np.diagonal(A, axis1=1, axis2=2))
     # the cut of each r: the first shell where an argument check fails (a
@@ -441,19 +439,37 @@ def _sweep_records(n_max: int, rs: list[float]) -> list[BoundsRecord]:
         uppers = np.sqrt(1.0 + gram) ** np.arange(n_max) * np.cumprod(1.0 / moduli, axis=1)
         ok = np.logical_and.reduce(_verdicts(sizes, column, rn, values, uppers, moduli[:, :1], gram, inverted))
         scaled, lower, passed = _bracket(rn, values)
-    norms = np.where(sizes == 1, moduli[:, :1], 1.0)
-    # every size's record as if it passed, then each failing size's own:
-    # check_contraction's, or past the cut its own first offending entry
-    records = list(map(BoundsRecord, np.tile(sizes, R).tolist(), np.repeat(column, n_max).tolist(),
-                       norms.ravel().tolist(), values.ravel().tolist(), scaled.ravel().tolist(),
-                       lower.ravel().tolist(), [1.0] * (R * n_max), passed.ravel().tolist()))
+    # each failing size's own record: check_contraction's, or its first offending entry
+    failed = {}
     for i, k in np.argwhere(~ok).tolist():
         n, r = k + 1, rs[i]
         try:
-            records[i * n_max + k] = check_contraction(n, r, A[i, :n, :n], G[i, :n, :n], X[i, :n])
+            failed[i, k] = check_contraction(n, r, A[i, :n, :n], G[i, :n, :n], X[i, :n])
         except (ToepcondError, ValueError) as exc:
-            records[i * n_max + k] = _failed_record(n, r, exc)
-    return records
+            failed[i, k] = _failed_record(n, r, exc)
+    return (np.where(sizes == 1, moduli[:, :1], 1.0), values, scaled, lower, passed), failed
+
+
+def _sweep_columns(n_max: int, r_grid: Sequence[float]) -> list[list]:
+    """grid_sweep's records as nine columns, one per BoundsRecord field, each in
+    (n, r) order: the batches' (R, n_max) arrays joined and transposed once."""
+    n_max = int(n_max)
+    if not 1 <= n_max <= 64:
+        raise ValueError("n_max must lie in 1..64")
+    rs = sorted(float(r) for r in r_grid)
+    if not all(0.0 < r < 1.0 for r in rs):
+        raise ValueError("grid values must lie strictly between 0 and 1")
+    R, starts = len(rs), range(0, len(rs), _BATCH)
+    batches = [_sweep_batch(n_max, rs[start : start + _BATCH]) for start in starts]
+    norm_T, inv_norm, scaled, lower, passed = [np.concatenate(stacks).T.ravel().tolist()
+                                               for stacks in zip(*(arrays for arrays, _ in batches))] or [[]] * 5
+    columns = [np.repeat(np.arange(1, n_max + 1), R).tolist(), np.tile(rs, n_max).tolist(),
+               norm_T, inv_norm, scaled, lower, [1.0] * (R * n_max), passed, [None] * (R * n_max)]
+    for start, (_, failed) in zip(starts, batches):
+        for (i, k), rec in failed.items():
+            for column, value in zip(columns, vars(rec).values()):
+                column[k * R + start + i] = value
+    return columns
 
 
 def grid_sweep(n_max: int, r_grid: Sequence[float]) -> list[BoundsRecord]:
@@ -474,17 +490,10 @@ def grid_sweep(n_max: int, r_grid: Sequence[float]) -> list[BoundsRecord]:
     brackets come as (R, n_max) arrays. A size whose verdict fails, and every
     size past the cut, goes through check_contraction on its leading blocks:
     each record is bitwise theorem_check(n, r), or where that raises has NaN
-    norms, passed = False and its `error`. Records come in (n, r) order.
+    norms, passed = False and its `error`. Records come in (n, r) order, built
+    from the columns of _sweep_columns, which verify reports from directly.
     """
-    n_max = int(n_max)
-    if not 1 <= n_max <= 64:
-        raise ValueError("n_max must lie in 1..64")
-    rs = sorted(float(r) for r in r_grid)
-    for r in rs:
-        if not 0.0 < r < 1.0:
-            raise ValueError("grid values must lie strictly between 0 and 1")
-    per_r = [rec for start in range(0, len(rs), _BATCH) for rec in _sweep_records(n_max, rs[start : start + _BATCH])]
-    return [rec for n in range(n_max) for rec in per_r[n::n_max]]
+    return list(map(BoundsRecord, *_sweep_columns(n_max, r_grid)))
 
 
 def check_search_point(n: int, r: float) -> tuple[int, float]:

@@ -37,18 +37,8 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .bounds import (
-    BoundsRecord,
-    SearchConfig,
-    SearchResult,
-    bracket_endpoints,
-    build_T_r,
-    check_search_point,
-    estimate_t_a,
-    grid_sweep,
-    kronecker_bound,
-    theorem_check,
-)
+from .bounds import (BoundsRecord, SearchConfig, SearchResult, _sweep_columns, bracket_endpoints, build_T_r,
+                     check_search_point, estimate_t_a, kronecker_bound, theorem_check)
 from .errors import ToepcondError
 from .model import verify_extremality
 
@@ -237,18 +227,19 @@ def _search_row(res: SearchResult) -> tuple:
 
 
 def cmd_verify(args: SimpleNamespace) -> int:
-    records = grid_sweep(args.n_max, parse_r_grid(args.r_grid))
-    failures = [rec for rec in records if not rec.passed]
+    """Report the grid from the sweep's columns, with no record of a passing point; exit 1 iff one fails."""
+    columns = _sweep_columns(args.n_max, parse_r_grid(args.r_grid))
+    ns, rs, _, _, scaled, lower, upper, passed, errors = columns
+    failures = [j for j, ok in enumerate(passed) if not ok]
     config = {"command": "verify", "n_max": args.n_max, "r_grid": args.r_grid}
-    _write_output(_report(args.format, CSV_HEADER, map(_bounds_row, records), config, "records"), args.output)
-    summary = f"verify: {len(records)} points, {len(failures)} failures"
-    passed = [rec for rec in records if rec.passed]
-    if passed:
-        # the closed form r^n ||T_r^{-1}|| = 1 makes every deviation roundoff
-        worst = max(passed, key=lambda rec: abs(rec.scaled - 1.0))
-        summary += f"; worst |scaled - 1| = {abs(worst.scaled - 1.0):.3g} at n={worst.n} r={_fmt(worst.r)}"
-    _to_stderr(summary, *(f"FAIL n={rec.n} r={_fmt(rec.r)} scaled={_fmt(rec.scaled)} bracket=[{_fmt(rec.lower)}, "
-                          f"{_fmt(rec.upper)}]" + (f" error={rec.error}" if rec.error else "") for rec in failures))
+    _write_output(_report(args.format, CSV_HEADER, zip(*columns[:8]), config, "records"), args.output)
+    summary = f"verify: {len(ns)} points, {len(failures)} failures"
+    if len(failures) < len(ns):
+        # the closed form r^n ||T_r^{-1}|| = 1 makes every deviation roundoff; argmax takes the first largest
+        j = int(np.where(np.fromiter(passed, bool), np.abs(np.fromiter(scaled, float) - 1.0), -1.0).argmax())
+        summary += f"; worst |scaled - 1| = {abs(scaled[j] - 1.0):.3g} at n={ns[j]} r={_fmt(rs[j])}"
+    _to_stderr(summary, *(f"FAIL n={ns[j]} r={_fmt(rs[j])} scaled={_fmt(scaled[j])} bracket=[{_fmt(lower[j])}, "
+                          f"{_fmt(upper[j])}]" + (f" error={errors[j]}" if errors[j] else "") for j in failures))
     return 0 if not failures else 1
 
 

@@ -708,6 +708,26 @@ class TestKernelBudget:
         assert len(records) == 64 * 999 and all(rec.passed for rec in records)
         assert singles == []
 
+    def test_verify_builds_records_only_of_failing_sizes(self, monkeypatch, capsys):
+        # verify reports from the sweep's columns: the one record a size
+        # gets is check_contraction's or _failed_record's where it fails
+        built = []
+
+        class Counted(bounds_mod.BoundsRecord):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                built.append(self.n)
+
+        monkeypatch.setattr(bounds_mod, "BoundsRecord", Counted)
+        assert len(grid_sweep(64, (0.5,))) == len(built) == 64
+        built.clear()
+        assert main(["verify", "--n-max", "64"]) == 0
+        assert built == []
+        # the series of b_r first leaves float64 at index 51 for r = 1e-6
+        assert main(["verify", "--r-grid", "0.000001:0.000001:0.000003", "--n-max", "64"]) == 1
+        assert built == list(range(52, 65))
+        capsys.readouterr()
+
     def test_grid_sweep_takes_every_value_from_one_running_norm(self, monkeypatch):
         # one running norm of the batch's x and one of its row sums give
         # every size's value; no size takes its lengths afresh from the

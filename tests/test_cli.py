@@ -18,7 +18,7 @@ import pytest
 
 import toepcond.cli as cli
 from toepcond import BoundsRecord, grid_sweep, theorem_check, verify_extremality
-from toepcond.bounds import bracket_record
+from toepcond.bounds import _sweep_columns, bracket_record
 from toepcond.cli import CSV_HEADER, MAX_GRID_POINTS, main, parse_r_grid
 
 SRC = Path(cli.__file__).resolve().parents[1]
@@ -26,6 +26,11 @@ SRC = Path(cli.__file__).resolve().parents[1]
 
 def _json_record(rec: BoundsRecord) -> dict:
     return {key: getattr(rec, "passed" if key == "pass" else key) for key in CSV_HEADER.split(",")}
+
+
+def _columns(*records: BoundsRecord) -> list[list]:
+    """The records as the nine columns verify reads, one per field."""
+    return [list(column) for column in zip(*(vars(rec).values() for rec in records))]
 
 
 def _json_bytes(payload: dict) -> str:
@@ -196,7 +201,7 @@ class TestVerify:
         nan = float("nan")
         rec = BoundsRecord(n=1, r=0.5, norm_T=nan, inv_norm=nan, scaled=nan,
                            lower=0.5, upper=1.0, passed=False)
-        monkeypatch.setattr(cli, "grid_sweep", lambda *a, **k: [rec])
+        monkeypatch.setattr(cli, "_sweep_columns", lambda *a, **k: _columns(rec))
         assert main(["verify", "--n-max", "1", "--r-grid", "0.5:0.5:0.1"]) == 1
         captured = capsys.readouterr()
         assert "FAIL n=1" in captured.err
@@ -207,7 +212,7 @@ class TestVerify:
         rec = BoundsRecord(n=1, r=0.5, norm_T=nan, inv_norm=nan, scaled=nan,
                            lower=0.5, upper=1.0, passed=False,
                            error="ToepcondError: synthetic failure")
-        monkeypatch.setattr(cli, "grid_sweep", lambda *a, **k: [rec])
+        monkeypatch.setattr(cli, "_sweep_columns", lambda *a, **k: _columns(rec))
         out = tmp_path / "fail.csv"
         assert main(["verify", "--n-max", "1", "--r-grid", "0.5:0.5:0.1", "--output", str(out)]) == 1
         fail_lines = [line for line in capsys.readouterr().err.splitlines() if line.startswith("FAIL")]
@@ -251,6 +256,37 @@ class TestVerify:
         assert all(line.endswith("error=SingularMatrixError: exact inverse has entries beyond the float64 range, "
                                  "first at (51, 0)") for line in fail_lines)
 
+    def test_report_across_batches_matches_one_radius_sweeps(self, tmp_path, capsys):
+        # 130 radii make three batches of the sweep: 64, 64 and 2. Each radius
+        # fails from the size where its series leaves float64, which grows
+        # with r, so failing sizes sit at other indices in every batch. The
+        # oracle sweeps each radius alone and puts its records back into
+        # (n, r) order, with none of the sweep's index arithmetic
+        spec = "0.0000001:0.00001171:0.00000009"
+        grid = parse_r_grid(spec)
+        assert len(grid) == 130 and grid == sorted(grid)
+        records = sorted((rec for r in grid for rec in grid_sweep(64, [r])), key=lambda rec: rec.n)
+        failures = [rec for rec in records if not rec.passed]
+        assert {grid.index(rec.r) // 64 for rec in failures} == {0, 1, 2}
+        assert all(rec.error for rec in failures) and len(failures) < len(records)
+        worst = max((rec for rec in records if rec.passed), key=lambda rec: abs(rec.scaled - 1.0))
+        err = "".join(line + "\n" for line in [
+            f"verify: {len(records)} points, {len(failures)} failures; worst |scaled - 1| = "
+            f"{abs(worst.scaled - 1.0):.3g} at n={worst.n} r={cli._fmt(worst.r)}",
+            *(f"FAIL n={rec.n} r={cli._fmt(rec.r)} scaled={cli._fmt(rec.scaled)} bracket=[{cli._fmt(rec.lower)}, "
+              f"{cli._fmt(rec.upper)}] error={rec.error}" for rec in failures)])
+        csv, report = tmp_path / "sweep.csv", tmp_path / "sweep.json"
+        assert main(["verify", "--n-max", "64", "--r-grid", spec, "--output", str(csv)]) == 1
+        assert capsys.readouterr() == ("", err)
+        assert csv.read_text() == "".join(
+            line + "\n" for line in [CSV_HEADER, *(",".join(map(cli._cell, cli._bounds_row(rec))) for rec in records)])
+        assert main(["verify", "--n-max", "64", "--r-grid", spec, "--format", "json", "--output", str(report)]) == 1
+        assert capsys.readouterr() == ("", err)
+        rows = [{key: None if isinstance(value, float) and not np.isfinite(value) else value
+                 for key, value in _json_record(rec).items()} for rec in records]
+        assert report.read_text() == _json_bytes({"config": {"command": "verify", "n_max": 64, "r_grid": spec},
+                                                  "records": rows})
+
 
 class TestUnwritableOutput:
     def test_missing_directory_is_usage_error(self, tmp_path, capsys):
@@ -288,12 +324,15 @@ class TestUnwritableOutput:
     def test_refused_before_the_sweep(self, tmp_path, capsys, monkeypatch):
         # the n_max = 64 sweep takes most of a second; the refusal does not run it
         sweeps = []
-        monkeypatch.setattr(cli, "grid_sweep", lambda *a: sweeps.append(a) or grid_sweep(*a))
+        monkeypatch.setattr(cli, "_sweep_columns", lambda *a: sweeps.append(a) or _sweep_columns(*a))
         start = time.perf_counter()
         assert main(["verify", "--n-max", "64", "--output", str(tmp_path / "missing" / "x.csv")]) == 2
         assert time.perf_counter() - start < 0.2
         assert sweeps == []
         assert capsys.readouterr().err.startswith("error: cannot write --output ")
+        # the seam is the one verify sweeps through
+        assert main(["verify", "--n-max", "1", "--r-grid", "0.5:0.5:0.1", "--output", str(tmp_path / "x.csv")]) == 0
+        assert sweeps == [(1, [0.5])]
 
 
 class TestOutputTargets:
