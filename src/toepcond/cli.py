@@ -27,6 +27,7 @@ from __future__ import annotations
 import contextlib
 import errno
 import functools
+import itertools
 import json
 import os
 import stat
@@ -202,7 +203,10 @@ def _report(fmt: str, header: str, rows: Iterable[tuple], config: Optional[dict]
                      for n, r, norm, inv, scaled, lower, upper, passed in rows]
         else:
             lines = [",".join(map(_cell, row)) for row in rows]
-        return "\n".join([header, *lines]) + "\n"
+        # the header and the final newline's "" join the lines' own list, so the text is built in one join
+        lines.insert(0, header)
+        lines.append("")
+        return "\n".join(lines)
     fields = header.split(",")
     objects = [{f: None if isinstance(v, float) and not np.isfinite(v) else v for f, v in zip(fields, row)}
                for row in rows]
@@ -243,11 +247,60 @@ def cmd_verify(args: SimpleNamespace) -> int:
     return 0 if not failures else 1
 
 
+# every 3-byte group a printed matrix is made of: "000" to "999" at 0..999,
+# "+0." to "+9." at _LEAD, "-0." to "-9." at _LEAD + 10, then "  [", "j, " and "j]\n";
+# built from bytes, as numpy arithmetic at import costs more resident memory
+_DIGITS = b"0123456789"
+_GROUPS = np.frombuffer(bytes(itertools.chain.from_iterable(itertools.product(_DIGITS, repeat=3)))
+                        + b"".join(b"%c%c." % (s, d) for s in b"+-" for d in _DIGITS) + b"  [j, j]\n", "V3")
+_LEAD, _OPEN, _SEP, _CLOSE = 1000, 1020, 1021, 1022
+
+
+def _row_lines(P: np.ndarray) -> list[str]:
+    """The lines of the (m, 2k) interleaved (re, im) parts, each row through one %+.6f format string."""
+    line = "  [" + ", ".join(["%+.6f%+.6fj"] * (P.shape[1] // 2)) + "]"
+    return [line % tuple(row) for row in P.tolist()]
+
+
 def _matrix_lines(M: np.ndarray) -> list[str]:
-    # each row's interleaved (re, im) floats go through one format string
-    rows = np.ascontiguousarray(M, np.complex128).view(np.float64).tolist()
-    line = "  [" + ", ".join(["%+.6f%+.6fj"] * M.shape[1]) + "]"
-    return [line % tuple(row) for row in rows]
+    """The rows of M as "  [+a.bbbbbb+c.ddddddj, ...]" lines, the text that
+    %+.6f gives each real and imaginary part.
+
+    One numpy pass looks the digits up in _GROUPS. With y = |x| * 1e6 and
+    q = rint(y) for every part x, it runs where each part has |y - q| < 1/2
+    and y < 9999999.5; NaN fails. 1e6 is exact and k + 1/2 is a float, and
+    rounding is monotonic, so y < k + 1/2 gives |x| * 10^6 < k + 1/2 and
+    y > k - 1/2 gives |x| * 10^6 > k - 1/2: q is the one integer nearest the
+    exact |x| * 10^6, the digits %+.6f rounds to, and a single digit leads.
+    The sign is the sign bit, so -0.0 and a tiny negative part give
+    "-0.000000" as %+.6f does. A matrix with any other part (inf, NaN,
+    |x| >= 9.9999995, or a y that is a tie, such as T_r(0.5)'s 0.0234375,
+    where y alone cannot tell which way the exact value rounds) is
+    formatted whole by _row_lines, the exact route.
+    """
+    P = np.ascontiguousarray(M, np.complex128).view(np.float64)
+    a = np.abs(P)
+    # NaN, inf and |x| >= 10 leave before the arithmetic, where a signaling NaN would warn
+    if not (P.size and a.max() < 10.0):
+        return _row_lines(P)
+    y = a * 1e6
+    q = np.rint(y)
+    if not (np.abs(y - q).max() < 0.5 and y.max() < 9999999.5):
+        return _row_lines(P)
+    thousands, low = np.divmod(q.astype(np.intp), 1000)
+    lead, mid = np.divmod(thousands, 1000)
+    lead += np.where(np.signbit(P), _LEAD + 10, _LEAD)
+    m, k = P.shape[0], P.shape[1] // 2
+    # per row: "  [", then per entry the real and imaginary groups and "j, ", the last one "j]\n"
+    groups = np.empty((m, 7 * k + 1), np.intp)
+    groups[:, 0] = _OPEN
+    cells = groups[:, 1:].reshape(m, k, 7)
+    for j, part in enumerate((lead, mid, low)):
+        cells[..., j:6:3] = part.reshape(m, k, 2)
+    cells[..., 6] = _SEP
+    cells[:, -1, 6] = _CLOSE
+    # every line ends in "\n", so the split ends in one ""
+    return _GROUPS.take(groups).tobytes().decode("ascii").split("\n")[:-1]
 
 
 def cmd_extremal(args: SimpleNamespace) -> int:

@@ -12,6 +12,7 @@ import threading
 import time
 import warnings
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -510,6 +511,31 @@ class TestExtremal:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"error: exact inverse has entries beyond the float64 range, first at {first}\n"
+
+
+class TestMatrixPrintBudget:
+    @pytest.fixture
+    def row_format(self, monkeypatch):
+        """_matrix_lines's fallback, the %+.6f row format, wrapped to count its calls."""
+        wrapped = mock.Mock(wraps=cli._row_lines)
+        monkeypatch.setattr(cli, "_row_lines", wrapped)
+        return wrapped
+
+    @pytest.mark.parametrize("n", (2, 8, 32))
+    def test_the_model_sweep_prints_from_the_digit_table(self, n, row_format, capsys):
+        # the (n, r) points of the benchmark's model sweep: no part is a
+        # six-place tie or 9.9999995 or more, so no matrix takes the row format
+        for r in (0.5, 0.9, 0.99, 0.999, 0.9999):
+            assert main(["extremal", "--model", "--n", str(n), "--r", repr(r)]) == 0
+            assert capsys.readouterr().out.count("\n  [") == n
+        assert row_format.call_count == 0
+
+    def test_a_tie_takes_the_row_format(self, row_format, capsys):
+        # T_r(0.5) at n = 8 holds -0.0234375, whose y = 23437.5 is a tie:
+        # %+.6f prints it, rounded half to even
+        assert main(["extremal", "--n", "8", "--r", "0.5"]) == 0
+        assert "\n  [-0.023438+0.000000j, -0.046875+0.000000j," in capsys.readouterr().out
+        assert row_format.call_count == 1
 
 
 class TestSearch:

@@ -1,7 +1,8 @@
-"""Property tests: the row-wise matrix printer and the row-wise CSV of
-bounds records against their per-entry oracles, every subcommand of the CLI
-over its valid domain and outside it, the sequential row sums of a
-triangular matrix over its leading blocks, the running norms of a vector
+"""Property tests: the matrix printer, at six-place ties and edges and on
+every matrix `extremal` prints, and the row-wise CSV of bounds records
+against their per-entry oracles, every subcommand of the CLI over its
+valid domain and outside it, the sequential row sums of a triangular
+matrix over its leading blocks, the running norms of a vector
 against those of each prefix alone and its exact norm, the first failing
 shell of a mask against its running maxima, the reciprocal series of a
 stack of symbols and the Taylor rows of a stack of Blaschke factors against
@@ -27,12 +28,14 @@ import subprocess
 import sys
 import warnings
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
 
-from toepcond import (BlaschkeFactor, BoundsRecord, SingularMatrixError, ToepcondError, bracket_endpoints, grid_sweep,
-                      taylor, theorem_check)
+import toepcond.cli as cli_mod
+from toepcond import (BlaschkeFactor, BoundsRecord, SingularMatrixError, ToepcondError, bracket_endpoints, build_T_r,
+                      grid_sweep, taylor, theorem_check, verify_extremality)
 from toepcond.blaschke import _one_minus_square, _taylor_rows
 from toepcond.bounds import (EPS, TINY, _failed_record, _first_shell, _leading_maxima, _prefix_norm_rows, _prefix_norms,
                              _row_sums)
@@ -100,6 +103,57 @@ def per_entry_lines(M):
 @drawn_from(1, 100, ((), lambda rng: array(rng, (rng.randint(1, 4), rng.randint(1, 4)), real, rng.randint(1, 2))))
 def test_row_wise_lines_match_per_entry_formatting(M):
     assert _matrix_lines(M) == per_entry_lines(M)
+
+
+def takes_the_row_format(M):
+    """Whether M fails the gate of _matrix_lines, one part at a time: a part
+    whose y = |x| * 1e6 is NaN, 9999999.5 or more, or a half-integer."""
+    ys = [abs(p) * 1e6 for z in map(complex, np.ravel(M).tolist()) for p in (z.real, z.imag)]
+    return not ys or not all(y < 9999999.5 and y % 1.0 != 0.5 for y in ys)
+
+
+# decimal and dyadic ties at six places and the floats either side of them,
+# 9.9999995 where a second leading digit starts, the signed zeros, a tiny
+# negative, subnormals and the non-finite parts
+TIES = [1 / 128, 0.0234375, -0.0234375, 0.5e-6, 2.5e-6, 9.9999995]
+PRINT_EDGES = [*TIES, *(math.nextafter(t, to) for t in TIES for to in (-math.inf, math.inf)),
+               0.0, -0.0, -2.2e-16, 5e-324, -5e-324, 2.2250738585072014e-308, math.nan, math.inf, -math.inf]
+# each edge as a real 1 x 1 matrix and as the imaginary parts of a complex 2 x 3 one
+PRINT_EDGE_MATRICES = [*(np.array([[x]]) for x in PRINT_EDGES),
+                       *(np.full((2, 3), complex(-0.75, x)) for x in PRINT_EDGES)]
+
+
+def printed_part(rng):
+    """Mostly a float in [-10, 10]; else one up to 3 ulps from a decimal tie
+    (k + 1/2) / 10^6 or a dyadic one m / 2^j, or a SPECIAL."""
+    u = rng.random()
+    if u < 0.05:
+        return rng.choice(SPECIAL)
+    if u < 0.6:
+        return rng.uniform(-10.0, 10.0)
+    x = rng.choice([(rng.randrange(10**7) + 0.5) / 1e6, rng.randrange(2**20) / 2.0 ** rng.randint(7, 26)])
+    for _ in range(rng.randint(0, 3)):
+        x = math.nextafter(x, rng.choice([-math.inf, math.inf]))
+    return rng.choice([x, -x])
+
+
+@drawn_from(15, 200, (PRINT_EDGE_MATRICES,
+                      lambda rng: array(rng, (rng.randint(1, 4), rng.randint(1, 4)), printed_part, rng.randint(1, 2))))
+def test_table_lines_are_exact_at_ties_and_edges(M):
+    # real, complex and non-square matrices print as %+.6f prints each
+    # part, and only those that fail the gate take the row format
+    with mock.patch.object(cli_mod, "_row_lines", wraps=cli_mod._row_lines) as row_format:
+        assert _matrix_lines(M) == per_entry_lines(M)
+    assert row_format.called == takes_the_row_format(M)
+
+
+def test_table_lines_match_per_entry_formatting_on_every_printed_matrix():
+    # every matrix extremal prints at these radii, with and without --model
+    for r in (0.3, 0.5, 0.9, 0.99, 0.9999):
+        for n in range(1, 65):
+            zeros = tuple(r * np.exp(2j * np.pi * k / n) for k in range(n))
+            for M in (verify_extremality(r, zeros).matrix, build_T_r(n, r).matrix):
+                assert _matrix_lines(M) == per_entry_lines(M)
 
 
 def radius(rng):
@@ -460,4 +514,4 @@ print(*map(len, draws), hashlib.sha256(pickle.dumps(draws)).hexdigest())"""
     runs = [subprocess.run([sys.executable, "-c", script, *extra], capture_output=True, text=True, check=True,
                            timeout=120).stdout.split() for extra in ([], ["extra_constants"])]
     assert runs[0] == runs[1]
-    assert runs[0][:-1] == "100 100 100 200 100 100 100 100 60 60 40 40 60 40 100".split()
+    assert runs[0][:-1] == "100 200 100 100 200 100 100 100 100 60 60 40 40 60 40 100".split()
