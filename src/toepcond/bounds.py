@@ -10,10 +10,10 @@ and A W = I, in place of any SVD or elimination. _identity_terms forms
 |I - A A* - c c*| and, by one rule per row, where A W = I holds, and
 _row_sums W x; check_contraction reduces them over the whole block, and
 grid_sweep once per r over every leading block, with the argument cut,
-lengths and _verdicts as stacks over a batch of radii; a failing size goes
-back to check_contraction. The results are columns, one per BoundsRecord
-field (_sweep_columns): verify reports from them, as a record per point
-costs more than its report row. estimate_t_a returns T_r's extremal symbol.
+lengths and _verdicts as stacks over a batch of radii; a failing size's
+fields, from check_contraction, are written into the batch's arrays. These
+join into one column per BoundsRecord field (_sweep_columns), which verify
+reports from. estimate_t_a returns T_r's extremal symbol.
 """
 
 from __future__ import annotations
@@ -297,17 +297,17 @@ def _row_sums(W: np.ndarray, x: np.ndarray) -> np.ndarray:
         return np.add.accumulate(W * x[None, :], axis=1)[:, -1]
 
 
-def _verdicts(n, r, rn, value, upper, corner, gram, residual_ok) -> tuple:
+def _verdicts(n, rn, value, upper, corner, gram, residual_ok) -> tuple:
     """The checks of check_contraction after its argument checks, in its
     order, for one size n or elementwise over arrays of sizes: the value
     ||W x||/||x|| within its enclosure `upper`, n * max|E| `gram` within
-    CLOSED_FORM_RTOL, |A_00| = `corner` at r for n = 1, A W = I by the rule of
-    _identity_terms, and the closed form rn * value = 1, with rn = r^n."""
+    CLOSED_FORM_RTOL, |A_00| = `corner` at rn = r for n = 1, A W = I by the
+    rule of _identity_terms, and the closed form rn * value = 1, rn = r^n."""
     # a NaN, or an upper bound beyond float64, fails each comparison
     return (
         (abs(value - upper) <= TWO_PATH_RTOL * upper) & (TWO_PATH_RTOL * upper < math.inf),
         gram <= CLOSED_FORM_RTOL,
-        (n >= 2) | (abs(corner - r) <= CLOSED_FORM_RTOL * r),
+        (n >= 2) | (abs(corner - rn) <= CLOSED_FORM_RTOL * rn),
         residual_ok,
         abs(rn * value - 1.0) <= CLOSED_FORM_RTOL,
     )
@@ -319,7 +319,7 @@ def _certify(n: int, r: float, value: float, upper: float, corner: float,
     value, its enclosure, |A_00| and the verdicts of the two identities: the
     error of the first of the _verdicts that fails, typed, with its numbers."""
     rn = r**n
-    enclosed, normed, cornered, inverted, closed = _verdicts(n, r, rn, value, upper, corner, gram, residual_ok)
+    enclosed, normed, cornered, inverted, closed = _verdicts(n, rn, value, upper, corner, gram, residual_ok)
     if not enclosed:
         raise TwoPathMismatchError(
             f"inverse norm outside its enclosure: ||W x||/||x|| = {value:.17g}, ||A||^(n-1)/|det A| <= {upper:.17g}"
@@ -409,8 +409,8 @@ def _failed_record(n: int, r: float, exc: Exception) -> BoundsRecord:
     return rec
 
 
-def _sweep_batch(n_max: int, rs: list[float]) -> tuple[tuple[np.ndarray, ...], dict]:
-    """grid_sweep's (R, n_max) norm_T, inv_norm, scaled, lower and passed at rs; the record of each failing (i, k)."""
+def _sweep_batch(n_max: int, rs: list[float]) -> tuple[np.ndarray, ...]:
+    """grid_sweep's (R, n_max) norm_T, inv_norm, scaled, lower, passed and error at rs, failing sizes' written in."""
     (A, G, X), R, sizes = _bracket_matrices(n_max, rs), len(rs), np.arange(1, n_max + 1)
     moduli = np.abs(np.diagonal(A, axis1=1, axis2=2))
     # the cut of each r: the first shell where an argument check fails (a
@@ -431,23 +431,25 @@ def _sweep_batch(n_max: int, rs: list[float]) -> tuple[tuple[np.ndarray, ...], d
             sums[i, :m] = _row_sums(W, x)
     # past its cut a size's value is NaN, which fails its verdicts
     values = np.where(sizes <= cuts[:, None], _prefix_norm_rows(sums) / lengths, np.nan)
-    gram, column, inverted = sizes * maxima, np.array(rs)[:, None], sizes <= clean[:, None]
+    gram, inverted = sizes * maxima, sizes <= clean[:, None]
     rn = np.array([[r**n for n in sizes.tolist()] for r in rs])
     # past a cut (1/0, inf - inf), and an overflow anywhere, fail the verdicts instead of warning
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         # every size's 1/|det A| from one product in sequence, as math.prod forms it
         uppers = np.sqrt(1.0 + gram) ** np.arange(n_max) * np.cumprod(1.0 / moduli, axis=1)
-        ok = np.logical_and.reduce(_verdicts(sizes, column, rn, values, uppers, moduli[:, :1], gram, inverted))
+        ok = np.logical_and.reduce(_verdicts(sizes, rn, values, uppers, moduli[:, :1], gram, inverted))
         scaled, lower, passed = _bracket(rn, values)
+    norm_T, errors = np.where(sizes == 1, moduli[:, :1], 1.0), np.full((R, n_max), None)
     # each failing size's own record: check_contraction's, or its first offending entry
-    failed = {}
     for i, k in np.argwhere(~ok).tolist():
         n, r = k + 1, rs[i]
         try:
-            failed[i, k] = check_contraction(n, r, A[i, :n, :n], G[i, :n, :n], X[i, :n])
+            rec = check_contraction(n, r, A[i, :n, :n], G[i, :n, :n], X[i, :n])
         except (ToepcondError, ValueError) as exc:
-            failed[i, k] = _failed_record(n, r, exc)
-    return (np.where(sizes == 1, moduli[:, :1], 1.0), values, scaled, lower, passed), failed
+            rec = _failed_record(n, r, exc)
+        norm_T[i, k], values[i, k], scaled[i, k], lower[i, k], passed[i, k], errors[i, k] = (
+            rec.norm_T, rec.inv_norm, rec.scaled, rec.lower, rec.passed, rec.error)
+    return norm_T, values, scaled, lower, passed, errors
 
 
 def _sweep_columns(n_max: int, r_grid: Sequence[float]) -> list[list]:
@@ -459,17 +461,11 @@ def _sweep_columns(n_max: int, r_grid: Sequence[float]) -> list[list]:
     rs = sorted(float(r) for r in r_grid)
     if not all(0.0 < r < 1.0 for r in rs):
         raise ValueError("grid values must lie strictly between 0 and 1")
-    R, starts = len(rs), range(0, len(rs), _BATCH)
-    batches = [_sweep_batch(n_max, rs[start : start + _BATCH]) for start in starts]
-    norm_T, inv_norm, scaled, lower, passed = [np.concatenate(stacks).T.ravel().tolist()
-                                               for stacks in zip(*(arrays for arrays, _ in batches))] or [[]] * 5
-    columns = [np.repeat(np.arange(1, n_max + 1), R).tolist(), np.tile(rs, n_max).tolist(),
-               norm_T, inv_norm, scaled, lower, [1.0] * (R * n_max), passed, [None] * (R * n_max)]
-    for start, (_, failed) in zip(starts, batches):
-        for (i, k), rec in failed.items():
-            for column, value in zip(columns, vars(rec).values()):
-                column[k * R + start + i] = value
-    return columns
+    batches = [_sweep_batch(n_max, rs[start : start + _BATCH]) for start in range(0, len(rs), _BATCH)]
+    norm_T, inv_norm, scaled, lower, passed, error = [np.concatenate(stacks).T.ravel().tolist()
+                                                      for stacks in zip(*batches)] or [[]] * 6
+    return [np.repeat(np.arange(1, n_max + 1), len(rs)).tolist(), np.tile(rs, n_max).tolist(),
+            norm_T, inv_norm, scaled, lower, [1.0] * len(norm_T), passed, error]
 
 
 def grid_sweep(n_max: int, r_grid: Sequence[float]) -> list[BoundsRecord]:
@@ -488,10 +484,10 @@ def grid_sweep(n_max: int, r_grid: Sequence[float]) -> list[BoundsRecord]:
     the enclosures (one cumprod of the 1/|A_kk| in math.prod's order, one
     array power, as check_contraction takes them), the _verdicts and the
     brackets come as (R, n_max) arrays. A size whose verdict fails, and every
-    size past the cut, goes through check_contraction on its leading blocks:
-    each record is bitwise theorem_check(n, r), or where that raises has NaN
-    norms, passed = False and its `error`. Records come in (n, r) order, built
-    from the columns of _sweep_columns, which verify reports from directly.
+    size past the cut, goes through check_contraction on its leading blocks;
+    its record's fields, bitwise theorem_check(n, r)'s, or where that raises
+    NaN norms, passed = False and its `error`, are written into those arrays.
+    Records come in (n, r) order, from _sweep_columns, which verify reads too.
     """
     return list(map(BoundsRecord, *_sweep_columns(n_max, r_grid)))
 
@@ -519,8 +515,8 @@ def estimate_t_a(n: int, r: float, config: SearchConfig | None = None) -> Search
     n, r = check_search_point(n, r)
     cfg = config or SearchConfig()
     symbol = build_T_r(n, r).symbol
-    value = theorem_check(n, r).inv_norm
-    scaled = min(1.0, r**n * value)
-    return SearchResult(n=n, r=r, best_value=min(value, _exact_floor(n, r)), best_coeffs=symbol,
+    rec = theorem_check(n, r)
+    scaled = min(1.0, rec.scaled)
+    return SearchResult(n=n, r=r, best_value=min(rec.inv_norm, _exact_floor(n, r)), best_coeffs=symbol,
                         restarts_used=max(1, cfg.restarts), seed=cfg.seed, scaled_value=scaled,
                         kronecker_gap=1.0 - scaled)

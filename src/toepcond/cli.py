@@ -256,15 +256,15 @@ _GROUPS = np.frombuffer(bytes(itertools.chain.from_iterable(itertools.product(_D
 _LEAD, _OPEN, _SEP, _CLOSE = 1000, 1020, 1021, 1022
 
 
-def _row_lines(P: np.ndarray) -> list[str]:
-    """The lines of the (m, 2k) interleaved (re, im) parts, each row through one %+.6f format string."""
-    line = "  [" + ", ".join(["%+.6f%+.6fj"] * (P.shape[1] // 2)) + "]"
-    return [line % tuple(row) for row in P.tolist()]
+def _row_lines(P: np.ndarray) -> str:
+    """The text of the (m, 2k) interleaved (re, im) parts: per row, one %+.6f format string's line."""
+    line = "  [" + ", ".join(["%+.6f%+.6fj"] * (P.shape[1] // 2)) + "]\n"
+    return "".join(line % tuple(row) for row in P.tolist())
 
 
-def _matrix_lines(M: np.ndarray) -> list[str]:
-    """The rows of M as "  [+a.bbbbbb+c.ddddddj, ...]" lines, the text that
-    %+.6f gives each real and imaginary part.
+def _matrix_lines(M: np.ndarray) -> str:
+    """The rows of M as one text of "  [+a.bbbbbb+c.ddddddj, ...]" lines, each
+    ending in a newline: the text that %+.6f gives each real and imaginary part.
 
     One numpy pass looks the digits up in _GROUPS. With y = |x| * 1e6 and
     q = rint(y) for every part x, it runs where each part has |y - q| < 1/2
@@ -299,8 +299,7 @@ def _matrix_lines(M: np.ndarray) -> list[str]:
         cells[..., j:6:3] = part.reshape(m, k, 2)
     cells[..., 6] = _SEP
     cells[:, -1, 6] = _CLOSE
-    # every line ends in "\n", so the split ends in one ""
-    return _GROUPS.take(groups).tobytes().decode("ascii").split("\n")[:-1]
+    return _GROUPS.take(groups).tobytes().decode("ascii")
 
 
 def cmd_extremal(args: SimpleNamespace) -> int:
@@ -315,7 +314,7 @@ def cmd_extremal(args: SimpleNamespace) -> int:
         report = verify_extremality(r, zeros)
         rec = report.record
         print(f"model operator, zeros r*(roots of unity), n={n} r={_fmt(r)}")
-        print("\n".join(_matrix_lines(report.matrix)))
+        sys.stdout.write(_matrix_lines(report.matrix))
         print(f"norm = {_fmt(rec.norm_T)}")
         print(f"inverse norm = {_fmt(rec.inv_norm)} (bound 1/r^n = {_fmt(report.kronecker)}, "
               f"relative gap {_fmt(report.rel_gap)})")
@@ -325,7 +324,7 @@ def cmd_extremal(args: SimpleNamespace) -> int:
         T = build_T_r(n, r)
         print(f"triangular Toeplitz T_r, n={n} r={_fmt(r)}")
         print(f"first column: ({', '.join(_fmt(c.real) for c in T.first_column)})")
-        print("\n".join(_matrix_lines(T.matrix)))
+        sys.stdout.write(_matrix_lines(T.matrix))
         print(f"norm = {_fmt(rec.norm_T)}")
         print(f"inverse norm = {_fmt(rec.inv_norm)} (bound 1/r^n = {_fmt(kronecker_bound(n, r))})")
     print(f"scaled inverse norm r^n * inv = {_fmt(rec.scaled)}, bracket [{_fmt(rec.lower)}, {_fmt(rec.upper)}]")
@@ -441,18 +440,16 @@ def _plain_args(argv: Sequence[str]) -> Optional[SimpleNamespace]:
 
 
 @functools.cache
-def _build_parser(command: Optional[str] = None):
-    """The parser of subcommand `command` alone, or of all four where it names
-    none: the three a call does not run cost more to build than search's
-    answer. Usage and prog are set to what argparse makes for all four."""
+def _build_parser():
+    """The argparse parser of all four subcommands, built from _OPTIONS, for
+    what _plain_args leaves to it: help, usage errors and spellings such as
+    --n=3."""
     import argparse
 
-    parser = argparse.ArgumentParser(prog="toepcond", usage="%(prog)s [-h] {" + ",".join(COMMANDS) + "} ...",
-                                     description="Condition-number brackets for triangular Toeplitz contractions",
-                                     allow_abbrev=False)
-    sub = parser.add_subparsers(dest="command", required=True, prog="toepcond")
-    for name in [command] if command in COMMANDS else COMMANDS:
-        summary, options = _OPTIONS[name]
+    parser = argparse.ArgumentParser(prog="toepcond", allow_abbrev=False,
+                                     description="Condition-number brackets for triangular Toeplitz contractions")
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (summary, options) in _OPTIONS.items():
         p = sub.add_parser(name, allow_abbrev=False, help=summary)
         for flag, spec in options.items():
             p.add_argument(flag, **spec)
@@ -495,9 +492,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     args = _plain_args(argv)
     if args is None:
-        parser = _build_parser(argv[0] if argv and argv[0] in COMMANDS else None)
         try:
-            args = SimpleNamespace(**vars(parser.parse_args(argv)))
+            args = SimpleNamespace(**vars(_build_parser().parse_args(argv)))
         except SystemExit as exc:
             _to_stderr()  # flush what argparse wrote
             return int(exc.code) if exc.code is not None else 2

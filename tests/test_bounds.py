@@ -1132,6 +1132,22 @@ class TestEstimateTa:
             assert abs(res.scaled_value - 1.0) <= 1e-13
             assert res.kronecker_gap >= 0.0
 
+    def test_symbol_stops_schurs_algorithm_after_one_step(self):
+        # Schur's algorithm on f = b_r: gamma_0 = f(0) = r, then
+        # f_1 = (f - gamma_0) / (z (1 - conj(gamma_0) f)) is the constant -1,
+        # so |gamma_1| = 1 and the algorithm stops: b_r is a Blaschke factor
+        for n in (2, 3, 12, 32, 64):
+            for r in parse_r_grid(DEFAULT_R_GRID) + [0.3, 0.99, 0.9999]:
+                f = build_T_r(n, r).symbol.coeffs
+                assert f[0] == r
+                denominator = -r * f[: n - 1]
+                # 1 - |gamma_0|^2 without the cancellation of 1 - r * r near r = 1
+                denominator[0] = (1.0 - r) * (1.0 + r)
+                f_1 = np.convolve(f[1:], reciprocal_series(AnalyticPolynomial(n - 1, denominator)).coeffs)[: n - 1]
+                # gamma_1 = f_1(0) = -1, and every higher coefficient is 0
+                assert abs(f_1[0] + 1.0) <= 4 * EPS, (n, r)
+                assert np.abs(f_1[1:]).max(initial=0.0) <= 4 * EPS, (n, r)
+
     def test_best_value_is_at_most_the_exact_bound(self):
         # the extremal constant is 1/r^n exactly, for the float r; the
         # largest float at or below it caps the reported value, where

@@ -703,32 +703,25 @@ def _subcommands(parser: argparse.ArgumentParser) -> dict:
 class TestParserReuse:
     def test_parser_is_built_once(self):
         assert cli._build_parser() is cli._build_parser()
-        for command in cli.COMMANDS:
-            assert cli._build_parser(command) is cli._build_parser(command) is not cli._build_parser()
 
-    def test_a_subcommand_parser_registers_that_subcommand_alone(self):
+    def test_the_parser_registers_all_four_subcommands_in_order(self):
         assert list(_subcommands(cli._build_parser())) == list(cli.COMMANDS)
-        assert list(_subcommands(cli._build_parser("bogus"))) == list(cli.COMMANDS)
-        for command in cli.COMMANDS:
-            assert list(_subcommands(cli._build_parser(command))) == [command]
 
     @pytest.mark.parametrize("command", list(cli.COMMANDS))
     def test_help_and_usage_match_the_full_parser(self, command, monkeypatch):
         monkeypatch.setenv("COLUMNS", "80")
-        full, alone = cli._build_parser(), cli._build_parser(command)
-        assert alone.format_usage() == full.format_usage() == _USAGE
-        assert _subcommands(alone)[command].format_help() == _subcommands(full)[command].format_help()
-        assert _subcommands(alone)[command].prog == f"toepcond {command}"
+        assert cli._build_parser().format_usage() == _USAGE
+        assert _subcommands(cli._build_parser())[command].prog == f"toepcond {command}"
 
     def test_cache_holds_one_parser_per_first_argument_kind(self, capsys):
-        # no arguments, -h, an unknown word and an option first all share the
-        # full parser, so five parsers at most are ever built
+        # no arguments, -h, an unknown word, an option first and every
+        # subcommand's help all share the one parser
         cli._build_parser.cache_clear()
         for argv in [[], ["-h"], ["bogus"], ["--format", "json", "verify"],
                      *([command, "-h"] for command in cli.COMMANDS)]:
             main(argv)
         capsys.readouterr()
-        assert cli._build_parser.cache_info().currsize == 5
+        assert cli._build_parser.cache_info().currsize == 1
 
     def test_each_call_gives_its_first_call_output(self, capsys):
         def run(argv):
@@ -823,7 +816,7 @@ class TestPlainArgs:
             plain = cli._plain_args(argv)
             if plain is not None:
                 accepted += 1
-                assert _reprs(plain) == _reprs(cli._build_parser(argv[0]).parse_args(argv)), argv
+                assert _reprs(plain) == _reprs(cli._build_parser().parse_args(argv)), argv
         assert accepted > 1000
 
     @pytest.mark.parametrize("argv", BENCHMARK_CALLS, ids=[" ".join(argv) for argv in BENCHMARK_CALLS])

@@ -102,7 +102,7 @@ def per_entry_lines(M):
 
 @drawn_from(1, 100, ((), lambda rng: array(rng, (rng.randint(1, 4), rng.randint(1, 4)), real, rng.randint(1, 2))))
 def test_row_wise_lines_match_per_entry_formatting(M):
-    assert _matrix_lines(M) == per_entry_lines(M)
+    assert _matrix_lines(M) == "".join(line + "\n" for line in per_entry_lines(M))
 
 
 def takes_the_row_format(M):
@@ -143,7 +143,7 @@ def test_table_lines_are_exact_at_ties_and_edges(M):
     # real, complex and non-square matrices print as %+.6f prints each
     # part, and only those that fail the gate take the row format
     with mock.patch.object(cli_mod, "_row_lines", wraps=cli_mod._row_lines) as row_format:
-        assert _matrix_lines(M) == per_entry_lines(M)
+        assert _matrix_lines(M) == "".join(line + "\n" for line in per_entry_lines(M))
     assert row_format.called == takes_the_row_format(M)
 
 
@@ -153,7 +153,7 @@ def test_table_lines_match_per_entry_formatting_on_every_printed_matrix():
         for n in range(1, 65):
             zeros = tuple(r * np.exp(2j * np.pi * k / n) for k in range(n))
             for M in (verify_extremality(r, zeros).matrix, build_T_r(n, r).matrix):
-                assert _matrix_lines(M) == per_entry_lines(M)
+                assert _matrix_lines(M) == "".join(line + "\n" for line in per_entry_lines(M))
 
 
 def radius(rng):

@@ -8,6 +8,7 @@ follow it up to the next `$` line or the end of the block, and its exit
 code N.
 """
 
+import ast
 import contextlib
 import doctest
 import io
@@ -22,6 +23,8 @@ from toepcond.cli import _plain_args, main
 README = Path(__file__).resolve().parents[1] / "README.md"
 FENCE = re.compile(r"^```(\w*)\n(.*?)^```$", re.MULTILINE | re.DOTALL)
 COMMAND = re.compile(r"\$ toepcond (.+?)\s+# exits (\d)")
+# a backticked test name, alone or under its class, its file or both: `file.py::Class::test_name`
+CITATION = re.compile(r"`((?:\w+\.py::)?(?:\w+::)?test_\w+)`")
 
 
 def _blocks(language: str) -> list:
@@ -70,3 +73,22 @@ def test_command_prints_what_the_readme_shows(argv, code, output, monkeypatch):
                          ids=[" ".join(argv) for argv, code, _ in EXAMPLES if code == 0])
 def test_each_passing_example_is_read_without_argparse(argv):
     assert _plain_args(argv) is not None
+
+
+def _node_ids() -> set:
+    """file.py::test_name and file.py::Class::test_name of every test function under tests/."""
+    ids = set()
+    for path in README.parent.joinpath("tests").glob("test_*.py"):
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, ast.ClassDef):
+                ids.update(f"{path.name}::{node.name}::{f.name}" for f in node.body if isinstance(f, ast.FunctionDef))
+            elif isinstance(node, ast.FunctionDef):
+                ids.add(f"{path.name}::{node.name}")
+    return ids
+
+
+def test_every_cited_test_exists():
+    # a citation is the tail of a node id: a test renamed, or moved into or out of a class, no longer matches
+    cited, ids = CITATION.findall(README.read_text()), _node_ids()
+    missing = [c for c in cited if not any(i == c or i.endswith("::" + c) for i in ids)]
+    assert cited and not missing, missing
