@@ -125,7 +125,7 @@ def _exact_floor(n: int, r: float) -> float:
 def build_T_r(n: int, r: float) -> AnalyticToeplitzMatrix:
     """T_r: the Blaschke factor of r applied to the Jordan block."""
     n, r = _bound_domain(n, r, closed=False)
-    return apply_calculus(taylor(BlaschkeFactor(r), n), n)
+    return apply_calculus(taylor(BlaschkeFactor(r), n))
 
 
 def bracket_endpoints(n: int, r: float) -> tuple[float, float]:
@@ -514,9 +514,8 @@ def estimate_t_a(n: int, r: float, config: SearchConfig | None = None) -> Search
     """
     n, r = check_search_point(n, r)
     cfg = config or SearchConfig()
-    symbol = build_T_r(n, r).symbol
     rec = theorem_check(n, r)
     scaled = min(1.0, rec.scaled)
-    return SearchResult(n=n, r=r, best_value=min(rec.inv_norm, _exact_floor(n, r)), best_coeffs=symbol,
-                        restarts_used=max(1, cfg.restarts), seed=cfg.seed, scaled_value=scaled,
-                        kronecker_gap=1.0 - scaled)
+    return SearchResult(n=n, r=r, best_value=min(rec.inv_norm, _exact_floor(n, r)),
+                        best_coeffs=taylor(BlaschkeFactor(r), n), restarts_used=cfg.restarts,
+                        seed=cfg.seed, scaled_value=scaled, kronecker_gap=1.0 - scaled)

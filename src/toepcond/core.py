@@ -67,14 +67,14 @@ def _lower_toeplitz(column: np.ndarray) -> np.ndarray:
 
 @dataclass(eq=False)
 class AnalyticToeplitzMatrix:
-    """Lower-triangular Toeplitz matrix f(M_n) determined by its symbol f."""
+    """Lower-triangular Toeplitz matrix f(M_n) determined by its symbol f,
+    which it holds padded or truncated to order n, never sharing f's array."""
 
     n: int
     symbol: AnalyticPolynomial
 
     def __post_init__(self):
-        if self.symbol.n != self.n:
-            self.symbol = self.symbol.padded(self.n)
+        self.symbol = self.symbol.padded(self.n)
 
     @cached_property
     def matrix(self) -> np.ndarray:
@@ -107,9 +107,7 @@ def apply_calculus(phi: AnalyticPolynomial, n: int | None = None) -> AnalyticToe
     zero-padded. The result is the lower-triangular Toeplitz matrix whose
     first column is the coefficient vector.
     """
-    if n is None:
-        n = phi.n
-    return AnalyticToeplitzMatrix(n, phi.padded(n))
+    return AnalyticToeplitzMatrix(phi.n if n is None else n, phi)
 
 
 def commutes_with_shift(A) -> bool:

@@ -637,6 +637,19 @@ class TestSearch:
         assert result["seed"] == 7
         assert result["best_value"] == 8.0
 
+    def test_knobs_are_echoed_as_given(self, tmp_path, capsys):
+        # the knobs do nothing, so no value is clamped or refused: the report echoes each as given
+        knobs = ["--restarts", "-5", "--iters", "0", "--seed", "-1"]
+        assert main(["search", "--n", "2", "--r", "0.5", *knobs]) == 0
+        assert capsys.readouterr().out == "n=2 r=0.5 estimate=4 scaled=1 gap=0 restarts=-5 seed=-1\n"
+        out = tmp_path / "search.json"
+        assert main(["search", "--n", "2", "--r", "0.5", *knobs, "--format", "json", "--output", str(out)]) == 0
+        capsys.readouterr()
+        payload = json.loads(out.read_text())
+        assert payload["result"]["restarts_used"] == -5
+        assert {key: payload["config"][key] for key in ("restarts", "iters", "seed")} == {
+            "restarts": -5, "iters": 0, "seed": -1}
+
     def test_missing_arguments_are_usage_errors(self, capsys):
         assert main(["search"]) == 2
         assert main(["search", "--n-list", "1,2"]) == 2

@@ -7,6 +7,7 @@ import pytest
 
 from toepcond import (
     AnalyticPolynomial,
+    AnalyticToeplitzMatrix,
     BezoutPairError,
     SingularSymbolError,
     apply_calculus,
@@ -22,6 +23,16 @@ P = AnalyticPolynomial.from_coeffs
 
 def full_convolve(a, b):
     return np.convolve(np.asarray(a, dtype=complex), np.asarray(b, dtype=complex))
+
+
+class TestAnalyticPolynomial:
+    @pytest.mark.parametrize("n, coeffs, message", [
+        (0, [], "truncation order must be at least 1"),
+        (2, [1.0], "expected 2 coefficients, got 1"),
+    ])
+    def test_refuses_an_order_its_coefficients_do_not_have(self, n, coeffs, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            AnalyticPolynomial(n, coeffs)
 
 
 class TestJordanBlock:
@@ -60,6 +71,29 @@ class TestApplyCalculus:
         A = apply_calculus(P((1.0, 2.0, 3.0, 4.0, 5.0)), 2)
         assert np.allclose(A.first_column, [1.0, 2.0])
 
+    @pytest.mark.parametrize("build", [
+        lambda phi, n: AnalyticToeplitzMatrix(n, phi),
+        lambda phi, n: apply_calculus(phi, n),
+    ], ids=["constructor", "apply_calculus"])
+    @pytest.mark.parametrize("n", [1, 2, 3, 5])
+    def test_pads_or_truncates_into_a_copy_of_the_symbol(self, build, n):
+        # one padding path for every order, the symbol's own included
+        phi = P((1.0, 2.0, 3.0))
+        A = build(phi, n)
+        assert (A.n, A.symbol.n) == (n, n)
+        column = [1.0, 2.0, 3.0, 0.0, 0.0][:n]
+        assert np.array_equal(A.first_column, column)
+        powers = [np.linalg.matrix_power(jordan_block(n), k) for k in range(n)]
+        assert np.array_equal(A.matrix, sum(c * M for c, M in zip(column, powers)))
+        assert not np.shares_memory(A.symbol.coeffs, phi.coeffs)
+        assert np.array_equal(phi.coeffs, [1.0, 2.0, 3.0])
+
+    def test_default_order_is_the_symbols_own_in_a_copy(self):
+        phi = P((0.5, -0.75))
+        A = apply_calculus(phi)
+        assert A.n == 2 and np.array_equal(A.first_column, phi.coeffs)
+        assert not np.shares_memory(A.symbol.coeffs, phi.coeffs)
+
     def test_multiplicative_on_products(self):
         rng = np.random.default_rng(41)
         for _ in range(30):
@@ -91,6 +125,11 @@ class TestCommutant:
         A = apply_calculus(P((1.0, 2.0, 3.0))).matrix.copy()
         A[1, 0] += 1e-3
         assert not commutes_with_shift(A)
+
+    @pytest.mark.parametrize("shape", [(2, 3), (3,), (0, 0)])
+    def test_refuses_all_but_a_nonempty_square_matrix(self, shape):
+        with pytest.raises(ValueError, match="^expected a nonempty square matrix$"):
+            commutes_with_shift(np.zeros(shape))
 
     def test_random_dense_fails(self):
         rng = np.random.default_rng(47)

@@ -6,7 +6,9 @@ matrix over its leading blocks, the running norms of a vector
 against those of each prefix alone and its exact norm, the first failing
 shell of a mask against its running maxima, the reciprocal series of a
 stack of symbols and the Taylor rows of a stack of Blaschke factors against
-each alone, and the grid sweep against the single-point check.
+each alone, the grid sweep against the single-point check, and T_r
+against every other contraction f(J_n) with |f(0)| = r, drawn by its Schur
+parameters.
 
 The CLI runs cover r over its valid domain, from 5e-324 up to 1 - 2^-53
 (1 - 1e-15 and 1 - 2^-52 among the edges). Each run exits 0 with values
@@ -34,11 +36,12 @@ import numpy as np
 import pytest
 
 import toepcond.cli as cli_mod
-from toepcond import (BlaschkeFactor, BoundsRecord, SingularMatrixError, ToepcondError, bracket_endpoints, build_T_r,
-                      grid_sweep, taylor, theorem_check, verify_extremality)
+from toepcond import (AnalyticPolynomial, BlaschkeFactor, BoundsRecord, SingularMatrixError, ToepcondError,
+                      apply_calculus, bracket_endpoints, build_T_r, grid_sweep, reciprocal_series, spectral_norm,
+                      taylor, theorem_check, verify_extremality)
 from toepcond.blaschke import _one_minus_square, _taylor_rows
-from toepcond.bounds import (EPS, TINY, _failed_record, _first_shell, _leading_maxima, _prefix_norm_rows, _prefix_norms,
-                             _row_sums)
+from toepcond.bounds import (EPS, TINY, TWO_PATH_RTOL, _failed_record, _first_shell, _leading_maxima,
+                             _prefix_norm_rows, _prefix_norms, _row_sums)
 from toepcond.cli import CSV_HEADER, _bounds_row, _cell, _matrix_lines, _report, main, parse_r_grid
 from toepcond.core import _reciprocal_rows
 
@@ -501,6 +504,56 @@ def test_grid_sweep_agrees_with_theorem_check(n_max, r):
         assert dataclasses.astuple(rec) == dataclasses.astuple(ref)
 
 
+def schur_symbol(gammas):
+    """The symbol f mod z^n whose Schur parameters are gammas = (gamma_0, ..., gamma_{n-1}),
+    by the inverse of Schur's algorithm: f_{n-1} = gamma_{n-1}, then
+    f_k = (gamma_k + z f_{k+1}) / (1 + conj(gamma_k) z f_{k+1}) mod z^{n-k}, f = f_0."""
+    f = np.array(gammas[-1:], dtype=np.complex128)
+    for gamma in reversed(gammas[:-1]):
+        zf, one = np.concatenate(([0j], f)), np.eye(1, f.size + 1)[0]
+        denominator = AnalyticPolynomial.from_coeffs(one + np.conj(gamma) * zf)
+        f = np.convolve(gamma * one + zf, reciprocal_series(denominator).coeffs)[: zf.size]
+    return AnalyticPolynomial.from_coeffs(f)
+
+
+def in_the_disk(rng):
+    return math.sqrt(rng.random()) * cmath.exp(1j * rng.uniform(-math.pi, math.pi))
+
+
+def scaled_inverse_norm(f, r):
+    """r^n ||f(J_n)^{-1}||, the norm taken as the top singular value of the
+    series inverse: accurate to roundoff, where r^n / sigma_min(f(J_n)) is not."""
+    return r**f.n * spectral_norm(apply_calculus(reciprocal_series(f)).matrix)
+
+
+# Schur (1917): ||f(J_n)|| <= 1 exactly when every Schur parameter of f lies
+# in the closed disk, so the parameters, free in the disk, draw the whole
+# feasible set of the extremal problem. With gamma_0 = f(0) = r, T_r's
+# symbol b_r is the one with |gamma_1| = 1, and |gamma_1| = 1 - delta leaves
+# a gap below the supremum that grows linearly in delta: at n = 2 it is
+# delta (1 - r^2)/(1 + r^2) to first order. The least gap over these draws
+# is 0.997 of that, at n = 2 and delta = 0.027; the test asserts half.
+@drawn_from(16, 300, ints(2, 64), ((0.1, 0.95), lambda rng: rng.uniform(0.1, 0.95)),
+            ((1e-6, 1e-1), lambda rng: 10.0 ** rng.uniform(-6.0, -1.0)),
+            ((), lambda rng: rng.uniform(-math.pi, math.pi)), ((), lambda rng: [in_the_disk(rng) for _ in range(62)]))
+def test_every_other_contraction_stays_below_the_supremum(n, r, delta, theta, tail):
+    f = schur_symbol([r, (1.0 - delta) * cmath.exp(1j * theta), *tail[: n - 2]])
+    assert f.coeffs[0] == r
+    assert spectral_norm(apply_calculus(f).matrix) <= 1.0 + TWO_PATH_RTOL
+    assert 1.0 - scaled_inverse_norm(f, r) >= delta * (1.0 - r * r) / (2.0 * (1.0 + r * r))
+
+
+@pytest.mark.parametrize("r", [0.1, 0.5, 0.9])
+@pytest.mark.parametrize("n", [2, 12, 64])
+def test_a_unimodular_second_parameter_gives_t_r_at_the_supremum(n, r):
+    # gamma_1 = -1 stops Schur's algorithm: f_1 = -1 whatever follows, and f = b_r
+    rng = random.Random(n)
+    f = schur_symbol([r, -1.0, *(in_the_disk(rng) for _ in range(n - 2))])
+    assert np.allclose(f.coeffs, build_T_r(n, r).symbol.coeffs, rtol=0.0, atol=1e-14)
+    assert spectral_norm(apply_calculus(f).matrix) <= 1.0 + TWO_PATH_RTOL
+    assert abs(scaled_inverse_norm(f, r) - 1.0) <= 1e-14
+
+
 def test_draws_do_not_depend_on_imported_constants(tmp_path, monkeypatch):
     # a draw from a pool of the float constants of the modules loaded so far
     # would change with the module below, and with any edit to src/
@@ -514,4 +567,4 @@ print(*map(len, draws), hashlib.sha256(pickle.dumps(draws)).hexdigest())"""
     runs = [subprocess.run([sys.executable, "-c", script, *extra], capture_output=True, text=True, check=True,
                            timeout=120).stdout.split() for extra in ([], ["extra_constants"])]
     assert runs[0] == runs[1]
-    assert runs[0][:-1] == "100 200 100 100 200 100 100 100 100 60 60 40 40 60 40 100".split()
+    assert runs[0][:-1] == "100 200 100 100 200 100 100 100 100 60 60 40 40 60 40 300 100".split()

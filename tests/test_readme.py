@@ -5,7 +5,7 @@ ELLIPSIS. Each `$ toepcond ARGS    # exits N` line of a `console` block runs
 in process through toepcond.cli.main, with stdout and stderr captured into
 one stream, as a terminal shows them: its output must be the lines that
 follow it up to the next `$` line or the end of the block, and its exit
-code N.
+code N. The Layout block names each module of the package but `__init__.py`.
 """
 
 import ast
@@ -73,6 +73,13 @@ def test_command_prints_what_the_readme_shows(argv, code, output, monkeypatch):
                          ids=[" ".join(argv) for argv, code, _ in EXAMPLES if code == 0])
 def test_each_passing_example_is_read_without_argparse(argv):
     assert _plain_args(argv) is not None
+
+
+def test_layout_names_every_module():
+    (layout,) = [body for body in _blocks("") if body.startswith("src/toepcond/\n")]
+    named = set(re.findall(r"^  (\w+\.py) ", layout, flags=re.MULTILINE))
+    modules = {path.name for path in README.parent.joinpath("src", "toepcond").glob("*.py")} - {"__init__.py"}
+    assert named == modules
 
 
 def _node_ids() -> set:
